@@ -45,7 +45,6 @@ from .lang import (
     Var,
     indexify,
     mk_app,
-    reindexify,
     ty_app,
     wf_global,
     wf_global_errors,
@@ -64,7 +63,6 @@ from .interp import (
     eval_type,
     from_val,
     subst_env_expr,
-    subst_env_ty,
     wf_val,
 )
 from .kernel import (
@@ -97,8 +95,6 @@ from .serialize import (
     expr_to_json,
     module_from_json,
     module_to_json,
-    term_from_json,
-    term_to_json,
 )
 from .soundness import (
     Agree,

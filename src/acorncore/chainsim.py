@@ -40,7 +40,6 @@ class ChainError(Exception):
 @dataclass(frozen=True)
 class BlockHeader:
     slot: int
-    reward_to: Optional[int] = None  # block rewards are disabled
 
 
 @dataclass(frozen=True)

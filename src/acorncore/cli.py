@@ -155,6 +155,11 @@ def _cmd_diff_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_chain(args: argparse.Namespace) -> int:
+    names = [n for n in args.check.split(",") if n]
+    for name in names:
+        if name not in INVARIANTS:
+            print(f"error: unknown invariant '{name}'", file=sys.stderr)
+            return 2
     scenario = load_scenario(args.scenario)
     trace = gen_trace(args.seed, args.blocks, scenario, fuel=args.fuel)
     accepted = sum(1 for s in trace.steps if s.accepted)
@@ -167,13 +172,8 @@ def _cmd_chain(args: argparse.Namespace) -> int:
         con = st.contracts[addr]
         print(f"contract {addr} ({con.program}): {_render_value_for(con)}")
     failures = 0
-    names = [n for n in args.check.split(",") if n]
     for name in names:
-        inv = INVARIANTS.get(name)
-        if inv is None:
-            print(f"error: unknown invariant '{name}'", file=sys.stderr)
-            return 2
-        violation = check_invariant(trace, inv, fuel=args.fuel)
+        violation = check_invariant(trace, INVARIANTS[name], fuel=args.fuel)
         if violation is None:
             print(f"invariant {name}: holds")
         else:

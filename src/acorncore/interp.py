@@ -23,14 +23,13 @@ from .lang import (
     EvalResult,
     Expr,
     Fix,
+    Footprint,
     GlobalEnv,
     Lam,
     Let,
     Lit,
     NOT_ENOUGH_FUEL,
     Ok,
-    PInt,
-    PNat,
     Pat,
     PrimVal,
     TApp,
@@ -42,10 +41,12 @@ from .lang import (
     TyAsExpr,
     TyLam,
     Var,
+    delta,
     expr_footprint,
     resolve_constr,
     resolve_inductive,
     ty_closed_under,
+    ty_footprint,
 )
 
 
@@ -172,7 +173,10 @@ def validate(rho: Sequence[Val], n_extra: int, e: Expr) -> bool:
     it is closed under the combined length and every type position that
     reaches into `rho` lands on a type entry. Reads the node's cached
     footprint, so it costs O(free type references), not O(size of `e`)."""
-    fp = expr_footprint(e)
+    return _fits(rho, n_extra, expr_footprint(e))
+
+
+def _fits(rho: Sequence[Val], n_extra: int, fp: Footprint) -> bool:
     if fp is None or fp[0] > len(rho) + n_extra:
         return False
     for j in fp[1]:
@@ -207,24 +211,6 @@ def _select_branch(
             return None
         return body, args[drop:]
     return None
-
-
-def match_pat(
-    ctor: str,
-    n_params: int,
-    arg_tys: tuple[Ty, ...],
-    args: tuple[Val, ...],
-    branches: tuple[tuple[Pat, Expr], ...],
-) -> Optional[Expr]:
-    """The body of the branch for `ctor`, or None when no branch fits.
-
-    A branch fits when its binder count k matches the constructor's value
-    arguments; a leading block of at most `n_params` type arguments is
-    discarded. `arg_tys` is the constructor's declared argument list and only
-    pins the expected arity."""
-    del arg_tys  # arity errors surface through the binder-count check
-    got = _select_branch(ctor, n_params, args, branches)
-    return None if got is None else got[0]
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +291,10 @@ def eval_expr(
         case Case(scrut, ind, ty_params, ret_ty, branches):
             if not validate_branches(rho, branches):
                 return EvalError("case branch does not fit its environment")
-            if eval_type(rho, ret_ty) is None:
+            if not _fits(rho, 0, ty_footprint(ret_ty)):
                 return EvalError("case return type refers to a term-level binding")
             for tp in ty_params:
-                if eval_type(rho, tp) is None:
+                if not _fits(rho, 0, ty_footprint(tp)):
                     return EvalError("case type parameter refers to a term-level binding")
             r = eval_expr(genv, n, rho, scrut, trace)
             if not isinstance(r, Ok):
@@ -380,29 +366,14 @@ def apply_val(
             args2 = args + (v2,)
             if len(args2) < len(b.arg_kinds):
                 return Ok(VBuiltin(name, args2))
-            return _delta(b, args2)
+            out = delta(b, [a.prim if isinstance(a, VPrim) else None for a in args2])
+            if isinstance(out, EvalError):
+                return out
+            if isinstance(out, bool):
+                return Ok(VConstr("Bool", "True" if out else "False"))
+            return Ok(VPrim(out))
         case _:
             return EvalError("application of a non-function value")
-
-
-def _delta(b: Builtin, args: tuple[Val, ...]) -> EvalResult:
-    raw: list[int] = []
-    for kind, a in zip(b.arg_kinds, args):
-        if not isinstance(a, VPrim):
-            return EvalError(f"primitive '{b.name}' applied to a non-literal")
-        p = a.prim
-        if kind == "int" and isinstance(p, PInt):
-            raw.append(p.value)
-        elif kind == "nat" and isinstance(p, PNat):
-            raw.append(p.value)
-        else:
-            return EvalError(f"primitive '{b.name}' applied to the wrong literal kind")
-    out = b.fn(*raw)
-    if b.result_kind == "bool":
-        return Ok(VConstr("Bool", "True" if out else "False"))
-    if b.result_kind == "nat":
-        return Ok(VPrim(PNat(out)))
-    return Ok(VPrim(PInt(out)))
 
 
 # ---------------------------------------------------------------------------
@@ -455,10 +426,6 @@ def subst_env_expr(rho: Sequence[Expr], e: Expr) -> Optional[Expr]:
     indices past the block shift down. None when a type position would
     receive a term-level entry."""
     return _subst_expr(tuple(rho), 0, e)
-
-
-def subst_env_ty(rho: Sequence[Expr], ty: Ty) -> Optional[Ty]:
-    return _subst_ty(tuple(rho), 0, ty)
 
 
 def _subst_ty(rho: tuple[Expr, ...], depth: int, ty: Ty) -> Optional[Ty]:

@@ -18,8 +18,8 @@ from .lang import (
     NOT_ENOUGH_FUEL,
     Ok,
     PInt,
-    PNat,
     PrimVal,
+    delta,
 )
 
 
@@ -358,31 +358,16 @@ def _apply(kenv: KernelEnv, fuel: int, vf: Term, va: Term) -> EvalResult:
             return Ok(App(vf, va))
         if len(args) > len(b.arg_kinds):
             return EvalError(f"primitive '{b.name}' applied to too many arguments")
-        return _delta(b, args)
+        out = delta(b, [a.value if isinstance(a, PrimLit) else None for a in args])
+        if isinstance(out, EvalError):
+            return out
+        if isinstance(out, bool):
+            return Ok(Construct("Bool", 0 if out else 1))
+        return Ok(PrimLit(out))
     if isinstance(head, Ind):
         # a type applied to arguments is an inert value
         return Ok(App(vf, va))
     return EvalError("application of a non-function value")
-
-
-def _delta(b: Builtin, args: tuple[Term, ...]) -> EvalResult:
-    raw: list[int] = []
-    for kind, a in zip(b.arg_kinds, args):
-        if not isinstance(a, PrimLit):
-            return EvalError(f"primitive '{b.name}' applied to a non-literal")
-        p = a.value
-        if kind == "int" and isinstance(p, PInt):
-            raw.append(p.value)
-        elif kind == "nat" and isinstance(p, PNat):
-            raw.append(p.value)
-        else:
-            return EvalError(f"primitive '{b.name}' applied to the wrong literal kind")
-    out = b.fn(*raw)
-    if b.result_kind == "bool":
-        return Ok(Construct("Bool", 0 if out else 1))
-    if b.result_kind == "nat":
-        return Ok(PrimLit(PNat(out)))
-    return Ok(PrimLit(PInt(out)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Types, patterns, expressions, inductive declarations and the global
 environment, together with the purely syntactic operations everything else
-builds on: name-to-index conversion, index-space merging, environment lookup
-and closedness/well-formedness checks.
+builds on: name-to-index conversion, environment lookup, closedness and
+well-formedness checks, and delta reduction of primitive constants.
 
 Variables are de Bruijn indices sharing a single index space for term and
 type binders. During parsing, `Var`/`TVar` temporarily carry names instead of
@@ -213,6 +213,31 @@ class Builtin:
     arg_kinds: tuple[str, ...]
     result_kind: str
     fn: Callable[..., object] = field(compare=False)
+
+
+def delta(
+    b: Builtin, prims: Sequence[Optional[PrimVal]]
+) -> Union[PrimVal, bool, EvalError]:
+    """Delta-reduce a saturated primitive. `prims` holds each argument's
+    literal, or None where the argument is not a literal. A "bool" result is
+    returned as a Python bool, which each evaluator wraps in its own form of
+    the `Bool` constructors."""
+    raw: list[int] = []
+    for kind, p in zip(b.arg_kinds, prims):
+        if p is None:
+            return EvalError(f"primitive '{b.name}' applied to a non-literal")
+        if kind == "int" and isinstance(p, PInt):
+            raw.append(p.value)
+        elif kind == "nat" and isinstance(p, PNat):
+            raw.append(p.value)
+        else:
+            return EvalError(f"primitive '{b.name}' applied to the wrong literal kind")
+    out = b.fn(*raw)
+    if b.result_kind == "bool":
+        return bool(out)
+    if b.result_kind == "nat":
+        return PNat(out)
+    return PInt(out)
 
 
 class LangError(Exception):
@@ -472,97 +497,6 @@ def _indexify_expr(ctx: list[str], e: Expr) -> Expr:
             )
         case TyAsExpr(ty):
             return TyAsExpr(_indexify_ty(ctx, ty))
-        case Constr() | Const() | Lit():
-            return e
-    raise TypeError(f"not an expression: {e!r}")
-
-
-# ---------------------------------------------------------------------------
-# reindexify: merge separate type/term index spaces into the shared space
-
-def reindexify(shift: int, e: Expr) -> Expr:
-    """Merge separate type- and term-variable index spaces into one.
-
-    The input counts a term index only over term binders and a type index
-    only over type binders (as an external frontend would emit); the output
-    counts every binder. Free indices are offset by `shift` past the local
-    binders.
-    """
-    return _reindex_expr([], shift, e)
-
-
-def _merged(kinds: list[str], shift: int, j: int, kind: str) -> int:
-    # kinds is innermost-first; j counts binders of one kind only
-    seen = 0
-    for pos, k in enumerate(kinds):
-        if k == kind:
-            if seen == j:
-                return pos
-            seen += 1
-    return len(kinds) + (j - seen) + shift
-
-
-def _reindex_ty(kinds: list[str], shift: int, ty: Ty) -> Ty:
-    match ty:
-        case TVar(ref):
-            if not isinstance(ref, int):
-                return ty
-            return TVar(_merged(kinds, shift, ref, "ty"))
-        case TInd(_):
-            return ty
-        case TForall(hint, body):
-            return TForall(hint, _reindex_ty(["ty"] + kinds, shift, body))
-        case TApp(fn, arg):
-            return TApp(_reindex_ty(kinds, shift, fn), _reindex_ty(kinds, shift, arg))
-        case TArr(dom, cod):
-            return TArr(_reindex_ty(kinds, shift, dom), _reindex_ty(kinds, shift, cod))
-    raise TypeError(f"not a type: {ty!r}")
-
-
-def _reindex_expr(kinds: list[str], shift: int, e: Expr) -> Expr:
-    match e:
-        case Var(ref):
-            if not isinstance(ref, int):
-                return e
-            return Var(_merged(kinds, shift, ref, "term"))
-        case Lam(hint, dom, body):
-            return Lam(
-                hint,
-                _reindex_ty(kinds, shift, dom),
-                _reindex_expr(["term"] + kinds, shift, body),
-            )
-        case TyLam(hint, body):
-            return TyLam(hint, _reindex_expr(["ty"] + kinds, shift, body))
-        case Let(hint, ty, bound, body):
-            return Let(
-                hint,
-                _reindex_ty(kinds, shift, ty),
-                _reindex_expr(kinds, shift, bound),
-                _reindex_expr(["term"] + kinds, shift, body),
-            )
-        case App(fn, arg):
-            return App(_reindex_expr(kinds, shift, fn), _reindex_expr(kinds, shift, arg))
-        case Case(scrut, ind, ty_params, ret_ty, branches):
-            return Case(
-                _reindex_expr(kinds, shift, scrut),
-                ind,
-                tuple(_reindex_ty(kinds, shift, t) for t in ty_params),
-                _reindex_ty(kinds, shift, ret_ty),
-                tuple(
-                    (p, _reindex_expr(["term"] * len(p.binders) + kinds, shift, b))
-                    for p, b in branches
-                ),
-            )
-        case Fix(f_hint, x_hint, dom, cod, body):
-            return Fix(
-                f_hint,
-                x_hint,
-                _reindex_ty(kinds, shift, dom),
-                _reindex_ty(kinds, shift, cod),
-                _reindex_expr(["term", "term"] + kinds, shift, body),
-            )
-        case TyAsExpr(ty):
-            return TyAsExpr(_reindex_ty(kinds, shift, ty))
         case Constr() | Const() | Lit():
             return e
     raise TypeError(f"not an expression: {e!r}")

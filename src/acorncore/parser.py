@@ -79,9 +79,6 @@ KEYWORDS = frozenset(
     }
 )
 
-_DECL_KEYWORDS = frozenset({"data", "def", "type"})
-
-
 class ParseError(Exception):
     def __init__(self, msg: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {msg}")

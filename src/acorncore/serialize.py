@@ -1,15 +1,15 @@
-"""JSON serialization for the surface AST and the kernel calculus.
+"""JSON serialization for the surface AST: types, expressions, inductive
+declarations and modules.
 
 Every variant is encoded as an object with a `tag` field; `from_json` is the
 exact inverse of `to_json` on well-formed data and raises JsonError on
-anything else.
+anything else, including a negative de Bruijn index.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Union
+from typing import Any
 
-from . import kernel as k
 from .lang import (
     App,
     Case,
@@ -70,6 +70,12 @@ def _int(v: Any, what: str) -> int:
     return v
 
 
+def _index(v: Any, what: str) -> int:
+    if _int(v, what) < 0:
+        raise JsonError(f"{what} must be non-negative")
+    return v
+
+
 # ---------------------------------------------------------------------------
 # primitive values
 
@@ -116,7 +122,7 @@ def ty_from_json(obj: Any) -> Ty:
     t = _tag(obj)
     if t == "TVar":
         if "index" in obj:
-            return TVar(_int(obj["index"], "type index"))
+            return TVar(_index(obj["index"], "type index"))
         return TVar(_str(_need(obj, "name"), "type variable name"))
     if t == "TInd":
         return TInd(_str(_need(obj, "name"), "inductive name"))
@@ -206,7 +212,7 @@ def expr_from_json(obj: Any) -> Expr:
     t = _tag(obj)
     if t == "Var":
         if "index" in obj:
-            return Var(_int(obj["index"], "variable index"))
+            return Var(_index(obj["index"], "variable index"))
         return Var(_str(_need(obj, "name"), "variable name"))
     if t == "Lam":
         return Lam(
@@ -321,129 +327,3 @@ def module_from_json(obj: Any) -> tuple[list[InductiveDecl], list[tuple[str, Exp
             for d in defs
         ],
     )
-
-
-# ---------------------------------------------------------------------------
-# kernel terms
-
-def term_to_json(t: k.Term) -> dict:
-    match t:
-        case k.Rel(index):
-            return {"tag": "Rel", "index": index}
-        case k.Lambda(hint, dom, body):
-            return {
-                "tag": "Lambda",
-                "hint": hint,
-                "dom": term_to_json(dom),
-                "body": term_to_json(body),
-            }
-        case k.App(fn, arg):
-            return {"tag": "App", "fn": term_to_json(fn), "arg": term_to_json(arg)}
-        case k.LetIn(hint, ty, bound, body):
-            return {
-                "tag": "LetIn",
-                "hint": hint,
-                "ty": term_to_json(ty),
-                "bound": term_to_json(bound),
-                "body": term_to_json(body),
-            }
-        case k.Const(name):
-            return {"tag": "Const", "name": name}
-        case k.Ind(name):
-            return {"tag": "Ind", "name": name}
-        case k.Construct(ind, ctor_idx):
-            return {"tag": "Construct", "ind": ind, "ctorIdx": ctor_idx}
-        case k.Match(ind, n_params, ty_params, ret_ty, scrut, branches):
-            return {
-                "tag": "Match",
-                "ind": ind,
-                "nParams": n_params,
-                "tyParams": [term_to_json(x) for x in ty_params],
-                "retTy": term_to_json(ret_ty),
-                "scrut": term_to_json(scrut),
-                "branches": [
-                    {"arity": a, "body": term_to_json(b)} for a, b in branches
-                ],
-            }
-        case k.Fix(hint, fty, body):
-            return {
-                "tag": "Fix",
-                "hint": hint,
-                "fty": term_to_json(fty),
-                "body": term_to_json(body),
-            }
-        case k.Prod(hint, dom, cod):
-            return {
-                "tag": "Prod",
-                "hint": hint,
-                "dom": term_to_json(dom),
-                "cod": term_to_json(cod),
-            }
-        case k.SortSet():
-            return {"tag": "SortSet"}
-        case k.PrimLit(value):
-            return {"tag": "PrimLit", "value": prim_to_json(value)}
-    raise JsonError(f"not a kernel term: {t!r}")
-
-
-def _hint(obj: Any) -> Optional[str]:
-    h = _need(obj, "hint")
-    if h is None:
-        return None
-    return _str(h, "hint")
-
-
-def term_from_json(obj: Any) -> k.Term:
-    t = _tag(obj)
-    if t == "Rel":
-        return k.Rel(_int(_need(obj, "index"), "index"))
-    if t == "Lambda":
-        return k.Lambda(
-            _hint(obj), term_from_json(_need(obj, "dom")), term_from_json(_need(obj, "body"))
-        )
-    if t == "App":
-        return k.App(term_from_json(_need(obj, "fn")), term_from_json(_need(obj, "arg")))
-    if t == "LetIn":
-        return k.LetIn(
-            _hint(obj),
-            term_from_json(_need(obj, "ty")),
-            term_from_json(_need(obj, "bound")),
-            term_from_json(_need(obj, "body")),
-        )
-    if t == "Const":
-        return k.Const(_str(_need(obj, "name"), "constant name"))
-    if t == "Ind":
-        return k.Ind(_str(_need(obj, "name"), "inductive name"))
-    if t == "Construct":
-        return k.Construct(
-            _str(_need(obj, "ind"), "inductive name"),
-            _int(_need(obj, "ctorIdx"), "constructor index"),
-        )
-    if t == "Match":
-        branches = _need(obj, "branches")
-        if not isinstance(branches, list):
-            raise JsonError("match branches must be a list")
-        return k.Match(
-            _str(_need(obj, "ind"), "inductive name"),
-            _int(_need(obj, "nParams"), "nParams"),
-            tuple(term_from_json(x) for x in _need(obj, "tyParams")),
-            term_from_json(_need(obj, "retTy")),
-            term_from_json(_need(obj, "scrut")),
-            tuple(
-                (_int(_need(b, "arity"), "arity"), term_from_json(_need(b, "body")))
-                for b in branches
-            ),
-        )
-    if t == "Fix":
-        return k.Fix(
-            _hint(obj), term_from_json(_need(obj, "fty")), term_from_json(_need(obj, "body"))
-        )
-    if t == "Prod":
-        return k.Prod(
-            _hint(obj), term_from_json(_need(obj, "dom")), term_from_json(_need(obj, "cod"))
-        )
-    if t == "SortSet":
-        return k.SORT_SET
-    if t == "PrimLit":
-        return k.PrimLit(prim_from_json(_need(obj, "value")))
-    raise JsonError(f"unknown term tag '{t}'")

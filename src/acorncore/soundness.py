@@ -169,9 +169,6 @@ _INT = TInd("Int")
 _NAT = TInd("Nat")
 _BOOL = TInd("Bool")
 _LIST_INT = ty_app(TInd("List"), _INT)
-_MAYBE_INT = ty_app(TInd("Maybe"), _INT)
-_MAP = ty_app(TInd("AcornMap"), _NAT, _INT)
-_PROD_IB = ty_app(TInd("Prod"), _INT, _BOOL)
 
 _ARITH = ("addInt", "subInt", "mulInt")
 _CMP = ("ltInt", "leInt", "eqInt")

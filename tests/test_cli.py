@@ -99,6 +99,19 @@ def test_run_surfaces_evaluation_errors(capsys, tmp_path):
     assert "non-literal" in err
 
 
+def test_run_rejects_a_negative_index_in_a_json_module(capsys, tmp_path):
+    p = tmp_path / "neg.json"
+    p.write_text(
+        json.dumps(
+            {"inductives": [], "defs": [{"name": "bad", "body": {"tag": "Var", "index": -1}}]}
+        )
+    )
+    code, out, err = run_cli(capsys, "run", str(p), "--entry", "bad")
+    assert code == 2
+    assert out == ""
+    assert "variable index must be non-negative" in err
+
+
 def test_run_argument_syntax_error(capsys):
     code, _, err = run_cli(capsys, "run", "stdlib", "--entry", "maxInt", "--args", "((")
     assert code == 2
@@ -171,8 +184,9 @@ def test_chain_skips_checks_when_asked(capsys):
 
 
 def test_chain_unknown_invariant(capsys):
-    code, _, err = run_cli(capsys, "chain", "--blocks", "4", "--check", "bogus")
+    code, out, err = run_cli(capsys, "chain", "--blocks", "4", "--check", "bogus")
     assert code == 2
+    assert out == ""
     assert "unknown invariant 'bogus'" in err
 
 

@@ -14,7 +14,6 @@ from acorncore.interp import (
     eval_type,
     from_val,
     subst_env_expr,
-    subst_env_ty,
     validate,
     wf_val,
 )
@@ -399,8 +398,9 @@ def test_subst_env_expr_respects_binders():
 
 
 def test_subst_env_ty_needs_type_entries():
-    assert subst_env_ty([TyAsExpr(INT)], TVar(0)) == INT
-    assert subst_env_ty([Lit(PInt(1))], TVar(0)) is None
+    # a type position, reached through a type argument
+    assert subst_env_expr([TyAsExpr(INT)], TyAsExpr(TVar(0))) == TyAsExpr(INT)
+    assert subst_env_expr([Lit(PInt(1))], TyAsExpr(TVar(0))) is None
 
 
 def test_apply_val_direct():

@@ -30,7 +30,6 @@ from acorncore.lang import (
     expr_closed_under,
     indexify,
     mk_app,
-    reindexify,
     resolve_constr,
     resolve_inductive,
     ty_app,
@@ -165,7 +164,7 @@ def test_indexify_case_binders():
     assert branch_body == App(Var(0), Var(1))
 
 
-# -- reindexify ---------------------------------------------------------------
+# -- de Bruijn layout of the parsed fold ------------------------------------
 
 def _foldr_source():
     """The canonical polymorphic fold, with the binder layout the whole
@@ -195,46 +194,6 @@ def test_fold_indices_match_hand_derivation():
     cons_body = dict((p.ctor, b) for p, b in case.branches)["Cons"]
     # f hd (rec tl)
     assert cons_body == mk_app(Var(5), Var(1), App(Var(3), Var(0)))
-
-
-def test_reindexify_shift_on_free_references():
-    # a single term binder over one free term variable
-    e = Lam("x", TInd("Int"), App(Var(0), Var(1)))
-    assert reindexify(0, e) == e
-    shifted = reindexify(3, e)
-    assert shifted == Lam("x", TInd("Int"), App(Var(0), Var(4)))
-
-
-def test_reindexify_merges_split_index_spaces():
-    # input counts type and term binders separately; output is one space.
-    # /\A -> \x : A -> /\B -> \y : B -> x
-    dual = TyLam("A", Lam("x", TVar(0), TyLam("B", Lam("y", TVar(0), Var(1)))))
-    merged = reindexify(0, dual)
-    named = TyLam("A", Lam("x", TVar("A"), TyLam("B", Lam("y", TVar("B"), Var("x")))))
-    assert merged == indexify((), named)
-    # x jumps over the intervening type binder
-    assert merged.body.body.body.body == Var(2)
-
-
-def test_reindexify_agrees_with_indexify_on_fold():
-    # the same fold, with types and terms counted in separate spaces: every
-    # type reference below is relative to [B, A] alone, term references to
-    # term binders alone. Merging must land on the parsed original.
-    list_a = TApp(TInd("List"), TVar(1))
-    dual = TyLam("A", TyLam("B", Lam(
-        "f", TArr(TVar(1), TArr(TVar(0), TVar(0))), Lam(
-            "i", TVar(0), Let(
-                "go", TArr(list_a, TVar(0)),
-                Fix("rec", "xs", list_a, TVar(0), Case(
-                    Var(0), "List", (TVar(1),), TVar(0), (
-                        (Pat("Nil", ()), Var(2)),
-                        (Pat("Cons", ("hd", "tl")),
-                         mk_app(Var(5), Var(1), App(Var(3), Var(0)))),
-                    ),
-                )),
-                Var(0),
-            )))))
-    assert reindexify(0, dual) == _foldr_source()
 
 
 # -- well-formedness ----------------------------------------------------------
