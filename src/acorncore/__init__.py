@@ -74,6 +74,7 @@ from .kernel import (
     parallel_subst,
     pretty_term,
     subst1,
+    term_bound,
 )
 from .translate import (
     TranslateError,
@@ -119,6 +120,7 @@ from .chainsim import (
     cf_backed,
     cf_balance_consistent,
     check_invariant,
+    check_invariants,
     consistent_balance,
     gen_trace,
     genesis,

@@ -295,13 +295,30 @@ class Violation:
 Invariant = Callable[[Trace, int, ChainState], Optional[str]]
 
 
+def check_invariants(
+    trace: Trace,
+    invs: Sequence[Invariant],
+    fuel: int = DEFAULT_CALL_FUEL,
+    states: Optional[list[ChainState]] = None,
+) -> list[Optional[Violation]]:
+    """For each invariant, the first step (by index) whose post-state
+    violates it, or None. The trace is replayed once for all of them, or not
+    at all when `states` already holds its replay."""
+    if states is None:
+        states = replay(trace, fuel)
+    found: list[Optional[Violation]] = [None] * len(invs)
+    for i, st in enumerate(states):
+        for j, inv in enumerate(invs):
+            if found[j] is None:
+                msg = inv(trace, i, st)
+                if msg is not None:
+                    found[j] = Violation(i, msg)
+    return found
+
+
 def check_invariant(trace: Trace, inv: Invariant, fuel: int = DEFAULT_CALL_FUEL) -> Optional[Violation]:
     """First step (by index) whose post-state violates the invariant."""
-    for i, st in enumerate(replay(trace, fuel)):
-        msg = inv(trace, i, st)
-        if msg is not None:
-            return Violation(i, msg)
-    return None
+    return check_invariants(trace, (inv,), fuel)[0]
 
 
 # ---------------------------------------------------------------------------

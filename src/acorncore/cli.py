@@ -15,10 +15,10 @@ from typing import Optional, Sequence
 from .chainsim import (
     INVARIANTS,
     ChainError,
-    check_invariant,
-    final_state,
+    check_invariants,
     gen_trace,
     load_scenario,
+    replay,
 )
 from .interp import eval_expr, from_val
 from .lang import (
@@ -146,10 +146,16 @@ def _cmd_translate(args: argparse.Namespace) -> int:
 def _cmd_diff_eval(args: argparse.Namespace) -> int:
     from .programs import corpus_dir
 
-    corpus = args.corpus if args.corpus is not None else corpus_dir()
+    if args.corpus is None:
+        # named, not located, so that the report does not depend on where
+        # the package is installed
+        corpus, source = corpus_dir(), "packaged corpus"
+    else:
+        corpus = source = args.corpus
     report = run_corpus(
         corpus, fuel=args.fuel, gen_count=args.gen, seed=args.seed, size=args.size
     )
+    report.source = source
     sys.stdout.write(report.render())
     return 0 if report.ok else 1
 
@@ -164,7 +170,8 @@ def _cmd_chain(args: argparse.Namespace) -> int:
     trace = gen_trace(args.seed, args.blocks, scenario, fuel=args.fuel)
     accepted = sum(1 for s in trace.steps if s.accepted)
     print(f"blocks: {len(trace.steps)} ({accepted} accepted)")
-    st = final_state(trace, fuel=args.fuel)
+    states = replay(trace, fuel=args.fuel)
+    st = states[-1] if states else trace.genesis
     print(f"final slot: {st.slot}")
     for addr in sorted(st.balances):
         print(f"balance {addr}: {st.balances[addr]}")
@@ -172,8 +179,8 @@ def _cmd_chain(args: argparse.Namespace) -> int:
         con = st.contracts[addr]
         print(f"contract {addr} ({con.program}): {_render_value_for(con)}")
     failures = 0
-    for name in names:
-        violation = check_invariant(trace, INVARIANTS[name], fuel=args.fuel)
+    violations = check_invariants(trace, [INVARIANTS[n] for n in names], states=states)
+    for name, violation in zip(names, violations):
         if violation is None:
             print(f"invariant {name}: holds")
         else:

@@ -130,11 +130,53 @@ def spine_view(t: Term) -> tuple[Term, tuple[Term, ...]]:
 # ---------------------------------------------------------------------------
 # lifting and substitution
 
-def lift(n: int, k: int, t: Term) -> Term:
-    """Add `n` to every free index at or above cutoff `k`."""
+# `term_bound(t)` is one past the largest free index of `t`, or 0 when `t` is
+# closed. It is computed once per node and kept in the node's instance
+# dictionary, outside the dataclass fields, so equality, hashing and repr do
+# not see it; terms are immutable, so it never goes stale. A negative index,
+# which no binder reaches and lifting and substitution leave alone, counts as
+# closed. With the bound, lifting and substitution return a subterm with no
+# index at or above their cutoff as it is, instead of rebuilding it.
+
+def term_bound(t: Term) -> int:
+    b = getattr(t, "_bound", None)
+    if b is not None:
+        return b
     match t:
         case Rel(i):
-            return Rel(i + n) if i >= k else t
+            b = max(i + 1, 0)
+        case Lambda(_, dom, body):
+            b = max(term_bound(dom), term_bound(body) - 1)
+        case App(fn, arg):
+            b = max(term_bound(fn), term_bound(arg))
+        case LetIn(_, ty, bound, body):
+            b = max(term_bound(ty), term_bound(bound), term_bound(body) - 1)
+        case Match(_, _, tps, ret, scrut, branches):
+            b = max(
+                term_bound(ret) - 1,
+                term_bound(scrut),
+                *map(term_bound, tps),
+                *(term_bound(br) for _, br in branches),
+            )
+        case Fix(_, fty, body):
+            b = max(term_bound(fty), term_bound(body) - 1)
+        case Prod(_, dom, cod):
+            b = max(term_bound(dom), term_bound(cod) - 1)
+        case Const() | Ind() | Construct() | SortSet() | PrimLit():
+            b = 0
+        case _:
+            raise TypeError(f"not a kernel term: {t!r}")
+    object.__setattr__(t, "_bound", b)
+    return b
+
+
+def lift(n: int, k: int, t: Term) -> Term:
+    """Add `n` to every free index at or above cutoff `k`."""
+    if n == 0 or term_bound(t) <= k:
+        return t
+    match t:
+        case Rel(i):
+            return Rel(i + n)
         case Lambda(h, dom, body):
             return Lambda(h, lift(n, k, dom), lift(n, k + 1, body))
         case App(fn, arg):
@@ -154,14 +196,17 @@ def lift(n: int, k: int, t: Term) -> Term:
             return Fix(h, lift(n, k, fty), lift(n, k + 1, body))
         case Prod(h, dom, cod):
             return Prod(h, lift(n, k, dom), lift(n, k + 1, cod))
-        case Const() | Ind() | Construct() | SortSet() | PrimLit():
-            return t
     raise TypeError(f"not a kernel term: {t!r}")
 
 
 def parallel_subst(ts: tuple[Term, ...], t: Term, k: int = 0) -> Term:
     """Replace Rel(k+i) by ts[i] (lifted past the k local binders); indices
-    beyond the substituted block shift down by len(ts)."""
+    beyond the substituted block shift down by len(ts). A subterm is kept
+    as it is only when its bound is already known: computing it here would
+    walk every fresh target once more before substituting into it."""
+    b = getattr(t, "_bound", None)
+    if b is not None and b <= k:
+        return t
     match t:
         case Rel(i):
             if i < k:
@@ -272,6 +317,33 @@ def _type_like(t: Term) -> bool:
     return isinstance(head, (Ind, Prod, SortSet))
 
 
+# A value met again, as a substituted argument or scrutinee, is not walked
+# again. Re-evaluating an atomic value (a lambda, product, fixpoint, literal,
+# inductive, constructor or builtin name) takes fuel 1; re-evaluating an inert
+# application, a constructor, inductive or partial builtin applied to values,
+# takes 1 more than its function or its argument does. `_inert` records that
+# fuel on each application it builds, as its mark, and `cbv_eval` answers a
+# marked term from the mark alone: Ok at that fuel or more, out of fuel below
+# it, which is what the walk would return. Which applications are inert
+# depends on the environment's inductives and builtins, so a mark holds only
+# under the `KernelEnv` it was made under; under any other the term is walked.
+
+def _mark_of(kenv: KernelEnv, v: Term) -> Optional[int]:
+    """Fuel that re-evaluating the value `v` takes, or None if unknown."""
+    if not isinstance(v, App):
+        return 1
+    mark = getattr(v, "_mark", None)
+    return mark[1] if mark is not None and mark[0] is kenv else None
+
+
+def _inert(kenv: KernelEnv, vf: Term, va: Term) -> EvalResult:
+    t = App(vf, va)
+    mf, ma = _mark_of(kenv, vf), _mark_of(kenv, va)
+    if mf is not None and ma is not None:
+        object.__setattr__(t, "_mark", (kenv, 1 + max(mf, ma)))
+    return Ok(t)
+
+
 def cbv_eval(kenv: KernelEnv, fuel: int, t: Term) -> EvalResult:
     """Weak call-by-value normalization; fuel bounds the call depth."""
     if fuel <= 0:
@@ -295,6 +367,9 @@ def cbv_eval(kenv: KernelEnv, fuel: int, t: Term) -> EvalResult:
                 return r
             return cbv_eval(kenv, n, subst1(r.value, body))
         case App(fn, arg):
+            mark = getattr(t, "_mark", None)
+            if mark is not None and mark[0] is kenv:
+                return Ok(t) if fuel >= mark[1] else NOT_ENOUGH_FUEL
             ra = cbv_eval(kenv, n, arg)
             if not isinstance(ra, Ok):
                 return ra
@@ -350,12 +425,12 @@ def _apply(kenv: KernelEnv, fuel: int, vf: Term, va: Term) -> EvalResult:
             return EvalError(
                 f"constructor '{ki.ctors[head.ctor_idx].name}' applied to too many arguments"
             )
-        return Ok(App(vf, va))
+        return _inert(kenv, vf, va)
     if isinstance(head, Const) and head.name in kenv.builtins:
         b = kenv.builtins[head.name]
         args = spine + (va,)
         if len(args) < len(b.arg_kinds):
-            return Ok(App(vf, va))
+            return _inert(kenv, vf, va)
         if len(args) > len(b.arg_kinds):
             return EvalError(f"primitive '{b.name}' applied to too many arguments")
         out = delta(b, [a.value if isinstance(a, PrimLit) else None for a in args])
@@ -366,7 +441,7 @@ def _apply(kenv: KernelEnv, fuel: int, vf: Term, va: Term) -> EvalResult:
         return Ok(PrimLit(out))
     if isinstance(head, Ind):
         # a type applied to arguments is an inert value
-        return Ok(App(vf, va))
+        return _inert(kenv, vf, va)
     return EvalError("application of a non-function value")
 
 

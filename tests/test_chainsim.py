@@ -19,11 +19,13 @@ from acorncore.chainsim import (
     Trace,
     TraceStep,
     Transfer,
+    Violation,
     add_block,
     cf_backed,
     cf_balance_consistent,
     cf_state_fields,
     check_invariant,
+    check_invariants,
     clone,
     consistent_balance,
     counter_scenario,
@@ -358,6 +360,26 @@ def test_overrecording_mutant_is_caught_at_the_first_donation():
         assert v is not None
         assert v.block_index == expected
         assert check_invariant(t, money_conserved) is None
+
+
+def test_check_invariants_replays_once_for_all_invariants(monkeypatch):
+    import acorncore.chainsim as chainsim
+
+    def first_violation(t, states, inv):
+        msgs = ((i, inv(t, i, st)) for i, st in enumerate(states))
+        return next((Violation(i, m) for i, m in msgs if m is not None), None)
+
+    invs = list(INVARIANTS.values())
+    mutant = crowdfunding_scenario(name="crowdfunding_overrecord")
+    traces = [gen_trace(seed, 12, mutant) for seed in (1, 2, 7)]
+    expected = [[first_violation(t, replay(t), inv) for inv in invs] for t in traces]
+    assert all(any(v is not None for v in vs) for vs in expected)
+    replays = []
+    monkeypatch.setattr(chainsim, "replay", lambda *a: replays.append(a) or replay(*a))
+    for t, vs in zip(traces, expected):
+        assert check_invariants(t, invs) == vs
+        assert check_invariants(t, invs, states=replay(t)) == vs
+    assert len(replays) == len(traces)
 
 
 def _cf_state(balance, pairs, done=False, goal=60):

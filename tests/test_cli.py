@@ -165,6 +165,21 @@ def test_diff_eval_custom_corpus(capsys, tmp_path):
     assert "tiny.acorn:two: agree" in out
 
 
+def test_diff_eval_source_line_does_not_depend_on_the_checkout(capsys, tmp_path):
+    from acorncore.programs import corpus_dir
+
+    code, out, _ = run_cli(capsys, "diff-eval")
+    assert code == 0
+    assert out.splitlines()[1] == "source: packaged corpus"
+    assert str(corpus_dir()) not in out
+    # an explicit corpus prints as it was given
+    (tmp_path / "tiny.acorn").write_text("def two = addInt 1z 1z\n")
+    given = f"{tmp_path}/./"
+    code, out, _ = run_cli(capsys, "diff-eval", "--corpus", given)
+    assert code == 0
+    assert out.splitlines()[1] == f"source: {given}"
+
+
 # ---------------------------------------------------------------------------
 # chain
 
@@ -175,6 +190,25 @@ def test_chain_runs_the_default_scenario(capsys):
     assert "invariant money_conserved: holds" in out
     assert "invariant cf_backed: holds" in out
     assert "invariant cf_balance_consistent: holds" in out
+
+
+def test_chain_replays_the_trace_once(capsys, monkeypatch):
+    import acorncore.chainsim as chainsim
+    import acorncore.cli as cli
+
+    replay = chainsim.replay
+    replays = []
+
+    def counting(*args, **kwargs):
+        replays.append(args)
+        return replay(*args, **kwargs)
+
+    monkeypatch.setattr(chainsim, "replay", counting)
+    monkeypatch.setattr(cli, "replay", counting)
+    code, out, err = run_cli(capsys, "chain", "--blocks", "6", "--seed", "1")
+    assert code == 0, err
+    assert out.count("invariant") == 3
+    assert len(replays) == 1
 
 
 def test_chain_skips_checks_when_asked(capsys):

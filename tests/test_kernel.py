@@ -2,7 +2,9 @@
 normalizer's gating rules, and the printer."""
 
 import random
+from dataclasses import fields
 
+from acorncore import kernel
 from acorncore.kernel import (
     App,
     Const,
@@ -17,6 +19,7 @@ from acorncore.kernel import (
     Prod,
     Rel,
     SORT_SET,
+    Term,
     cbv_eval,
     lift,
     mk_app,
@@ -24,14 +27,17 @@ from acorncore.kernel import (
     pretty_term,
     spine_view,
     subst1,
+    term_bound,
     term_closed_under,
 )
 from acorncore.kernel import _apply
 from acorncore.lang import EvalError, NOT_ENOUGH_FUEL, Ok, PInt, PNat
-from acorncore.programs import stdlib_env
-from acorncore.translate import translate_env
+from acorncore.programs import corpus_dir, load_module, stdlib_env
+from acorncore.soundness import corpus_files, gen_expr
+from acorncore.translate import expr_to_term, translate_env
 
-KENV = translate_env(stdlib_env())
+GENV = stdlib_env()
+KENV = translate_env(GENV)
 
 INT = Ind("Int")
 LIST_INT = App(Ind("List"), INT)
@@ -234,6 +240,91 @@ def test_term_closed_under():
     assert not term_closed_under(
         0, Match("List", 1, (), Rel(0), int_list([]), ((0, Rel(0)),))
     )
+
+
+# ---------------------------------------------------------------------------
+# free-index bound
+
+def _subterms(t):
+    yield t
+    for f in fields(t):
+        x = getattr(t, f.name)
+        if isinstance(x, Term):
+            yield from _subterms(x)
+        elif isinstance(x, tuple):
+            for y in x:
+                y = y[1] if isinstance(y, tuple) else y
+                yield from _subterms(y)
+
+
+def _fresh(x):
+    """An equal copy of `x` built from new nodes, with nothing cached."""
+    if isinstance(x, Term):
+        return type(x)(*(_fresh(getattr(x, f.name)) for f in fields(x)))
+    if isinstance(x, tuple):
+        return tuple(_fresh(y) for y in x)
+    return x
+
+
+def _corpus_terms():
+    for f in corpus_files(corpus_dir()):
+        genv, _ = load_module(str(f))
+        yield from translate_env(genv).constants.values()
+
+
+def _generated_terms(count=200, seed=41):
+    rng = random.Random(seed)
+    return [expr_to_term(GENV, gen_expr(rng, 12)) for _ in range(count)]
+
+
+def _bound_matches_oracle(t):
+    b = term_bound(t)
+    return all((b <= n) == term_closed_under(n, t) for n in range(b + 2))
+
+
+def test_term_bound_agrees_with_term_closed_under():
+    # every subterm of the corpus, of generated programs and of random open
+    # terms; subterms under binders are open
+    rng = random.Random(404)
+    tops = [*_corpus_terms(), *_generated_terms()]
+    tops += [_gen_term(rng, 4, 0) for _ in range(300)]
+    checked = 0
+    for top in tops:
+        for t in _subterms(top):
+            assert _bound_matches_oracle(t), t
+            checked += 1
+    assert checked > 10_000
+    assert term_bound(Lambda("x", INT, Rel(3))) == 3
+    assert term_bound(Match("List", 1, (), Rel(2), zlit(0), ())) == 2
+
+
+def test_cached_bounds_and_marks_are_invisible():
+    lst = ok(int_list([3, 1, 2]))
+    t = mk_app(Lambda("x", LIST_INT, Rel(0)), lst)
+    term_bound(t)
+    pairs = list(zip(_subterms(t), _subterms(_fresh(t))))
+    assert any("_mark" in vars(a) for a, _ in pairs)
+    for a, b in pairs:
+        assert "_bound" in vars(a)
+        assert not {"_bound", "_mark"} & vars(b).keys()
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert pretty_term(a) == pretty_term(b)
+
+
+def test_lift_and_subst_return_closed_input_itself():
+    closed = Lambda("x", INT, mk_app(Const("addInt"), Rel(0), zlit(1)))
+    assert lift(3, 0, closed) is closed
+    assert lift(0, 0, Rel(2)) == Rel(2)
+    # parallel substitution skips a subterm only once its bound is known
+    assert parallel_subst((zlit(1),), closed) == closed
+    term_bound(closed)
+    assert parallel_subst((zlit(1),), closed) is closed
+    lifted = lift(1, 0, App(Rel(0), closed))
+    assert lifted == App(Rel(1), closed) and lifted.arg is closed
+    substituted = parallel_subst((zlit(1),), App(Rel(0), closed))
+    assert substituted == App(zlit(1), closed) and substituted.arg is closed
+    lst = ok(int_list([4, 5]))
+    assert subst1(lst, Lambda("y", INT, Rel(1))).body is lst
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +562,99 @@ def test_evaluation_is_deterministic():
     b = run(t, fuel=5000)
     assert a == b == Ok(zlit(190))
     assert repr(a) == repr(b)
+
+
+# ---------------------------------------------------------------------------
+# evaluation: value marks
+
+def _minimal_fuel(kenv, t):
+    hi = 1
+    while cbv_eval(kenv, hi, t) is NOT_ENOUGH_FUEL:
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if cbv_eval(kenv, mid, t) is NOT_ENOUGH_FUEL:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _marks_are_fuel_exact(kenv, t):
+    """`t`, which may hold values `cbv_eval` marked, evaluates at its
+    minimal fuel and one below exactly as an unmarked copy does."""
+    copy = _fresh(t)
+    m = _minimal_fuel(kenv, copy)
+    return all(cbv_eval(kenv, f, t) == cbv_eval(kenv, f, copy) for f in (m - 1, m))
+
+
+def _fold(f_name, lst):
+    return mk_app(Const("foldr"), INT, INT, Const(f_name), zlit(7), lst)
+
+
+def test_marked_values_are_fuel_exact():
+    for f in corpus_files(corpus_dir()):
+        genv, defs = load_module(str(f))
+        kenv = translate_env(genv)
+        for _, body in defs:
+            r = cbv_eval(kenv, 10_000, expr_to_term(genv, body))
+            if isinstance(r, Ok):
+                assert _marks_are_fuel_exact(kenv, r.value), (f.name, r.value)
+    for t in _generated_terms():
+        r = run(t, fuel=10_000)
+        if isinstance(r, Ok):
+            assert _marks_are_fuel_exact(KENV, r.value), r.value
+    for n in range(61):
+        lst = ok(int_list([(j * 37) % 101 - 50 for j in range(n)]))
+        assert _marks_are_fuel_exact(KENV, lst), n
+        # the marked list as an argument, not only as a result
+        assert _marks_are_fuel_exact(KENV, _fold("maxInt", lst)), n
+
+
+def test_marks_hold_only_under_their_environment():
+    lst = ok(int_list([1, 2]))
+    partial = ok(App(Const("addInt"), zlit(1)))
+    no_list = KernelEnv(
+        {n: i for n, i in KENV.inductives.items() if n != "List"},
+        KENV.constants,
+        KENV.builtins,
+    )
+    no_add = KernelEnv(
+        KENV.inductives,
+        KENV.constants,
+        {n: b for n, b in KENV.builtins.items() if n != "addInt"},
+    )
+    for kenv, value, reason in (
+        (no_list, lst, "unknown constructor 0 of 'List'"),
+        (no_add, partial, "unknown constant 'addInt'"),
+    ):
+        r = cbv_eval(kenv, 1000, value)
+        assert r == cbv_eval(kenv, 1000, _fresh(value)) == EvalError(reason)
+    # an equal environment is still another environment
+    copy = KernelEnv(dict(KENV.inductives), dict(KENV.constants), dict(KENV.builtins))
+    assert _marks_are_fuel_exact(copy, lst)
+
+
+def test_fold_calls_grow_linearly(monkeypatch):
+    # the list value is substituted and matched again at every step; kept
+    # closed and marked, it is neither rebuilt nor walked again
+    calls = 0
+    evaluate = kernel.cbv_eval
+
+    def counting(kenv, fuel, t):
+        nonlocal calls
+        calls += 1
+        return evaluate(kenv, fuel, t)
+
+    monkeypatch.setattr(kernel, "cbv_eval", counting)
+    counts = []
+    for n in (50, 100):
+        calls = 0
+        r = counting(KENV, 10_000, _fold("addInt", int_list(list(range(n)))))
+        assert r == Ok(zlit(7 + n * (n - 1) // 2))
+        counts.append(calls)
+    assert counts[1] <= 2.2 * counts[0], counts
 
 
 # ---------------------------------------------------------------------------
