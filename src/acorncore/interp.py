@@ -424,11 +424,15 @@ def wf_val(genv: GlobalEnv, v: Val) -> bool:
 def subst_env_expr(rho: Sequence[Expr], e: Expr) -> Optional[Expr]:
     """Substitute the closed expressions `rho` for the free indices of `e`;
     indices past the block shift down. None when a type position would
-    receive a term-level entry."""
+    receive a term-level entry. A subtree closed under its local binders comes
+    back as it is, keeping what is cached on it."""
     return _subst_expr(tuple(rho), 0, e)
 
 
 def _subst_ty(rho: tuple[Expr, ...], depth: int, ty: Ty) -> Optional[Ty]:
+    fp = ty_footprint(ty)
+    if fp is not None and fp[0] <= depth:
+        return ty
     match ty:
         case TVar(ref):
             if not isinstance(ref, int):
@@ -442,8 +446,6 @@ def _subst_ty(rho: tuple[Expr, ...], depth: int, ty: Ty) -> Optional[Ty]:
                     return entry.ty  # closed, so no shift
                 return None
             return TVar(ref - len(rho))
-        case TInd(_):
-            return ty
         case TForall(hint, body):
             b = _subst_ty(rho, depth + 1, body)
             return None if b is None else TForall(hint, b)
@@ -463,6 +465,9 @@ def _subst_ty(rho: tuple[Expr, ...], depth: int, ty: Ty) -> Optional[Ty]:
 
 
 def _subst_expr(rho: tuple[Expr, ...], depth: int, e: Expr) -> Optional[Expr]:
+    fp = expr_footprint(e)
+    if fp is not None and fp[0] <= depth:
+        return e
     match e:
         case Var(ref):
             if not isinstance(ref, int):
@@ -529,42 +534,58 @@ def _subst_expr(rho: tuple[Expr, ...], depth: int, e: Expr) -> Optional[Expr]:
         case TyAsExpr(ty):
             t = _subst_ty(rho, depth, ty)
             return None if t is None else TyAsExpr(t)
-        case Constr() | Const() | Lit():
-            return e
     raise TypeError(f"not an expression: {e!r}")
+
+
+# from_val keeps its answer on the value node; this stands for "does not
+# read back", which has to be told apart from "not read back yet"
+_NO_READBACK = object()
 
 
 def from_val(v: Val) -> Optional[Expr]:
     """Read a value back into a closed expression. Closures re-open their
-    syntactic form and substitute the read-back environment through it."""
+    syntactic form and substitute the read-back environment through it.
+    Values are immutable, so the answer is kept on the node, outside the
+    dataclass fields, and a value shared by many environments is read back
+    once."""
+    try:
+        hit = v._expr  # type: ignore[attr-defined]
+    except AttributeError:
+        pass
+    else:
+        return None if hit is _NO_READBACK else hit
+    e: Optional[Expr]
     match v:
         case VConstr(ind, ctor, args):
-            e: Expr = Constr(ind, ctor)
+            e = Constr(ind, ctor)
             for a in args:
                 fa = from_val(a)
                 if fa is None:
-                    return None
+                    e = None
+                    break
                 e = App(e, fa)
-            return e
         case VClosLam(env, hint, dom, body):
-            return _close(env, Lam(hint, dom, body))
+            e = _close(env, Lam(hint, dom, body))
         case VClosFix(env, f_hint, x_hint, dom, cod, body):
-            return _close(env, Fix(f_hint, x_hint, dom, cod, body))
+            e = _close(env, Fix(f_hint, x_hint, dom, cod, body))
         case VTyClos(env, hint, body):
-            return _close(env, TyLam(hint, body))
+            e = _close(env, TyLam(hint, body))
         case VTy(ty):
-            return TyAsExpr(ty)
+            e = TyAsExpr(ty)
         case VPrim(p):
-            return Lit(p)
+            e = Lit(p)
         case VBuiltin(name, args):
             e = Const(name)
             for a in args:
                 fa = from_val(a)
                 if fa is None:
-                    return None
+                    e = None
+                    break
                 e = App(e, fa)
-            return e
-    raise TypeError(f"not a value: {v!r}")
+        case _:
+            raise TypeError(f"not a value: {v!r}")
+    object.__setattr__(v, "_expr", _NO_READBACK if e is None else e)
+    return e
 
 
 def _close(env: tuple[Val, ...], shell: Expr) -> Optional[Expr]:

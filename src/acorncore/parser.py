@@ -452,26 +452,30 @@ def parse_module(text: str, base_env: GlobalEnv) -> tuple[GlobalEnv, list[tuple[
     env = base_env.copy()
     p = Parser(text, env)
     defs: list[tuple[str, Expr]] = []
-    while p.peek().kind != "eof":
-        if p.at_keyword("data"):
-            env.add_inductive(p.parse_data())
-        elif p.at_keyword("type"):
-            p.bump()
-            name = p.ident("type alias name")
-            p.expect("=")
-            p.aliases[name] = p.parse_ty(strict=True)
-        elif p.at_keyword("def"):
-            p.bump()
-            name = p.ident("definition name")
-            p.expect("=")
-            named = p.parse_expr()
-            body = indexify((), named)
-            env.define(name, body)
-            defs.append((name, body))
-        else:
-            raise p.err(
-                f"expected 'data', 'type' or 'def', found {p.peek().text!r}"
-            )
+    try:
+        while p.peek().kind != "eof":
+            if p.at_keyword("data"):
+                env.add_inductive(p.parse_data())
+            elif p.at_keyword("type"):
+                p.bump()
+                name = p.ident("type alias name")
+                p.expect("=")
+                p.aliases[name] = p.parse_ty(strict=True)
+            elif p.at_keyword("def"):
+                p.bump()
+                name = p.ident("definition name")
+                p.expect("=")
+                named = p.parse_expr()
+                body = indexify((), named)
+                env.define(name, body)
+                defs.append((name, body))
+            else:
+                raise p.err(
+                    f"expected 'data', 'type' or 'def', found {p.peek().text!r}"
+                )
+    except RecursionError:
+        # parsing and indexify recurse once per nesting level
+        raise p.err("input nested too deeply") from None
     return env, defs
 
 
@@ -480,10 +484,13 @@ def parse_expr_text(text: str, env: GlobalEnv, names: Sequence[str] = ()) -> Exp
     it in nameless form; `names` supplies free variables, innermost first."""
     p = Parser(text, env)
     p.scope = list(names)
-    e = p.parse_expr()
-    if p.peek().kind != "eof":
-        raise p.err(f"trailing input {p.peek().text!r}")
-    return indexify(names, e)
+    try:
+        e = p.parse_expr()
+        if p.peek().kind != "eof":
+            raise p.err(f"trailing input {p.peek().text!r}")
+        return indexify(names, e)
+    except RecursionError:
+        raise p.err("input nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------

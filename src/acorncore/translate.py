@@ -67,61 +67,87 @@ class MissingBranch(TranslateError):
 # types
 
 def ty_to_term(ty: Ty) -> k.Term:
+    """Translate a type. The result depends on the type alone, so it is kept
+    on the node (see `expr_to_term`)."""
+    try:
+        return ty._term  # type: ignore[attr-defined]
+    except AttributeError:
+        pass
     match ty:
         case TVar(ref):
             if not isinstance(ref, int):
                 raise TranslateError(f"named type variable '{ref}' in translation")
-            return k.Rel(ref)
+            t: k.Term = k.Rel(ref)
         case TInd(name):
-            return k.Ind(name)
+            t = k.Ind(name)
         case TForall(hint, body):
-            return k.Prod(hint, k.SORT_SET, ty_to_term(body))
+            t = k.Prod(hint, k.SORT_SET, ty_to_term(body))
         case TApp(fn, arg):
-            return k.App(ty_to_term(fn), ty_to_term(arg))
+            t = k.App(ty_to_term(fn), ty_to_term(arg))
         case TArr(dom, cod):
             # the product binds an anonymous variable the codomain never uses
-            return k.Prod(None, ty_to_term(dom), k.lift(1, 0, ty_to_term(cod)))
-    raise TypeError(f"not a type: {ty!r}")
+            t = k.Prod(None, ty_to_term(dom), k.lift(1, 0, ty_to_term(cod)))
+        case _:
+            raise TypeError(f"not a type: {ty!r}")
+    object.__setattr__(ty, "_term", t)
+    return t
 
 
 # ---------------------------------------------------------------------------
 # expressions
 
 def expr_to_term(genv: GlobalEnv, e: Expr) -> k.Term:
+    """Translate an expression under `genv`.
+
+    Translation reads the environment only through its inductive
+    declarations, which `add_inductive` extends but never changes. So a
+    successful translation is kept on the node, outside the dataclass fields
+    as `lang.expr_footprint` keeps its result, together with the declaration
+    list it was made under, and is reused whenever the node meets that same
+    list again. The list, not the environment, is the key: the environment
+    owns the constant bodies, and a reference back to it from them would make
+    a cycle. Errors are not kept. The check sits in this one recursive
+    function, so caching adds no Python frame per tree level."""
+    decls = genv.inductives
+    hit = getattr(e, "_term", None)
+    if hit is not None and hit[0] is decls:
+        return hit[1]
     match e:
         case Var(ref):
             if not isinstance(ref, int):
                 raise TranslateError(f"named variable '{ref}' in translation")
-            return k.Rel(ref)
+            t: k.Term = k.Rel(ref)
         case Lam(hint, dom, body):
-            return k.Lambda(hint, ty_to_term(dom), expr_to_term(genv, body))
+            t = k.Lambda(hint, ty_to_term(dom), expr_to_term(genv, body))
         case TyLam(hint, body):
-            return k.Lambda(hint, k.SORT_SET, expr_to_term(genv, body))
+            t = k.Lambda(hint, k.SORT_SET, expr_to_term(genv, body))
         case Let(hint, ty, bound, body):
-            return k.LetIn(
+            t = k.LetIn(
                 hint,
                 ty_to_term(ty),
                 expr_to_term(genv, bound),
                 expr_to_term(genv, body),
             )
         case App(fn, arg):
-            return k.App(expr_to_term(genv, fn), expr_to_term(genv, arg))
+            t = k.App(expr_to_term(genv, fn), expr_to_term(genv, arg))
         case Constr(ind, ctor):
             decl = resolve_inductive(genv, ind)
             if decl is None:
                 raise MissingInductive(ind)
             for i, c in enumerate(decl.constrs):
                 if c.name == ctor:
-                    return k.Construct(ind, i)
-            raise MissingConstructor(ind, ctor)
+                    t = k.Construct(ind, i)
+                    break
+            else:
+                raise MissingConstructor(ind, ctor)
         case Case(scrut, ind, ty_params, ret_ty, branches):
             decl = resolve_inductive(genv, ind)
             if decl is None:
                 raise MissingInductive(ind)
-            return k.Match(
+            t = k.Match(
                 ind,
                 decl.num_params,
-                tuple(ty_to_term(t) for t in ty_params),
+                tuple(ty_to_term(tp) for tp in ty_params),
                 k.lift(1, 0, ty_to_term(ret_ty)),
                 expr_to_term(genv, scrut),
                 tuple(branch(ty_params, branches, c, genv) for c in decl.constrs),
@@ -129,14 +155,17 @@ def expr_to_term(genv: GlobalEnv, e: Expr) -> k.Term:
         case Fix(f_hint, x_hint, dom, cod, body):
             fty = k.Prod(None, ty_to_term(dom), k.lift(1, 0, ty_to_term(cod)))
             inner = k.Lambda(x_hint, k.lift(1, 0, ty_to_term(dom)), expr_to_term(genv, body))
-            return k.Fix(f_hint, fty, inner)
+            t = k.Fix(f_hint, fty, inner)
         case TyAsExpr(ty):
-            return ty_to_term(ty)
+            t = ty_to_term(ty)
         case Const(name):
-            return k.Const(name)
+            t = k.Const(name)
         case Lit(p):
-            return k.PrimLit(p)
-    raise TypeError(f"not an expression: {e!r}")
+            t = k.PrimLit(p)
+        case _:
+            raise TypeError(f"not an expression: {e!r}")
+    object.__setattr__(e, "_term", (decls, t))
+    return t
 
 
 def branch(

@@ -118,6 +118,23 @@ def test_run_argument_syntax_error(capsys):
     assert "error" in err
 
 
+def test_run_rejects_arguments_nested_too_deeply(capsys):
+    deep = "(" * 3000 + "1z" + ")" * 3000
+    code, out, err = run_cli(capsys, "run", "stdlib", "--entry", "maxInt", "--args", f"{deep} 2z")
+    assert code == 2
+    assert out == ""
+    assert "input nested too deeply" in err
+    assert "Traceback" not in err
+
+
+def test_check_rejects_a_module_nested_too_deeply(capsys, tmp_path):
+    p = tmp_path / "deep.acorn"
+    p.write_text("def x = " + "(" * 3000 + "1z" + ")" * 3000 + "\n")
+    code, _, err = run_cli(capsys, "check", str(p))
+    assert code == 2
+    assert "input nested too deeply" in err
+
+
 # ---------------------------------------------------------------------------
 # translate
 

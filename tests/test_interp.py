@@ -44,7 +44,7 @@ from acorncore.lang import (
     mk_app,
     ty_app,
 )
-from acorncore.programs import stdlib_env
+from acorncore.programs import int_list_expr, stdlib_env
 from acorncore.soundness import minimal_fuel
 
 ENV = stdlib_env()
@@ -406,3 +406,49 @@ def test_subst_env_ty_needs_type_entries():
 def test_apply_val_direct():
     f = ok(Lam("x", INT, Var(0)))
     assert apply_val(ENV, 10, f, VPrim(PInt(8))) == Ok(VPrim(PInt(8)))
+
+
+def test_subst_env_expr_keeps_closed_subtrees():
+    closed = Lam("y", INT, App(Var(0), Lit(PInt(2))))
+    out = subst_env_expr([Lit(PInt(9))], Lam("x", INT, App(Var(1), closed)))
+    assert out == Lam("x", INT, App(Lit(PInt(9)), closed))
+    assert out.body.arg is closed
+    assert subst_env_expr([Lit(PInt(9))], closed) is closed
+
+
+# ---------------------------------------------------------------------------
+# read-back cache
+
+def _no_readback():
+    # the body's domain is a type position that reaches a term-level entry
+    return VClosLam((VPrim(PInt(1)),), "x", INT, Lam("y", TVar(1), Var(0)))
+
+
+def test_from_val_answers_a_repeated_call_alike():
+    f = ok(Lam("x", INT, mk_app(Const("addInt"), Var(0), Lit(PInt(1)))))
+    for v in (f, ok(int_list_expr([1, 2, 3])), VBuiltin("addInt", (VPrim(PInt(4)),))):
+        first = from_val(v)
+        assert first is not None
+        assert from_val(v) is first
+    for v in (_no_readback(), VConstr("Maybe", "Just", (_no_readback(),))):
+        assert from_val(v) is None
+        assert from_val(v) is None
+
+
+def test_read_back_values_compare_hash_and_print_like_fresh_ones():
+    v = ok(Let("c", INT, Lit(PInt(3)), Lam("x", INT, mk_app(Const("addInt"), Var(0), Var(1)))))
+    fresh = ok(Let("c", INT, Lit(PInt(3)), Lam("x", INT, mk_app(Const("addInt"), Var(0), Var(1)))))
+    from_val(v)
+    assert v == fresh and hash(v) == hash(fresh) and repr(v) == repr(fresh)
+    assert from_val(v) == from_val(fresh)
+
+
+def test_long_lists_read_back_at_the_default_recursion_limit():
+    # as in translation, a caching wrapper would halve the reachable length
+    v = ok(int_list_expr(range(900)))
+    e = from_val(v)
+    heads = []
+    while isinstance(e, App) and isinstance(e.fn, App):
+        heads.append(e.fn.arg.value.value)  # App(App(App(Cons, Int), x), rest)
+        e = e.arg
+    assert heads == list(range(900))

@@ -173,6 +173,16 @@ def test_parse_error_carries_position():
     assert "1:" in str(exc_info.value)
 
 
+def test_input_nested_past_the_recursion_limit_is_a_parse_error():
+    deep = "(" * 3000 + "1z" + ")" * 3000
+    with pytest.raises(ParseError, match="input nested too deeply"):
+        parse(deep)
+    with pytest.raises(ParseError, match="input nested too deeply"):
+        parse_module(f"def x = {deep}\n", stdlib_env())
+    with pytest.raises(ParseError, match="input nested too deeply"):
+        parse_module("type T = " + "(" * 3000 + "Int" + ")" * 3000 + "\n", stdlib_env())
+
+
 def test_keywords_not_usable_as_binders():
     with pytest.raises(ParseError):
         parse(r"\case : Int -> 1z")

@@ -3,6 +3,8 @@ substitution-commutation property, fuel search, the generator's guarantees,
 and report rendering."""
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -20,11 +22,12 @@ from acorncore.lang import (
     PInt,
     TInd,
     TVar,
+    TyAsExpr,
     Var,
     expr_closed_under,
     mk_app,
 )
-from acorncore.programs import corpus_dir, int_val, stdlib_env
+from acorncore.programs import corpus_dir, int_list_expr, int_val, stdlib_env
 from acorncore.soundness import (
     Agree,
     Disagree,
@@ -236,6 +239,47 @@ def test_run_corpus_renders_deterministically():
     assert "subst-commutation pairs: checked=" in a
     assert "value readback: checked=" in a
     assert "disagreements: 0" in a
+
+
+def test_run_corpus_summary_is_pinned():
+    # pairs are not deduplicated: the translation and read-back caches change
+    # how fast the check runs, never what it counts
+    tail = run_corpus(corpus_dir(), gen_count=200, seed=4).render().splitlines()[-5:]
+    assert tail == [
+        "agreements: 341 (0 with errors on both sides)",
+        "disagreements: 0",
+        "inconclusive: 0",
+        "subst-commutation pairs: checked=2998 failed=0",
+        "value readback: checked=341 failed=0",
+    ]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="frame depth read on CPython 3.11")
+def test_first_recursion_error_of_a_deep_fold_stays_put():
+    """The shortest `foldr addInt` list whose `diff_check` overflows Python's
+    stack, read in a new thread so that the caller's depth does not count.
+    Translation and read-back must add no frame per level."""
+    found = []
+
+    def probe():
+        genv = stdlib_env()
+        kenv = translate_env(genv)
+        for n in range(236, 300):
+            e = mk_app(
+                Const("foldr"), TyAsExpr(INT), TyAsExpr(INT), Const("addInt"),
+                Lit(PInt(0)), int_list_expr(range(n)),
+            )
+            try:
+                diff_check(genv, 100_000, e, kenv)
+            except RecursionError:
+                found.append(n)
+                return
+
+    t = threading.Thread(target=probe)
+    t.start()
+    t.join(timeout=120)
+    assert not t.is_alive()
+    assert found == [246]
 
 
 def test_run_corpus_without_generation_has_no_gen_rows():

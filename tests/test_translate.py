@@ -2,9 +2,13 @@
 at the binders translation introduces, branch reordering, and frozen kernel
 forms for the prelude declarations."""
 
+import dataclasses
+import random
+
 import pytest
 
 from acorncore import kernel as k
+from acorncore.interp import EnvTrace
 from acorncore.lang import (
     App,
     Case,
@@ -30,7 +34,8 @@ from acorncore.lang import (
     Var,
     mk_app,
 )
-from acorncore.programs import int_list_expr, stdlib_env
+from acorncore.programs import corpus_dir, int_list_expr, load_module, stdlib_env
+from acorncore.soundness import corpus_files, diff_check, gen_expr, subst_commutes
 from acorncore.translate import (
     MissingBranch,
     MissingConstructor,
@@ -302,3 +307,90 @@ def test_translated_fold_runs_in_the_kernel():
         k.Const("foldr"), K_INT, K_INT, k.Const("addInt"), k.PrimLit(PInt(0)), xs
     )
     assert k.cbv_eval(kenv, 10_000, t) == Ok(k.PrimLit(PInt(10)))
+
+
+# ---------------------------------------------------------------------------
+# per-node translation cache
+
+
+def _fresh(x):
+    """A structurally equal copy sharing no node with `x`, so nothing cached
+    on the nodes of `x` carries over."""
+    if isinstance(x, tuple):
+        return tuple(_fresh(y) for y in x)
+    if dataclasses.is_dataclass(x):
+        return type(x)(**{f.name: _fresh(getattr(x, f.name)) for f in dataclasses.fields(x)})
+    return x
+
+
+def _corpus_and_generated():
+    for f in corpus_files(corpus_dir()):
+        genv, defs = load_module(str(f))
+        kenv = translate_env(genv)
+        for _, body in defs:
+            yield genv, kenv, body
+    kenv = translate_env(GENV)
+    rng = random.Random(5)
+    for _ in range(200):
+        yield GENV, kenv, gen_expr(rng)
+
+
+def test_cached_translations_equal_fresh_ones():
+    for genv, kenv, body in _corpus_and_generated():
+        # populate the caches the way diff-eval does: evaluation, read-back
+        # and every harvested pair, whose bodies share nodes with `body`
+        trace = EnvTrace(40)
+        diff_check(genv, 10_000, body, kenv, trace)
+        for rho, pair_body in trace.pairs:
+            subst_commutes(genv, rho, pair_body)
+        cached = expr_to_term(genv, body)
+        assert expr_to_term(genv, body) is cached
+        assert cached == expr_to_term(genv, _fresh(body))
+
+
+def test_one_node_gets_each_environments_own_translation():
+    ab = GlobalEnv([InductiveDecl("T", 0, (ConstrDecl("A"), ConstrDecl("B")))])
+    ba = GlobalEnv([InductiveDecl("T", 0, (ConstrDecl("B"), ConstrDecl("A")))])
+    a = Constr("T", "A")
+    case = Case(Var(0), "T", (), INT, ((Pat("A"), Lit(PInt(1))), (Pat("B"), Lit(PInt(2)))))
+    one, two = k.PrimLit(PInt(1)), k.PrimLit(PInt(2))
+    for _ in range(2):
+        assert expr_to_term(ab, a) == k.Construct("T", 0)
+        assert expr_to_term(ba, a) == k.Construct("T", 1)
+        assert expr_to_term(ab, case).branches == ((0, one), (0, two))
+        assert expr_to_term(ba, case).branches == ((0, two), (0, one))
+
+
+def test_a_failed_translation_is_not_kept():
+    genv = GlobalEnv()
+    e = App(Lam("x", INT, Var(0)), Constr("T", "A"))
+    with pytest.raises(MissingInductive):
+        expr_to_term(genv, e)
+    genv.add_inductive(InductiveDecl("T", 0, (ConstrDecl("A"),)))
+    assert expr_to_term(genv, e) == k.App(
+        k.Lambda("x", K_INT, k.Rel(0)), k.Construct("T", 0)
+    )
+
+
+def test_translated_nodes_compare_hash_and_print_like_fresh_copies():
+    rng = random.Random(11)
+    for _ in range(50):
+        e = gen_expr(rng)
+        expr_to_term(GENV, e)
+        copy = _fresh(e)
+        assert e == copy and hash(e) == hash(copy) and repr(e) == repr(copy)
+    ty = TForall("A", TArr(TVar(0), TApp(TInd("List"), TVar(0))))
+    assert ty_to_term(ty) is ty_to_term(ty)
+    copy = _fresh(ty)
+    assert ty == copy and hash(ty) == hash(copy) and repr(ty) == repr(copy)
+
+
+def test_long_lists_translate_at_the_default_recursion_limit():
+    # the cache check sits inside the recursive function: a caching wrapper
+    # around it would add a frame per level and fail near 500 elements
+    t = expr_to_term(GENV, int_list_expr(range(900)))
+    heads = []
+    while t != k.App(k.Construct("List", 0), K_INT):
+        heads.append(t.fn.arg.value.value)  # App(App(App(Cons, Int), x), rest)
+        t = t.arg
+    assert heads == list(range(900))
