@@ -46,7 +46,6 @@ from .lang import (
     indexify,
     mk_app,
     ty_app,
-    wf_global,
     wf_global_errors,
 )
 from .interp import (

@@ -44,7 +44,6 @@ from .lang import (
     delta,
     expr_footprint,
     resolve_constr,
-    resolve_inductive,
     ty_closed_under,
     ty_footprint,
 )
@@ -54,17 +53,17 @@ from .lang import (
 # values
 
 class Val:
-    __slots__ = ()
+    __slots__ = ("_expr",)  # the read-back; see `lang.Ty`
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VConstr(Val):
     ind: str
     ctor: str
     args: tuple[Val, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VClosLam(Val):
     env: tuple[Val, ...]
     hint: str
@@ -72,7 +71,7 @@ class VClosLam(Val):
     body: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VClosFix(Val):
     env: tuple[Val, ...]
     f_hint: str
@@ -82,24 +81,24 @@ class VClosFix(Val):
     body: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VTyClos(Val):
     env: tuple[Val, ...]
     hint: str
     body: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VTy(Val):
     ty: Ty
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VPrim(Val):
     prim: PrimVal
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VBuiltin(Val):
     """A primitive constant applied to fewer arguments than it needs."""
 
@@ -177,7 +176,7 @@ def validate(rho: Sequence[Val], n_extra: int, e: Expr) -> bool:
 
 
 def _fits(rho: Sequence[Val], n_extra: int, fp: Footprint) -> bool:
-    if fp is None or fp[0] > len(rho) + n_extra:
+    if fp[0] > len(rho) + n_extra:
         return False
     for j in fp[1]:
         if j >= n_extra and not isinstance(rho[j - n_extra], VTy):
@@ -309,7 +308,7 @@ def eval_expr(
                 return EvalError(
                     f"scrutinee of '{v.ind}' matched against '{ind}'"
                 )
-            decl = resolve_inductive(genv, ind)
+            decl = genv.find_inductive(ind)
             found = _select_branch(v.ctor, decl.num_params, v.args, branches)
             if found is None:
                 return EvalError(f"no branch fits constructor '{v.ctor}'")
@@ -354,7 +353,7 @@ def apply_val(
             hit = resolve_constr(genv, ind, ctor)
             if hit is None:
                 return EvalError(f"unknown constructor '{ctor}' of '{ind}'")
-            decl = resolve_inductive(genv, ind)
+            decl = genv.find_inductive(ind)
             limit = decl.num_params + len(hit[1].arg_tys)
             if len(args) >= limit:
                 return EvalError(f"constructor '{ctor}' applied to too many arguments")
@@ -385,7 +384,7 @@ def wf_val(genv: GlobalEnv, v: Val) -> bool:
             hit = resolve_constr(genv, ind, ctor)
             if hit is None:
                 return False
-            decl = resolve_inductive(genv, ind)
+            decl = genv.find_inductive(ind)
             if len(args) > decl.num_params + len(hit[1].arg_tys):
                 return False
             return all(wf_val(genv, a) for a in args)
@@ -430,8 +429,7 @@ def subst_env_expr(rho: Sequence[Expr], e: Expr) -> Optional[Expr]:
 
 
 def _subst_ty(rho: tuple[Expr, ...], depth: int, ty: Ty) -> Optional[Ty]:
-    fp = ty_footprint(ty)
-    if fp is not None and fp[0] <= depth:
+    if ty_footprint(ty)[0] <= depth:
         return ty
     match ty:
         case TVar(ref):
@@ -465,8 +463,7 @@ def _subst_ty(rho: tuple[Expr, ...], depth: int, ty: Ty) -> Optional[Ty]:
 
 
 def _subst_expr(rho: tuple[Expr, ...], depth: int, e: Expr) -> Optional[Expr]:
-    fp = expr_footprint(e)
-    if fp is not None and fp[0] <= depth:
+    if expr_footprint(e)[0] <= depth:
         return e
     match e:
         case Var(ref):
@@ -537,22 +534,18 @@ def _subst_expr(rho: tuple[Expr, ...], depth: int, e: Expr) -> Optional[Expr]:
     raise TypeError(f"not an expression: {e!r}")
 
 
-# from_val keeps its answer on the value node; this stands for "does not
-# read back", which has to be told apart from "not read back yet"
+# kept in the `_expr` slot for "does not read back", which has to be told
+# apart from None, "not read back yet"
 _NO_READBACK = object()
 
 
 def from_val(v: Val) -> Optional[Expr]:
     """Read a value back into a closed expression. Closures re-open their
-    syntactic form and substitute the read-back environment through it.
-    Values are immutable, so the answer is kept on the node, outside the
-    dataclass fields, and a value shared by many environments is read back
-    once."""
-    try:
-        hit = v._expr  # type: ignore[attr-defined]
-    except AttributeError:
-        pass
-    else:
+    syntactic form and substitute the read-back environment through it. The
+    answer is kept on the value, so a value shared by many environments is
+    read back once."""
+    hit = getattr(v, "_expr", None)
+    if hit is not None:
         return None if hit is _NO_READBACK else hit
     e: Optional[Expr]
     match v:

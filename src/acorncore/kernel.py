@@ -131,12 +131,14 @@ def spine_view(t: Term) -> tuple[Term, tuple[Term, ...]]:
 # lifting and substitution
 
 # `term_bound(t)` is one past the largest free index of `t`, or 0 when `t` is
-# closed. It is computed once per node and kept in the node's instance
-# dictionary, outside the dataclass fields, so equality, hashing and repr do
-# not see it; terms are immutable, so it never goes stale. A negative index,
-# which no binder reaches and lifting and substitution leave alone, counts as
-# closed. With the bound, lifting and substitution return a subterm with no
-# index at or above their cutoff as it is, instead of rebuilding it.
+# closed. It is computed once per node and kept on it as `_bound`, read and
+# written as `lang.Ty` describes for the surface caches; kernel terms keep
+# theirs in the instance dictionary rather than in slots, because the
+# benchmark's node counter (`bench/layers.py`) walks `vars()` of each term. A
+# negative index, which no binder reaches and lifting and substitution leave
+# alone, counts as closed. With the bound, lifting and substitution return a
+# subterm with no index at or above their cutoff as it is, instead of
+# rebuilding it.
 
 def term_bound(t: Term) -> int:
     b = getattr(t, "_bound", None)

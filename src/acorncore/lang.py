@@ -13,6 +13,7 @@ form used by evaluation and translation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -48,34 +49,43 @@ PRIM_TYPE_NAMES = frozenset({"Int", "Nat"})
 # ---------------------------------------------------------------------------
 # types
 
+# Surface nodes (`Ty`, `Expr`) and interpreter values (`interp.Val`) keep
+# answers computed from them in slots declared on their base class: `_fp` is
+# the free-index footprint, `_term` the kernel translation and `_expr`
+# (values only) the read-back. Slots sit outside the dataclass fields, so
+# equality, hashing and repr do not see them, and nodes are immutable, so a
+# kept answer never goes stale. Every cache is read as
+# `getattr(node, name, None)`, None meaning "not computed yet", and written
+# with `object.__setattr__`. Slots rather than instance-dictionary entries
+# keep a node small however many of its caches are filled.
 class Ty:
-    __slots__ = ()
+    __slots__ = ("_fp", "_term")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TVar(Ty):
     # int in nameless mode, str in named mode
     ref: Union[int, str]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TInd(Ty):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TForall(Ty):
     hint: str
     body: Ty
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TApp(Ty):
     fn: Ty
     arg: Ty
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TArr(Ty):
     dom: Ty
     cod: Ty
@@ -97,29 +107,29 @@ class Pat:
 
 
 class Expr:
-    __slots__ = ()
+    __slots__ = ("_fp", "_term")  # see `Ty`
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Expr):
     # int in nameless mode, str in named mode
     ref: Union[int, str]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lam(Expr):
     hint: str
     dom: Ty
     body: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TyLam(Expr):
     hint: str
     body: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Let(Expr):
     hint: str
     ty: Ty
@@ -127,13 +137,13 @@ class Let(Expr):
     body: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App(Expr):
     fn: Expr
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Case(Expr):
     scrut: Expr
     ind: str
@@ -142,13 +152,13 @@ class Case(Expr):
     branches: tuple[tuple[Pat, Expr], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constr(Expr):
     ind: str
     ctor: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fix(Expr):
     f_hint: str
     x_hint: str
@@ -157,17 +167,17 @@ class Fix(Expr):
     body: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TyAsExpr(Expr):
     ty: Ty
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lit(Expr):
     value: PrimVal
 
@@ -289,11 +299,6 @@ class GlobalEnv:
         return GlobalEnv(self.inductives, dict(self.constants))
 
 
-def resolve_inductive(env: GlobalEnv, name: str) -> Optional[InductiveDecl]:
-    """The declaration of `name` (constructors in declaration order), or None."""
-    return env.find_inductive(name)
-
-
 def resolve_constr(
     env: GlobalEnv, ind: str, ctor: str
 ) -> Optional[tuple[int, ConstrDecl]]:
@@ -310,23 +315,20 @@ def resolve_constr(
 # ---------------------------------------------------------------------------
 # free-index footprint and closedness
 
-# A footprint summarises the free indices of a type or expression: None when
-# some reference is named or negative (closed under no length), else the pair
-# (bound, ty_refs) where every free index is below `bound` and `ty_refs` holds
-# the free indices that occur in type positions. It is computed once per node
-# and kept in the node's instance dictionary, outside the dataclass fields, so
-# equality, hashing and repr do not see it; nodes are immutable, so it never
-# goes stale.
-Footprint = Optional[tuple[int, frozenset[int]]]
+# A footprint summarises the free indices of a type or expression as a pair
+# (bound, ty_refs): every free index is below `bound`, and `ty_refs` holds the
+# free indices that occur in type positions. A named or negative reference
+# makes the bound infinite, closed under no length. It is kept in the `_fp`
+# slot (see `Ty`).
+Footprint = tuple[float, frozenset[int]]
 
 _NO_REFS: frozenset[int] = frozenset()
 _NO_FREE: Footprint = (0, _NO_REFS)
+_OPEN: Footprint = (math.inf, _NO_REFS)
 
 
 def _shift(fp: Footprint, k: int) -> Footprint:
     # the footprint seen from outside k binders
-    if fp is None:
-        return None
     bound, refs = fp
     if bound <= k:
         return _NO_FREE
@@ -338,8 +340,6 @@ def _shift(fp: Footprint, k: int) -> Footprint:
 def _join(*fps: Footprint) -> Footprint:
     bound, refs = 0, _NO_REFS
     for fp in fps:
-        if fp is None:
-            return None
         if fp[0] > bound:
             bound = fp[0]
         if fp[1]:
@@ -349,14 +349,13 @@ def _join(*fps: Footprint) -> Footprint:
 
 def ty_footprint(ty: Ty) -> Footprint:
     """Free-index footprint of a type; every position in it is a type position."""
-    try:
-        return ty._fp  # type: ignore[attr-defined]
-    except AttributeError:
-        pass
+    hit = getattr(ty, "_fp", None)
+    if hit is not None:
+        return hit
     match ty:
         case TVar(ref):
             ok = isinstance(ref, int) and ref >= 0
-            fp = (ref + 1, frozenset((ref,))) if ok else None
+            fp = (ref + 1, frozenset((ref,))) if ok else _OPEN
         case TInd(_):
             fp = _NO_FREE
         case TForall(_, body):
@@ -373,14 +372,13 @@ def ty_footprint(ty: Ty) -> Footprint:
 
 def expr_footprint(e: Expr) -> Footprint:
     """Free-index footprint of an expression (see `Footprint`)."""
-    try:
-        return e._fp  # type: ignore[attr-defined]
-    except AttributeError:
-        pass
+    hit = getattr(e, "_fp", None)
+    if hit is not None:
+        return hit
     match e:
         case Var(ref):
             ok = isinstance(ref, int) and ref >= 0
-            fp = (ref + 1, _NO_REFS) if ok else None
+            fp = (ref + 1, _NO_REFS) if ok else _OPEN
         case Lam(_, dom, body):
             fp = _join(ty_footprint(dom), _shift(expr_footprint(body), 1))
         case TyLam(_, body):
@@ -412,13 +410,11 @@ def expr_footprint(e: Expr) -> Footprint:
 
 
 def ty_closed_under(n: int, ty: Ty) -> bool:
-    fp = ty_footprint(ty)
-    return fp is not None and fp[0] <= n
+    return ty_footprint(ty)[0] <= n
 
 
 def expr_closed_under(n: int, e: Expr) -> bool:
-    fp = expr_footprint(e)
-    return fp is not None and fp[0] <= n
+    return expr_footprint(e)[0] <= n
 
 
 # ---------------------------------------------------------------------------
@@ -538,10 +534,6 @@ def wf_global_errors(env: GlobalEnv) -> list[str]:
         if not expr_closed_under(0, body):
             problems.append(f"constant '{name}' is not closed")
     return problems
-
-
-def wf_global(env: GlobalEnv) -> bool:
-    return not wf_global_errors(env)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from .lang import (
     TyAsExpr,
     TyLam,
     Var,
-    resolve_inductive,
 )
 
 
@@ -68,16 +67,15 @@ class MissingBranch(TranslateError):
 
 def ty_to_term(ty: Ty) -> k.Term:
     """Translate a type. The result depends on the type alone, so it is kept
-    on the node (see `expr_to_term`)."""
-    try:
-        return ty._term  # type: ignore[attr-defined]
-    except AttributeError:
-        pass
+    on the node."""
+    t = getattr(ty, "_term", None)
+    if t is not None:
+        return t
     match ty:
         case TVar(ref):
             if not isinstance(ref, int):
                 raise TranslateError(f"named type variable '{ref}' in translation")
-            t: k.Term = k.Rel(ref)
+            t = k.Rel(ref)
         case TInd(name):
             t = k.Ind(name)
         case TForall(hint, body):
@@ -101,8 +99,7 @@ def expr_to_term(genv: GlobalEnv, e: Expr) -> k.Term:
 
     Translation reads the environment only through its inductive
     declarations, which `add_inductive` extends but never changes. So a
-    successful translation is kept on the node, outside the dataclass fields
-    as `lang.expr_footprint` keeps its result, together with the declaration
+    successful translation is kept on the node together with the declaration
     list it was made under, and is reused whenever the node meets that same
     list again. The list, not the environment, is the key: the environment
     owns the constant bodies, and a reference back to it from them would make
@@ -131,7 +128,7 @@ def expr_to_term(genv: GlobalEnv, e: Expr) -> k.Term:
         case App(fn, arg):
             t = k.App(expr_to_term(genv, fn), expr_to_term(genv, arg))
         case Constr(ind, ctor):
-            decl = resolve_inductive(genv, ind)
+            decl = genv.find_inductive(ind)
             if decl is None:
                 raise MissingInductive(ind)
             for i, c in enumerate(decl.constrs):
@@ -141,7 +138,7 @@ def expr_to_term(genv: GlobalEnv, e: Expr) -> k.Term:
             else:
                 raise MissingConstructor(ind, ctor)
         case Case(scrut, ind, ty_params, ret_ty, branches):
-            decl = resolve_inductive(genv, ind)
+            decl = genv.find_inductive(ind)
             if decl is None:
                 raise MissingInductive(ind)
             t = k.Match(

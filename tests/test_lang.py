@@ -31,10 +31,8 @@ from acorncore.lang import (
     indexify,
     mk_app,
     resolve_constr,
-    resolve_inductive,
     ty_app,
     ty_closed_under,
-    wf_global,
     wf_global_errors,
 )
 
@@ -71,8 +69,8 @@ def test_global_env_rejects_duplicate_inductive():
 
 def test_resolvers():
     env = GlobalEnv([LIST, MAYBE])
-    assert resolve_inductive(env, "List") is LIST
-    assert resolve_inductive(env, "Tree") is None
+    assert env.find_inductive("List") is LIST
+    assert env.find_inductive("Tree") is None
     idx, decl = resolve_constr(env, "List", "Cons")
     assert idx == 1 and decl.name == "Cons"
     assert resolve_constr(env, "List", "Just") is None
@@ -204,7 +202,6 @@ def test_wf_global_errors_duplicate_ctor():
     env = GlobalEnv([a, b])
     errors = wf_global_errors(env)
     assert any("Mk" in m for m in errors)
-    assert not wf_global(env)
 
 
 def test_wf_global_errors_open_ctor_arg():
@@ -221,7 +218,7 @@ def test_wf_global_errors_open_constant():
 
 def test_wf_global_accepts_builtin_entries():
     env = GlobalEnv((), dict(BUILTINS))
-    assert wf_global(env)
+    assert not wf_global_errors(env)
 
 
 def test_builtin_table_shape():

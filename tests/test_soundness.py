@@ -138,8 +138,19 @@ def test_subst_commutes_on_harvested_pairs():
     r = eval_expr(GENV, 1000, (), e, trace)
     assert isinstance(r, Ok)
     assert trace.pairs
+    rng = random.Random(4)
+    for _ in range(200):
+        eval_expr(GENV, 10_000, (), gen_expr(rng, 12), trace)
+    downshifted = 0
     for rho, body in trace.pairs:
         assert subst_commutes(GENV, rho, body) is not False
+        # without its last c entries the environment no longer covers every
+        # free index of the body, so substitution shifts the rest down
+        for c in range(1, len(rho) + 1):
+            verdict = subst_commutes(GENV, rho[: len(rho) - c], body)
+            assert verdict is not False
+            downshifted += verdict is True
+    assert downshifted > 1000
 
 
 def test_subst_commutes_is_silent_without_evidence():

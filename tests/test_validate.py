@@ -2,14 +2,19 @@
 two full tree walks it replaced (closedness, then a type-position fit against
 the environment), kept here as the oracle."""
 
+import dataclasses
 import random
 
-from acorncore.interp import VPrim, VTy, validate
+import pytest
+
+from acorncore import interp, lang
+from acorncore.interp import Val, VPrim, VTy, validate
 from acorncore.lang import (
     App,
     Case,
     Const,
     Constr,
+    Expr,
     Fix,
     Lam,
     Let,
@@ -21,6 +26,7 @@ from acorncore.lang import (
     TForall,
     TInd,
     TVar,
+    Ty,
     TyAsExpr,
     TyLam,
     Var,
@@ -270,11 +276,36 @@ def test_cached_footprint_leaves_equality_hash_and_repr_alone():
     for e in cached:
         expr_footprint(e)
         for b in closure_bodies(e):
-            assert "_fp" in vars(b)
+            assert hasattr(b, "_fp")
     fresh = corpus_definitions() + generated_programs()
     for a, b in zip(cached, fresh):
         assert a is not b
-        assert "_fp" not in vars(b)
+        assert not hasattr(b, "_fp")
         assert a == b
         assert hash(a) == hash(b)
         assert repr(a) == repr(b)
+
+
+@pytest.mark.parametrize(
+    "module, base, count, caches",
+    [
+        (lang, Ty, 5, {"_fp", "_term"}),
+        (lang, Expr, 11, {"_fp", "_term"}),
+        (interp, Val, 7, {"_expr"}),
+    ],
+)
+def test_caches_live_in_the_base_class_slots(module, base, count, caches):
+    kinds = [
+        c for c in vars(module).values()
+        if isinstance(c, type) and issubclass(c, base) and c is not base
+    ]
+    assert len(kinds) == count
+    for kind in kinds:
+        node = kind(*(None for _ in dataclasses.fields(kind)))
+        assert not hasattr(node, "__dict__")
+        for name in caches:
+            assert getattr(node, name, None) is None
+            object.__setattr__(node, name, 1)
+            assert getattr(node, name) == 1
+        with pytest.raises(AttributeError):
+            object.__setattr__(node, "_other", 1)
