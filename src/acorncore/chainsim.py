@@ -419,13 +419,6 @@ def crowdfunding_scenario(
     )
 
 
-def counter_scenario(start: int = 0) -> Scenario:
-    return Scenario(
-        actors=((1, 100), (2, 100)),
-        deploys=(DeployPlan("counter", 1, 0, {"start": start}),),
-    )
-
-
 def scenario_from_json(data: dict) -> Scenario:
     actors = tuple((int(a), int(funds)) for a, funds in data["actors"])
     deploys = tuple(
@@ -523,9 +516,3 @@ def gen_trace(
 def final_state(trace: Trace, fuel: int = DEFAULT_CALL_FUEL) -> ChainState:
     states = replay(trace, fuel)
     return states[-1] if states else clone(trace.genesis)
-
-
-def funded_outcome(trace: Trace, fuel: int = DEFAULT_CALL_FUEL) -> bool:
-    """True when some crowdfunding instance ended with the funds collected."""
-    st = final_state(trace, fuel)
-    return any(cf_state_fields(con.state)[4] for _, con in _cf_contracts(st))

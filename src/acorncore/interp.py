@@ -35,7 +35,6 @@ from .lang import (
     TApp,
     TArr,
     TForall,
-    TInd,
     TVar,
     Ty,
     TyAsExpr,
@@ -127,41 +126,13 @@ class EnvTrace:
 # ---------------------------------------------------------------------------
 # type evaluation
 
-def eval_type(rho: Sequence[Val], ty: Ty, depth: int = 0) -> Optional[Ty]:
-    """Resolve environment references inside a type. Indices below `depth`
-    are bound locally and stay; the rest must hit a type entry (whose payload
-    is closed, so no shifting is needed). None marks a term-level hit."""
-    match ty:
-        case TVar(ref):
-            if not isinstance(ref, int):
-                return None
-            if ref < depth:
-                return ty
-            i = ref - depth
-            if i >= len(rho):
-                return None
-            entry = rho[i]
-            if isinstance(entry, VTy):
-                return entry.ty
-            return None
-        case TInd(_):
-            return ty
-        case TForall(hint, body):
-            b = eval_type(rho, body, depth + 1)
-            return None if b is None else TForall(hint, b)
-        case TApp(fn, arg):
-            f = eval_type(rho, fn, depth)
-            if f is None:
-                return None
-            a = eval_type(rho, arg, depth)
-            return None if a is None else TApp(f, a)
-        case TArr(dom, cod):
-            d = eval_type(rho, dom, depth)
-            if d is None:
-                return None
-            c = eval_type(rho, cod, depth)
-            return None if c is None else TArr(d, c)
-    raise TypeError(f"not a type: {ty!r}")
+def eval_type(rho: Sequence[Val], ty: Ty) -> Optional[Ty]:
+    """Resolve environment references inside a type. Every free index must
+    land on a type entry, whose payload is closed; None otherwise. A subtree
+    closed under its binders comes back as it is."""
+    if not _fits(rho, 0, ty_footprint(ty)):
+        return None
+    return _subst_ty(rho, 0, ty)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +399,8 @@ def subst_env_expr(rho: Sequence[Expr], e: Expr) -> Optional[Expr]:
     return _subst_expr(tuple(rho), 0, e)
 
 
-def _subst_ty(rho: tuple[Expr, ...], depth: int, ty: Ty) -> Optional[Ty]:
+def _subst_ty(rho: Sequence[Union[Expr, Val]], depth: int, ty: Ty) -> Optional[Ty]:
+    # entries are closed expressions (`subst_env_expr`) or values (`eval_type`)
     if ty_footprint(ty)[0] <= depth:
         return ty
     match ty:
@@ -440,7 +412,7 @@ def _subst_ty(rho: tuple[Expr, ...], depth: int, ty: Ty) -> Optional[Ty]:
             j = ref - depth
             if j < len(rho):
                 entry = rho[j]
-                if isinstance(entry, TyAsExpr):
+                if isinstance(entry, (TyAsExpr, VTy)):
                     return entry.ty  # closed, so no shift
                 return None
             return TVar(ref - len(rho))
@@ -558,11 +530,11 @@ def from_val(v: Val) -> Optional[Expr]:
                     break
                 e = App(e, fa)
         case VClosLam(env, hint, dom, body):
-            e = _close(env, Lam(hint, dom, body))
+            e = close_env(env, Lam(hint, dom, body))
         case VClosFix(env, f_hint, x_hint, dom, cod, body):
-            e = _close(env, Fix(f_hint, x_hint, dom, cod, body))
+            e = close_env(env, Fix(f_hint, x_hint, dom, cod, body))
         case VTyClos(env, hint, body):
-            e = _close(env, TyLam(hint, body))
+            e = close_env(env, TyLam(hint, body))
         case VTy(ty):
             e = TyAsExpr(ty)
         case VPrim(p):
@@ -581,7 +553,9 @@ def from_val(v: Val) -> Optional[Expr]:
     return e
 
 
-def _close(env: tuple[Val, ...], shell: Expr) -> Optional[Expr]:
+def close_env(env: Sequence[Val], shell: Expr) -> Optional[Expr]:
+    """Read `env` back and substitute it through `shell`; None when an entry
+    does not read back or substitution fails."""
     exprs: list[Expr] = []
     for x in env:
         fx = from_val(x)

@@ -519,10 +519,6 @@ def _fresh(hint: str, used: set[str], avoid: frozenset[str]) -> str:
     return cand
 
 
-def pretty_ty(ty: Ty, ctx: Sequence[str] = ()) -> str:
-    return _pp_ty(ty, list(ctx), 0)
-
-
 def _pp_ty(ty: Ty, ctx: list[str], prec: int) -> str:
     # prec: 0 arrow level, 1 application level, 2 atom
     match ty:

@@ -15,11 +15,10 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from . import kernel as k
-from .interp import Ok, VConstr, VPrim, VTy, Val, eval_expr
+from .interp import VConstr, VPrim, VTy, Val
 from .lang import (
     App,
     BUILTINS,
-    Const,
     Constr,
     Expr,
     GlobalEnv,
@@ -27,9 +26,7 @@ from .lang import (
     PInt,
     PNat,
     TInd,
-    Ty,
     TyAsExpr,
-    Var,
     mk_app,
 )
 from .parser import parse_module
@@ -199,10 +196,6 @@ def nat_val(n: int) -> Val:
     return VPrim(PNat(n))
 
 
-def bool_val(b: bool) -> Val:
-    return VConstr("Bool", "True" if b else "False")
-
-
 def val_to_int(v: Val) -> int:
     if isinstance(v, VPrim) and isinstance(v.prim, PInt):
         return v.prim.value
@@ -234,14 +227,6 @@ def constr_payload(v: Val, expect: Optional[str] = None) -> tuple[Val, ...]:
     return tuple(args)
 
 
-def to_acorn_list(items: Sequence[Val], elem_ty: Ty) -> Val:
-    """The canonical list value: every constructor carries its type argument."""
-    out: Val = VConstr("List", "Nil", (VTy(elem_ty),))
-    for item in reversed(items):
-        out = VConstr("List", "Cons", (VTy(elem_ty), item, out))
-    return out
-
-
 def from_acorn_list(v: Val) -> list[Val]:
     items: list[Val] = []
     while True:
@@ -258,14 +243,6 @@ def from_acorn_list(v: Val) -> list[Val]:
             raise ConversionError("list node must carry a head and a tail")
         items.append(payload[0])
         v = payload[1]
-
-
-def to_acorn_map(pairs: Sequence[tuple[int, int]]) -> Val:
-    """A Nat->Int map value, newest entry first (as repeated adds build it)."""
-    out: Val = VConstr("AcornMap", "MNil")
-    for key, value in reversed(pairs):
-        out = VConstr("AcornMap", "MCons", (nat_val(key), int_val(value), out))
-    return out
 
 
 def map_entries(v: Val) -> list[tuple[int, int]]:
@@ -304,7 +281,7 @@ def native_foldr(f: Callable[[int, int], int], init: int, xs: Sequence[int]) -> 
 
 
 # ---------------------------------------------------------------------------
-# fold agreement checks
+# integer list expressions
 
 _INT = TInd("Int")
 
@@ -314,64 +291,3 @@ def int_list_expr(xs: Sequence[int]) -> Expr:
     for x in reversed(xs):
         e = mk_app(Constr("List", "Cons"), TyAsExpr(_INT), Lit(PInt(x)), e)
     return e
-
-
-def deep_foldr_int(
-    genv: GlobalEnv, f_name: str, init: int, xs: Sequence[int], fuel: int = 10_000
-) -> int:
-    """Run the prelude fold over an integer list and decode the result."""
-    e = mk_app(
-        Const("foldr"),
-        TyAsExpr(_INT),
-        TyAsExpr(_INT),
-        Const(f_name),
-        Lit(PInt(init)),
-        int_list_expr(xs),
-    )
-    r = eval_expr(genv, fuel, (), e)
-    if not isinstance(r, Ok):
-        raise ConversionError(f"fold did not finish: {r!r}")
-    return val_to_int(r.value)
-
-
-def foldr_concat_check(
-    genv: GlobalEnv,
-    f_name: str,
-    init: int,
-    l1: Sequence[int],
-    l2: Sequence[int],
-    fuel: int = 10_000,
-) -> bool:
-    """folding f over l1 ++ l2 must equal folding f over l1 with the fold of
-    l2 as the start value."""
-    e1 = int_list_expr(l1)
-    e2 = int_list_expr(l2)
-    lhs = mk_app(
-        Const("foldr"),
-        TyAsExpr(_INT),
-        TyAsExpr(_INT),
-        Const(f_name),
-        Lit(PInt(init)),
-        mk_app(Const("concat"), TyAsExpr(_INT), e1, e2),
-    )
-    rhs = mk_app(
-        Const("foldr"),
-        TyAsExpr(_INT),
-        TyAsExpr(_INT),
-        Const(f_name),
-        mk_app(
-            Const("foldr"), TyAsExpr(_INT), TyAsExpr(_INT), Const(f_name), Lit(PInt(init)), e2
-        ),
-        e1,
-    )
-    ra = eval_expr(genv, fuel, (), lhs)
-    rb = eval_expr(genv, fuel, (), rhs)
-    return isinstance(ra, Ok) and isinstance(rb, Ok) and ra.value == rb.value
-
-
-def deep_sum_map(genv: GlobalEnv, v: Val, fuel: int = 10_000) -> int:
-    """Run the prelude's map sum on an already-evaluated map value."""
-    r = eval_expr(genv, fuel, (v,), App(Const("sum_map"), Var(0)))
-    if not isinstance(r, Ok):
-        raise ConversionError(f"map sum did not finish: {r!r}")
-    return val_to_int(r.value)

@@ -18,7 +18,6 @@ from .lang import (
     ConstrDecl,
     Expr,
     Fix,
-    GlobalEnv,
     InductiveDecl,
     Lam,
     Let,
@@ -298,21 +297,6 @@ def decl_from_json(obj: Any) -> InductiveDecl:
             for c in constrs
         ),
     )
-
-
-def module_to_json(env: GlobalEnv, own_inductives, defs) -> dict:
-    """Encode one module: its own declarations plus its definitions in order.
-
-    `defs` is a list of (name, Expr); builtins and inherited declarations are
-    not part of a module.
-    """
-    return {
-        "inductives": [decl_to_json(d) for d in own_inductives],
-        "defs": [
-            {"name": name, "body": expr_to_json(env.constants[name])}
-            for name in defs
-        ],
-    }
 
 
 def module_from_json(obj: Any) -> tuple[list[InductiveDecl], list[tuple[str, Expr]]]:

@@ -19,9 +19,9 @@ from . import kernel as k
 from .interp import (
     EnvTrace,
     Val,
+    close_env,
     eval_expr,
     from_val,
-    subst_env_expr,
     wf_val,
 )
 from .lang import (
@@ -126,18 +126,13 @@ def subst_commutes(
     """Reading an environment back and substituting it syntactically must
     match substitution after translation. None when a component does not
     read back (the pair carries no evidence either way)."""
-    exprs: list[Expr] = []
-    for v in rho_vals:
-        ex = from_val(v)
-        if ex is None:
-            return None
-        exprs.append(ex)
-    substituted = subst_env_expr(exprs, e)
+    substituted = close_env(rho_vals, e)
     if substituted is None:
         return None
     try:
         lhs = expr_to_term(genv, substituted)
-        entries = tuple(expr_to_term(genv, ex) for ex in exprs)
+        # each entry read back inside `close_env`; `from_val` answers from its cache
+        entries = tuple(expr_to_term(genv, from_val(v)) for v in rho_vals)
         rhs = k.parallel_subst(entries, expr_to_term(genv, e))
     except TranslateError:
         return None

@@ -1,0 +1,154 @@
+"""Helpers only the tests use: value builders, fold and map-sum checks run
+through the interpreter, a scenario for the counter contract, and the
+inverse of `serialize.module_from_json`."""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+from acorncore.chainsim import (
+    DEFAULT_CALL_FUEL,
+    DeployPlan,
+    Scenario,
+    Trace,
+    _cf_contracts,
+    cf_state_fields,
+    final_state,
+)
+from acorncore.interp import Ok, VConstr, VTy, Val, eval_expr
+from acorncore.lang import App, Const, GlobalEnv, Lit, PInt, Ty, TyAsExpr, Var, mk_app
+from acorncore.parser import _pp_ty
+from acorncore.programs import (
+    ConversionError,
+    _INT,
+    int_list_expr,
+    int_val,
+    nat_val,
+    val_to_int,
+)
+from acorncore.serialize import decl_to_json, expr_to_json
+
+
+# ---------------------------------------------------------------------------
+# values
+
+def bool_val(b: bool) -> Val:
+    return VConstr("Bool", "True" if b else "False")
+
+
+def to_acorn_list(items: Sequence[Val], elem_ty: Ty) -> Val:
+    """The canonical list value: every constructor carries its type argument."""
+    out: Val = VConstr("List", "Nil", (VTy(elem_ty),))
+    for item in reversed(items):
+        out = VConstr("List", "Cons", (VTy(elem_ty), item, out))
+    return out
+
+
+def to_acorn_map(pairs: Sequence[tuple[int, int]]) -> Val:
+    """A Nat->Int map value, newest entry first (as repeated adds build it)."""
+    out: Val = VConstr("AcornMap", "MNil")
+    for key, value in reversed(pairs):
+        out = VConstr("AcornMap", "MCons", (nat_val(key), int_val(value), out))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# fold agreement checks
+
+def deep_foldr_int(
+    genv: GlobalEnv, f_name: str, init: int, xs: Sequence[int], fuel: int = 10_000
+) -> int:
+    """Run the prelude fold over an integer list and decode the result."""
+    e = mk_app(
+        Const("foldr"),
+        TyAsExpr(_INT),
+        TyAsExpr(_INT),
+        Const(f_name),
+        Lit(PInt(init)),
+        int_list_expr(xs),
+    )
+    r = eval_expr(genv, fuel, (), e)
+    if not isinstance(r, Ok):
+        raise ConversionError(f"fold did not finish: {r!r}")
+    return val_to_int(r.value)
+
+
+def foldr_concat_check(
+    genv: GlobalEnv,
+    f_name: str,
+    init: int,
+    l1: Sequence[int],
+    l2: Sequence[int],
+    fuel: int = 10_000,
+) -> bool:
+    """folding f over l1 ++ l2 must equal folding f over l1 with the fold of
+    l2 as the start value."""
+    e1 = int_list_expr(l1)
+    e2 = int_list_expr(l2)
+    lhs = mk_app(
+        Const("foldr"),
+        TyAsExpr(_INT),
+        TyAsExpr(_INT),
+        Const(f_name),
+        Lit(PInt(init)),
+        mk_app(Const("concat"), TyAsExpr(_INT), e1, e2),
+    )
+    rhs = mk_app(
+        Const("foldr"),
+        TyAsExpr(_INT),
+        TyAsExpr(_INT),
+        Const(f_name),
+        mk_app(
+            Const("foldr"), TyAsExpr(_INT), TyAsExpr(_INT), Const(f_name), Lit(PInt(init)), e2
+        ),
+        e1,
+    )
+    ra = eval_expr(genv, fuel, (), lhs)
+    rb = eval_expr(genv, fuel, (), rhs)
+    return isinstance(ra, Ok) and isinstance(rb, Ok) and ra.value == rb.value
+
+
+def deep_sum_map(genv: GlobalEnv, v: Val, fuel: int = 10_000) -> int:
+    """Run the prelude's map sum on an already-evaluated map value."""
+    r = eval_expr(genv, fuel, (v,), App(Const("sum_map"), Var(0)))
+    if not isinstance(r, Ok):
+        raise ConversionError(f"map sum did not finish: {r!r}")
+    return val_to_int(r.value)
+
+
+# ---------------------------------------------------------------------------
+# chain scenarios
+
+def counter_scenario(start: int = 0) -> Scenario:
+    return Scenario(
+        actors=((1, 100), (2, 100)),
+        deploys=(DeployPlan("counter", 1, 0, {"start": start}),),
+    )
+
+
+def funded_outcome(trace: Trace, fuel: int = DEFAULT_CALL_FUEL) -> bool:
+    """True when some crowdfunding instance ended with the funds collected."""
+    st = final_state(trace, fuel)
+    return any(cf_state_fields(con.state)[4] for _, con in _cf_contracts(st))
+
+
+# ---------------------------------------------------------------------------
+# printing and encoding
+
+def pretty_ty(ty: Ty, ctx: Sequence[str] = ()) -> str:
+    return _pp_ty(ty, list(ctx), 0)
+
+
+def module_to_json(env: GlobalEnv, own_inductives, defs) -> dict:
+    """Encode one module: its own declarations plus its definitions in order.
+
+    `defs` is a list of (name, Expr); builtins and inherited declarations are
+    not part of a module.
+    """
+    return {
+        "inductives": [decl_to_json(d) for d in own_inductives],
+        "defs": [
+            {"name": name, "body": expr_to_json(env.constants[name])}
+            for name in defs
+        ],
+    }

@@ -35,8 +35,6 @@ from acorncore.programs import (
     constr_payload,
     contract,
     corpus_dir,
-    deep_foldr_int,
-    foldr_concat_check,
     int_val,
     load_module,
     map_entries,
@@ -49,6 +47,8 @@ from acorncore.programs import (
 )
 from acorncore.soundness import corpus_files, gen_expr, minimal_fuel, run_corpus
 from acorncore.translate import decl_to_kernel, expr_to_term, translate_env
+
+from oracles import deep_foldr_int, foldr_concat_check
 
 FUEL = 10_000
 GEN_COUNT = 1_000

@@ -28,10 +28,8 @@ from acorncore.chainsim import (
     check_invariants,
     clone,
     consistent_balance,
-    counter_scenario,
     crowdfunding_scenario,
     final_state,
-    funded_outcome,
     gen_trace,
     genesis,
     load_scenario,
@@ -42,15 +40,15 @@ from acorncore.chainsim import (
 from acorncore.interp import VConstr
 from acorncore.programs import (
     CONTRACTS,
-    bool_val,
     constr_payload,
     int_val,
     map_entries,
     nat_val,
-    to_acorn_map,
     val_to_int,
     val_to_nat,
 )
+
+from oracles import bool_val, counter_scenario, funded_outcome, to_acorn_map
 
 DONATE = VConstr("Msg", "Donate")
 CLAIM = VConstr("Msg", "Claim")

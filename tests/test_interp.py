@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from acorncore.interp import (
@@ -46,6 +48,13 @@ from acorncore.lang import (
 )
 from acorncore.programs import int_list_expr, stdlib_env
 from acorncore.soundness import minimal_fuel
+
+from test_validate import (
+    corpus_definitions,
+    environments,
+    generated_programs,
+    old_ty_closed,
+)
 
 ENV = stdlib_env()
 INT = TInd("Int")
@@ -305,6 +314,119 @@ def test_eval_type_failures():
     assert eval_type((), TVar(0)) is None                 # out of range
     assert eval_type((), TVar("A")) is None               # named leftover
     assert eval_type((), TArr(TVar(0), TInd("Int"))) is None
+
+
+def old_eval_type(rho, ty, depth=0):
+    """The walk `eval_type` made before it became a fit check followed by
+    environment substitution, kept as the oracle."""
+    match ty:
+        case TVar(ref):
+            if not isinstance(ref, int):
+                return None
+            if ref < depth:
+                return ty
+            i = ref - depth
+            if i >= len(rho):
+                return None
+            entry = rho[i]
+            if isinstance(entry, VTy):
+                return entry.ty
+            return None
+        case TInd(_):
+            return ty
+        case TForall(hint, body):
+            b = old_eval_type(rho, body, depth + 1)
+            return None if b is None else TForall(hint, b)
+        case TApp(fn, arg):
+            f = old_eval_type(rho, fn, depth)
+            if f is None:
+                return None
+            a = old_eval_type(rho, arg, depth)
+            return None if a is None else TApp(f, a)
+        case TArr(dom, cod):
+            d = old_eval_type(rho, dom, depth)
+            if d is None:
+                return None
+            c = old_eval_type(rho, cod, depth)
+            return None if c is None else TArr(d, c)
+    raise TypeError(f"not a type: {ty!r}")
+
+
+def evaluated_types(e):
+    """Every type inside `e` that evaluation resolves against an environment:
+    Lam and Fix domains and codomains, type arguments, and Case return types
+    and parameters."""
+    out = []
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        match x:
+            case Lam(_, dom, body):
+                out.append(dom)
+                stack.append(body)
+            case Fix(_, _, dom, cod, body):
+                out += [dom, cod]
+                stack.append(body)
+            case TyAsExpr(ty):
+                out.append(ty)
+            case TyLam(_, body):
+                stack.append(body)
+            case Let(_, _, bound, body):
+                stack += [bound, body]
+            case App(fn, arg):
+                stack += [fn, arg]
+            case Case(scrut, _, ty_params, ret_ty, branches):
+                out += [ret_ty, *ty_params]
+                stack.append(scrut)
+                stack += [b for _, b in branches]
+    return out
+
+
+def check_eval_type_agreement(types):
+    rng = random.Random(5)
+    seen = {"none": 0, "same": 0, "resolved": 0}
+    for ty in types:
+        bound = next(n for n in range(64) if old_ty_closed(n, ty))
+        for length in range(max(0, bound - 1), bound + 2):
+            for rho in environments(rng, length):
+                want = old_eval_type(rho, ty)
+                assert eval_type(rho, ty) == want, (rho, ty)
+                seen["none" if want is None else "same" if want == ty else "resolved"] += 1
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("source", ["corpus", "generated"])
+def test_eval_type_agrees_with_the_old_walk(source):
+    programs = corpus_definitions() if source == "corpus" else generated_programs()
+    types = [t for e in programs for t in evaluated_types(e)]
+    assert len(types) > 200
+    check_eval_type_agreement(types)
+
+
+def test_eval_type_agrees_with_the_old_walk_under_binders():
+    tv = TVar
+    check_eval_type_agreement([
+        TForall("A", TArr(tv(0), tv(1))),
+        TForall("A", TForall("B", TApp(tv(2), tv(0)))),
+        TArr(tv(0), TForall("A", TApp(tv(2), tv(0)))),
+        TApp(TForall("A", tv(1)), ty_app(TInd("List"), tv(2))),
+        TForall("A", TArr(tv(0), INT)),
+    ])
+
+
+def test_eval_type_shares_closed_types():
+    closed = TArr(INT, ty_app(TInd("List"), INT))
+    rho = (VTy(INT),)
+    assert eval_type(rho, closed) is closed
+    open_ty = TArr(closed, TVar(0))
+    assert eval_type(rho, open_ty).dom is closed
+    assert eval_type(rho, TForall("A", TArr(closed, TVar(1)))).body.dom is closed
+
+
+def test_negative_type_indices_are_refused():
+    assert eval_type((), TVar(-1)) is None
+    assert isinstance(ev(Lam("x", TVar(-1), Var(0))), EvalError)
+    assert isinstance(ev(TyAsExpr(TVar(-1))), EvalError)
 
 
 # -- validate / wf_val --------------------------------------------------------

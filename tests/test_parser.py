@@ -30,9 +30,10 @@ from acorncore.parser import (
     parse_expr_text,
     parse_module,
     pretty_expr,
-    pretty_ty,
 )
 from acorncore.programs import base_env, load_module, stdlib_env
+
+from oracles import pretty_ty
 
 
 def parse(text, names=()):

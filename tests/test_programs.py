@@ -11,13 +11,9 @@ from acorncore.programs import (
     CONTRACTS,
     ConversionError,
     base_env,
-    bool_val,
     constr_payload,
     contract,
     corpus_dir,
-    deep_foldr_int,
-    deep_sum_map,
-    foldr_concat_check,
     from_acorn_list,
     int_list_expr,
     int_val,
@@ -29,11 +25,18 @@ from acorncore.programs import (
     resolve_module_path,
     scenario_dir,
     stdlib_env,
-    to_acorn_list,
-    to_acorn_map,
     val_to_bool,
     val_to_int,
     val_to_nat,
+)
+
+from oracles import (
+    bool_val,
+    deep_foldr_int,
+    deep_sum_map,
+    foldr_concat_check,
+    to_acorn_list,
+    to_acorn_map,
 )
 
 INT = TInd("Int")
