@@ -153,10 +153,8 @@ def call_contract(
 ) -> bool:
     """Deliver a message (or a bare payment when msg is None) to a deployed
     contract, committing its new state and running any emitted transfers
-    depth-first. Mutates `st`; the caller provides rollback."""
-    if depth > MAX_CALL_DEPTH:
-        log.append(f"call depth above {MAX_CALL_DEPTH} at contract {target}")
-        return False
+    depth-first. Mutates `st`; the caller checks `depth` against
+    MAX_CALL_DEPTH and provides rollback."""
     con = st.contracts.get(target)
     if con is None:
         log.append(f"no contract deployed at {target}")

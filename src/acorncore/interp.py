@@ -10,6 +10,7 @@ reachable values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -200,7 +201,7 @@ def eval_expr(
         case Var(ref):
             if not isinstance(ref, int):
                 return EvalError(f"named variable '{ref}' reached evaluation")
-            if ref >= len(rho):
+            if not 0 <= ref < len(rho):
                 return EvalError(f"unbound variable index {ref}")
             return Ok(rho[ref])
         case Lit(p):
@@ -393,116 +394,78 @@ def wf_val(genv: GlobalEnv, v: Val) -> bool:
 
 def subst_env_expr(rho: Sequence[Expr], e: Expr) -> Optional[Expr]:
     """Substitute the closed expressions `rho` for the free indices of `e`;
-    indices past the block shift down. None when a type position would
-    receive a term-level entry. A subtree closed under its local binders comes
-    back as it is, keeping what is cached on it."""
+    indices past the block shift down. None when `e` has a named or negative
+    reference or a type position would receive a term-level entry, which the
+    cached footprint tells before the walk. A subtree closed under its local
+    binders comes back as it is, keeping what is cached on it."""
+    bound, ty_refs = expr_footprint(e)
+    if bound == math.inf:
+        return None
+    for j in ty_refs:
+        if j < len(rho) and not isinstance(rho[j], TyAsExpr):
+            return None
     return _subst_expr(tuple(rho), 0, e)
 
 
-def _subst_ty(rho: Sequence[Union[Expr, Val]], depth: int, ty: Ty) -> Optional[Ty]:
-    # entries are closed expressions (`subst_env_expr`) or values (`eval_type`)
+# The walkers below never fail: their callers have checked with the footprint
+# that every free index is a number and that each one in a type position
+# lands on a type entry, a `TyAsExpr` (`subst_env_expr`) or a `VTy`
+# (`eval_type`), whose payload is closed.
+
+def _subst_ty(rho: Sequence[Union[Expr, Val]], depth: int, ty: Ty) -> Ty:
     if ty_footprint(ty)[0] <= depth:
         return ty
     match ty:
         case TVar(ref):
-            if not isinstance(ref, int):
-                return None
-            if ref < depth:
-                return ty
             j = ref - depth
-            if j < len(rho):
-                entry = rho[j]
-                if isinstance(entry, (TyAsExpr, VTy)):
-                    return entry.ty  # closed, so no shift
-                return None
-            return TVar(ref - len(rho))
+            return rho[j].ty if j < len(rho) else TVar(ref - len(rho))
         case TForall(hint, body):
-            b = _subst_ty(rho, depth + 1, body)
-            return None if b is None else TForall(hint, b)
+            return TForall(hint, _subst_ty(rho, depth + 1, body))
         case TApp(fn, arg):
-            f = _subst_ty(rho, depth, fn)
-            if f is None:
-                return None
-            a = _subst_ty(rho, depth, arg)
-            return None if a is None else TApp(f, a)
+            return TApp(_subst_ty(rho, depth, fn), _subst_ty(rho, depth, arg))
         case TArr(dom, cod):
-            d = _subst_ty(rho, depth, dom)
-            if d is None:
-                return None
-            c = _subst_ty(rho, depth, cod)
-            return None if c is None else TArr(d, c)
+            return TArr(_subst_ty(rho, depth, dom), _subst_ty(rho, depth, cod))
     raise TypeError(f"not a type: {ty!r}")
 
 
-def _subst_expr(rho: tuple[Expr, ...], depth: int, e: Expr) -> Optional[Expr]:
+def _subst_expr(rho: tuple[Expr, ...], depth: int, e: Expr) -> Expr:
     if expr_footprint(e)[0] <= depth:
         return e
     match e:
         case Var(ref):
-            if not isinstance(ref, int):
-                return None
-            if ref < depth:
-                return e
             j = ref - depth
-            if j < len(rho):
-                return rho[j]  # entries are closed, so no shift
-            return Var(ref - len(rho))
+            return rho[j] if j < len(rho) else Var(ref - len(rho))
         case Lam(hint, dom, body):
-            d = _subst_ty(rho, depth, dom)
-            if d is None:
-                return None
-            b = _subst_expr(rho, depth + 1, body)
-            return None if b is None else Lam(hint, d, b)
+            return Lam(hint, _subst_ty(rho, depth, dom), _subst_expr(rho, depth + 1, body))
         case TyLam(hint, body):
-            b = _subst_expr(rho, depth + 1, body)
-            return None if b is None else TyLam(hint, b)
+            return TyLam(hint, _subst_expr(rho, depth + 1, body))
         case Let(hint, ty, bound, body):
-            t = _subst_ty(rho, depth, ty)
-            if t is None:
-                return None
-            bo = _subst_expr(rho, depth, bound)
-            if bo is None:
-                return None
-            b = _subst_expr(rho, depth + 1, body)
-            return None if b is None else Let(hint, t, bo, b)
+            return Let(
+                hint,
+                _subst_ty(rho, depth, ty),
+                _subst_expr(rho, depth, bound),
+                _subst_expr(rho, depth + 1, body),
+            )
         case App(fn, arg):
-            f = _subst_expr(rho, depth, fn)
-            if f is None:
-                return None
-            a = _subst_expr(rho, depth, arg)
-            return None if a is None else App(f, a)
+            return App(_subst_expr(rho, depth, fn), _subst_expr(rho, depth, arg))
         case Case(scrut, ind, ty_params, ret_ty, branches):
-            s = _subst_expr(rho, depth, scrut)
-            if s is None:
-                return None
-            tps: list[Ty] = []
-            for tp in ty_params:
-                t = _subst_ty(rho, depth, tp)
-                if t is None:
-                    return None
-                tps.append(t)
-            rt = _subst_ty(rho, depth, ret_ty)
-            if rt is None:
-                return None
-            brs: list[tuple[Pat, Expr]] = []
-            for p, b in branches:
-                nb = _subst_expr(rho, depth + len(p.binders), b)
-                if nb is None:
-                    return None
-                brs.append((p, nb))
-            return Case(s, ind, tuple(tps), rt, tuple(brs))
+            return Case(
+                _subst_expr(rho, depth, scrut),
+                ind,
+                tuple(_subst_ty(rho, depth, tp) for tp in ty_params),
+                _subst_ty(rho, depth, ret_ty),
+                tuple((p, _subst_expr(rho, depth + len(p.binders), b)) for p, b in branches),
+            )
         case Fix(f_hint, x_hint, dom, cod, body):
-            d = _subst_ty(rho, depth, dom)
-            if d is None:
-                return None
-            c = _subst_ty(rho, depth, cod)
-            if c is None:
-                return None
-            b = _subst_expr(rho, depth + 2, body)
-            return None if b is None else Fix(f_hint, x_hint, d, c, b)
+            return Fix(
+                f_hint,
+                x_hint,
+                _subst_ty(rho, depth, dom),
+                _subst_ty(rho, depth, cod),
+                _subst_expr(rho, depth + 2, body),
+            )
         case TyAsExpr(ty):
-            t = _subst_ty(rho, depth, ty)
-            return None if t is None else TyAsExpr(t)
+            return TyAsExpr(_subst_ty(rho, depth, ty))
     raise TypeError(f"not an expression: {e!r}")
 
 

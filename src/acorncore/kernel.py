@@ -136,9 +136,9 @@ def spine_view(t: Term) -> tuple[Term, tuple[Term, ...]]:
 # theirs in the instance dictionary rather than in slots, because the
 # benchmark's node counter (`bench/layers.py`) walks `vars()` of each term. A
 # negative index, which no binder reaches and lifting and substitution leave
-# alone, counts as closed. With the bound, lifting and substitution return a
-# subterm with no index at or above their cutoff as it is, instead of
-# rebuilding it.
+# alone, counts as closed. Lifting and substitution share one walker, which
+# returns a subterm with no index at or above its cutoff as it is, computing
+# the subterm's bound if it is missing, instead of rebuilding it.
 
 def term_bound(t: Term) -> int:
     b = getattr(t, "_bound", None)
@@ -174,75 +174,52 @@ def term_bound(t: Term) -> int:
 
 def lift(n: int, k: int, t: Term) -> Term:
     """Add `n` to every free index at or above cutoff `k`."""
-    if n == 0 or term_bound(t) <= k:
-        return t
-    match t:
-        case Rel(i):
-            return Rel(i + n)
-        case Lambda(h, dom, body):
-            return Lambda(h, lift(n, k, dom), lift(n, k + 1, body))
-        case App(fn, arg):
-            return App(lift(n, k, fn), lift(n, k, arg))
-        case LetIn(h, ty, bound, body):
-            return LetIn(h, lift(n, k, ty), lift(n, k, bound), lift(n, k + 1, body))
-        case Match(ind, p, tps, ret, scrut, branches):
-            return Match(
-                ind,
-                p,
-                tuple(lift(n, k, x) for x in tps),
-                lift(n, k + 1, ret),
-                lift(n, k, scrut),
-                tuple((a, lift(n, k, b)) for a, b in branches),
-            )
-        case Fix(h, fty, body):
-            return Fix(h, lift(n, k, fty), lift(n, k + 1, body))
-        case Prod(h, dom, cod):
-            return Prod(h, lift(n, k, dom), lift(n, k + 1, cod))
-    raise TypeError(f"not a kernel term: {t!r}")
+    return t if n == 0 else _subst((), n, k, t)
 
 
 def parallel_subst(ts: tuple[Term, ...], t: Term, k: int = 0) -> Term:
     """Replace Rel(k+i) by ts[i] (lifted past the k local binders); indices
-    beyond the substituted block shift down by len(ts). A subterm is kept
-    as it is only when its bound is already known: computing it here would
-    walk every fresh target once more before substituting into it."""
+    beyond the substituted block shift down by len(ts)."""
+    return _subst(ts, 0, k, t)
+
+
+def _subst(ts: tuple[Term, ...], shift: int, k: int, t: Term) -> Term:
+    # Rel(k+i) becomes ts[i] lifted past the k binders above it; an index
+    # past the block moves down by len(ts) and up by `shift`. The bound is
+    # read inline, a call less per node, and computed only when missing.
     b = getattr(t, "_bound", None)
-    if b is not None and b <= k:
+    if b is None:
+        b = term_bound(t)
+    if b <= k:
         return t
     match t:
         case Rel(i):
-            if i < k:
-                return t
             j = i - k
-            if j < len(ts):
-                return lift(k, 0, ts[j])
-            return Rel(i - len(ts))
+            return lift(k, 0, ts[j]) if j < len(ts) else Rel(i - len(ts) + shift)
         case Lambda(h, dom, body):
-            return Lambda(h, parallel_subst(ts, dom, k), parallel_subst(ts, body, k + 1))
+            return Lambda(h, _subst(ts, shift, k, dom), _subst(ts, shift, k + 1, body))
         case App(fn, arg):
-            return App(parallel_subst(ts, fn, k), parallel_subst(ts, arg, k))
+            return App(_subst(ts, shift, k, fn), _subst(ts, shift, k, arg))
         case LetIn(h, ty, bound, body):
             return LetIn(
                 h,
-                parallel_subst(ts, ty, k),
-                parallel_subst(ts, bound, k),
-                parallel_subst(ts, body, k + 1),
+                _subst(ts, shift, k, ty),
+                _subst(ts, shift, k, bound),
+                _subst(ts, shift, k + 1, body),
             )
         case Match(ind, p, tps, ret, scrut, branches):
             return Match(
                 ind,
                 p,
-                tuple(parallel_subst(ts, x, k) for x in tps),
-                parallel_subst(ts, ret, k + 1),
-                parallel_subst(ts, scrut, k),
-                tuple((a, parallel_subst(ts, b, k)) for a, b in branches),
+                tuple(_subst(ts, shift, k, x) for x in tps),
+                _subst(ts, shift, k + 1, ret),
+                _subst(ts, shift, k, scrut),
+                tuple((a, _subst(ts, shift, k, b)) for a, b in branches),
             )
         case Fix(h, fty, body):
-            return Fix(h, parallel_subst(ts, fty, k), parallel_subst(ts, body, k + 1))
+            return Fix(h, _subst(ts, shift, k, fty), _subst(ts, shift, k + 1, body))
         case Prod(h, dom, cod):
-            return Prod(h, parallel_subst(ts, dom, k), parallel_subst(ts, cod, k + 1))
-        case Const() | Ind() | Construct() | SortSet() | PrimLit():
-            return t
+            return Prod(h, _subst(ts, shift, k, dom), _subst(ts, shift, k + 1, cod))
     raise TypeError(f"not a kernel term: {t!r}")
 
 

@@ -504,12 +504,8 @@ def _indexify_expr(ctx: list[str], e: Expr) -> Expr:
 def wf_global_errors(env: GlobalEnv) -> list[str]:
     """Diagnostics for an ill-formed environment; empty means well-formed."""
     problems: list[str] = []
-    seen: set[str] = set()
     ctor_home: dict[str, str] = {}
     for d in env.inductives:
-        if d.name in seen:
-            problems.append(f"duplicate inductive '{d.name}'")
-        seen.add(d.name)
         ctor_names: set[str] = set()
         for c in d.constrs:
             if c.name in ctor_names:

@@ -1,0 +1,27 @@
+"""Whole reports pinned byte for byte. A change meant to keep behaviour
+must leave these outputs alone; regenerate a golden file only for a change
+that means to alter the report, e.g.
+
+    acorn diff-eval --gen 1000 --seed 7 --fuel 10000 > tests/golden/diff_eval_gen1000_seed7.txt
+
+`--fuel` is passed explicitly because `ACORN_FUEL` moves the default."""
+
+from pathlib import Path
+
+import pytest
+
+from acorncore.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("diff_eval_gen1000_seed7.txt", ["diff-eval", "--gen", "1000", "--seed", "7", "--fuel", "10000"]),
+        ("chain_blocks50_seed3.txt", ["chain", "--blocks", "50", "--seed", "3", "--fuel", "10000"]),
+    ],
+)
+def test_report_matches_its_golden_file(capsys, name, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()

@@ -295,6 +295,11 @@ def test_constant_bodies_run_in_the_empty_environment():
     assert "unbound variable index 0" in reason
 
 
+def test_negative_variable_index_is_unbound():
+    reason = err(Var(-1), rho=(VPrim(PInt(1)),))
+    assert "unbound variable index -1" in reason
+
+
 def test_unknown_constant():
     assert "unknown constant" in err(Const("zzz"))
 
@@ -517,6 +522,14 @@ def test_subst_env_expr_respects_binders():
     e = Lam("x", INT, App(Var(0), Var(1)))
     out = subst_env_expr([Lit(PInt(9))], e)
     assert out == Lam("x", INT, App(Var(0), Lit(PInt(9))))
+
+
+def test_subst_env_expr_refuses_named_and_negative_references():
+    # the cached footprint's bound is infinite, so the walk never starts
+    assert subst_env_expr([Lit(PInt(1))], Var("x")) is None
+    assert subst_env_expr([Lit(PInt(1))], Var(-1)) is None
+    assert subst_env_expr([], Lam("x", INT, App(Var(0), Var(-1)))) is None
+    assert subst_env_expr([TyAsExpr(INT)], TyAsExpr(TVar("A"))) is None
 
 
 def test_subst_env_ty_needs_type_entries():

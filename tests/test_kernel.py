@@ -313,12 +313,11 @@ def test_cached_bounds_and_marks_are_invisible():
 
 def test_lift_and_subst_return_closed_input_itself():
     closed = Lambda("x", INT, mk_app(Const("addInt"), Rel(0), zlit(1)))
+    # the bound is computed on the way, not needed beforehand
+    assert "_bound" not in vars(closed)
+    assert parallel_subst((zlit(1),), closed) is closed
     assert lift(3, 0, closed) is closed
     assert lift(0, 0, Rel(2)) == Rel(2)
-    # parallel substitution skips a subterm only once its bound is known
-    assert parallel_subst((zlit(1),), closed) == closed
-    term_bound(closed)
-    assert parallel_subst((zlit(1),), closed) is closed
     lifted = lift(1, 0, App(Rel(0), closed))
     assert lifted == App(Rel(1), closed) and lifted.arg is closed
     substituted = parallel_subst((zlit(1),), App(Rel(0), closed))

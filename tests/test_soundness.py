@@ -9,7 +9,7 @@ import threading
 import pytest
 
 from acorncore import kernel as k
-from acorncore.interp import EnvTrace, VClosLam, VPrim, eval_expr
+from acorncore.interp import EnvTrace, VClosLam, VPrim, VTy, eval_expr
 from acorncore.lang import (
     App,
     Const,
@@ -20,9 +20,12 @@ from acorncore.lang import (
     NotEnoughFuel,
     Ok,
     PInt,
+    TArr,
+    TForall,
     TInd,
     TVar,
     TyAsExpr,
+    TyLam,
     Var,
     expr_closed_under,
     mk_app,
@@ -153,6 +156,28 @@ def test_subst_commutes_on_harvested_pairs():
     assert downshifted > 1000
 
 
+def test_subst_commutes_under_a_forall():
+    # neither the corpus nor the generator builds a `forall` whose body
+    # mentions a type variable bound outside it
+    tv, BOOL = TVar, TInd("Bool")
+    pairs = [
+        ((VTy(INT),), Lam("f", TForall("A", TArr(tv(0), tv(1))), Var(0))),
+        (
+            (VTy(INT), VTy(BOOL)),
+            TyAsExpr(TForall("A", TArr(tv(1), TForall("B", TArr(tv(0), tv(3)))))),
+        ),
+        ((int_val(3), VTy(INT)), Lam("f", TForall("A", TArr(tv(0), tv(2))), Var(1))),
+        # past the environment the index shifts down under the binder
+        ((VTy(INT),), TyAsExpr(TForall("A", TArr(tv(1), tv(2))))),
+        (
+            (VTy(BOOL),),
+            App(TyLam("B", Lam("g", TForall("A", TArr(tv(1), tv(2))), Var(0))), TyAsExpr(INT)),
+        ),
+    ]
+    for rho, e in pairs:
+        assert subst_commutes(GENV, rho, e) is True
+
+
 def test_subst_commutes_is_silent_without_evidence():
     # the captured entry cannot be read back: its domain annotation points a
     # type position at a term-level entry
@@ -162,6 +187,11 @@ def test_subst_commutes_is_silent_without_evidence():
     # a type position inside the body hits a term entry the same way
     e2 = Lam("y", TVar(0), Var(0))
     assert subst_commutes(GENV, (int_val(1),), e2) is None
+
+
+def test_a_negative_index_fails_in_both_evaluators():
+    e = Let("x", INT, Lit(PInt(5)), Var(-1))
+    assert diff_check(GENV, 100, e, KENV) == Agree(None)
 
 
 # ---------------------------------------------------------------------------
