@@ -199,8 +199,6 @@ def eval_expr(
     n = fuel - 1
     match e:
         case Var(ref):
-            if not isinstance(ref, int):
-                return EvalError(f"named variable '{ref}' reached evaluation")
             if not 0 <= ref < len(rho):
                 return EvalError(f"unbound variable index {ref}")
             return Ok(rho[ref])
@@ -394,10 +392,10 @@ def wf_val(genv: GlobalEnv, v: Val) -> bool:
 
 def subst_env_expr(rho: Sequence[Expr], e: Expr) -> Optional[Expr]:
     """Substitute the closed expressions `rho` for the free indices of `e`;
-    indices past the block shift down. None when `e` has a named or negative
-    reference or a type position would receive a term-level entry, which the
-    cached footprint tells before the walk. A subtree closed under its local
-    binders comes back as it is, keeping what is cached on it."""
+    indices past the block shift down. None when `e` has a negative reference
+    or a type position would receive a term-level entry, which the cached
+    footprint tells before the walk. A subtree closed under its local binders
+    comes back as it is, keeping what is cached on it."""
     bound, ty_refs = expr_footprint(e)
     if bound == math.inf:
         return None
@@ -408,7 +406,7 @@ def subst_env_expr(rho: Sequence[Expr], e: Expr) -> Optional[Expr]:
 
 
 # The walkers below never fail: their callers have checked with the footprint
-# that every free index is a number and that each one in a type position
+# that every free index is non-negative and that each one in a type position
 # lands on a type entry, a `TyAsExpr` (`subst_env_expr`) or a `VTy`
 # (`eval_type`), whose payload is closed.
 

@@ -227,36 +227,6 @@ def subst1(s: Term, t: Term) -> Term:
     return parallel_subst((s,), t)
 
 
-def term_closed_under(n: int, t: Term) -> bool:
-    match t:
-        case Rel(i):
-            return 0 <= i < n
-        case Lambda(_, dom, body):
-            return term_closed_under(n, dom) and term_closed_under(n + 1, body)
-        case App(fn, arg):
-            return term_closed_under(n, fn) and term_closed_under(n, arg)
-        case LetIn(_, ty, bound, body):
-            return (
-                term_closed_under(n, ty)
-                and term_closed_under(n, bound)
-                and term_closed_under(n + 1, body)
-            )
-        case Match(_, _, tps, ret, scrut, branches):
-            return (
-                all(term_closed_under(n, x) for x in tps)
-                and term_closed_under(n + 1, ret)
-                and term_closed_under(n, scrut)
-                and all(term_closed_under(n, b) for _, b in branches)
-            )
-        case Fix(_, fty, body):
-            return term_closed_under(n, fty) and term_closed_under(n + 1, body)
-        case Prod(_, dom, cod):
-            return term_closed_under(n, dom) and term_closed_under(n + 1, cod)
-        case Const() | Ind() | Construct() | SortSet() | PrimLit():
-            return True
-    raise TypeError(f"not a kernel term: {t!r}")
-
-
 # ---------------------------------------------------------------------------
 # kernel-side environment
 
@@ -390,10 +360,10 @@ def _apply(kenv: KernelEnv, fuel: int, vf: Term, va: Term) -> EvalResult:
     if isinstance(vf, Fix):
         if not _constr_headed(va):
             return EvalError("fixpoint applied to a non-constructor value")
-        unfolded = subst1(vf, vf.body)
-        if not isinstance(unfolded, Lambda):
+        if not isinstance(vf.body, Lambda):
             return EvalError("fixpoint body is not a lambda")
-        return cbv_eval(kenv, fuel, subst1(va, unfolded.body))
+        # argument for index 0, the fixpoint itself for index 1, in one walk
+        return cbv_eval(kenv, fuel, parallel_subst((va, vf), vf.body.body))
     head, spine = spine_view(vf)
     if isinstance(head, Construct):
         ki = kenv.inductives.get(head.ind)

@@ -2,13 +2,11 @@
 
 Types, patterns, expressions, inductive declarations and the global
 environment, together with the purely syntactic operations everything else
-builds on: name-to-index conversion, environment lookup, closedness and
-well-formedness checks, and delta reduction of primitive constants.
+builds on: environment lookup, closedness and well-formedness checks, and
+delta reduction of primitive constants.
 
 Variables are de Bruijn indices sharing a single index space for term and
-type binders. During parsing, `Var`/`TVar` temporarily carry names instead of
-indices ("named mode"); `indexify` turns a named expression into the nameless
-form used by evaluation and translation.
+type binders; the parser resolves every name to its index as it reads it.
 """
 
 from __future__ import annotations
@@ -64,8 +62,7 @@ class Ty:
 
 @dataclass(frozen=True, slots=True)
 class TVar(Ty):
-    # int in nameless mode, str in named mode
-    ref: Union[int, str]
+    ref: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,8 +109,7 @@ class Expr:
 
 @dataclass(frozen=True, slots=True)
 class Var(Expr):
-    # int in nameless mode, str in named mode
-    ref: Union[int, str]
+    ref: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -317,9 +313,9 @@ def resolve_constr(
 
 # A footprint summarises the free indices of a type or expression as a pair
 # (bound, ty_refs): every free index is below `bound`, and `ty_refs` holds the
-# free indices that occur in type positions. A named or negative reference
-# makes the bound infinite, closed under no length. It is kept in the `_fp`
-# slot (see `Ty`).
+# free indices that occur in type positions. A negative reference makes the
+# bound infinite, closed under no length. It is kept in the `_fp` slot (see
+# `Ty`).
 Footprint = tuple[float, frozenset[int]]
 
 _NO_REFS: frozenset[int] = frozenset()
@@ -354,8 +350,7 @@ def ty_footprint(ty: Ty) -> Footprint:
         return hit
     match ty:
         case TVar(ref):
-            ok = isinstance(ref, int) and ref >= 0
-            fp = (ref + 1, frozenset((ref,))) if ok else _OPEN
+            fp = (ref + 1, frozenset((ref,))) if ref >= 0 else _OPEN
         case TInd(_):
             fp = _NO_FREE
         case TForall(_, body):
@@ -377,8 +372,7 @@ def expr_footprint(e: Expr) -> Footprint:
         return hit
     match e:
         case Var(ref):
-            ok = isinstance(ref, int) and ref >= 0
-            fp = (ref + 1, _NO_REFS) if ok else _OPEN
+            fp = (ref + 1, _NO_REFS) if ref >= 0 else _OPEN
         case Lam(_, dom, body):
             fp = _join(ty_footprint(dom), _shift(expr_footprint(body), 1))
         case TyLam(_, body):
@@ -415,87 +409,6 @@ def ty_closed_under(n: int, ty: Ty) -> bool:
 
 def expr_closed_under(n: int, e: Expr) -> bool:
     return expr_footprint(e)[0] <= n
-
-
-# ---------------------------------------------------------------------------
-# indexify: named mode -> nameless mode
-
-def indexify(vars: Sequence[str], e: Expr) -> Expr:
-    """Convert named variables to de Bruijn indices.
-
-    `vars` is the naming context, innermost binder first. Binder name hints
-    are preserved. Raises UnboundName when a name resolves to nothing.
-    """
-    return _indexify_expr(list(vars), e)
-
-
-def _ctx_index(ctx: list[str], name: str, kind: str) -> int:
-    try:
-        return ctx.index(name)
-    except ValueError:
-        raise UnboundName(name, kind) from None
-
-
-def _indexify_ty(ctx: list[str], ty: Ty) -> Ty:
-    match ty:
-        case TVar(ref):
-            if isinstance(ref, int):
-                return ty
-            return TVar(_ctx_index(ctx, ref, "type variable"))
-        case TInd(_):
-            return ty
-        case TForall(hint, body):
-            return TForall(hint, _indexify_ty([hint] + ctx, body))
-        case TApp(fn, arg):
-            return TApp(_indexify_ty(ctx, fn), _indexify_ty(ctx, arg))
-        case TArr(dom, cod):
-            return TArr(_indexify_ty(ctx, dom), _indexify_ty(ctx, cod))
-    raise TypeError(f"not a type: {ty!r}")
-
-
-def _indexify_expr(ctx: list[str], e: Expr) -> Expr:
-    match e:
-        case Var(ref):
-            if isinstance(ref, int):
-                return e
-            return Var(_ctx_index(ctx, ref, "variable"))
-        case Lam(hint, dom, body):
-            return Lam(hint, _indexify_ty(ctx, dom), _indexify_expr([hint] + ctx, body))
-        case TyLam(hint, body):
-            return TyLam(hint, _indexify_expr([hint] + ctx, body))
-        case Let(hint, ty, bound, body):
-            return Let(
-                hint,
-                _indexify_ty(ctx, ty),
-                _indexify_expr(ctx, bound),
-                _indexify_expr([hint] + ctx, body),
-            )
-        case App(fn, arg):
-            return App(_indexify_expr(ctx, fn), _indexify_expr(ctx, arg))
-        case Case(scrut, ind, ty_params, ret_ty, branches):
-            return Case(
-                _indexify_expr(ctx, scrut),
-                ind,
-                tuple(_indexify_ty(ctx, t) for t in ty_params),
-                _indexify_ty(ctx, ret_ty),
-                tuple(
-                    (p, _indexify_expr(list(reversed(p.binders)) + ctx, b))
-                    for p, b in branches
-                ),
-            )
-        case Fix(f_hint, x_hint, dom, cod, body):
-            return Fix(
-                f_hint,
-                x_hint,
-                _indexify_ty(ctx, dom),
-                _indexify_ty(ctx, cod),
-                _indexify_expr([x_hint, f_hint] + ctx, body),
-            )
-        case TyAsExpr(ty):
-            return TyAsExpr(_indexify_ty(ctx, ty))
-        case Constr() | Const() | Lit():
-            return e
-    raise TypeError(f"not an expression: {e!r}")
 
 
 # ---------------------------------------------------------------------------

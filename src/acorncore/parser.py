@@ -5,7 +5,7 @@ A module is a sequence of declarations:
     data I #n = C [T, ...] | ...      inductive with n type parameters;
                                       parameters are written ^0, ^1, ...
     type N = T                        parse-time alias, expanded on use
-    def x = e                         definition (checked and indexified)
+    def x = e                         definition
 
 and expressions follow the lambda-calculus core:
 
@@ -20,9 +20,11 @@ and expressions follow the lambda-calculus core:
     5  /  5z  /  -5z   naturals and integers
 
 Nested case expressions inside a branch must be parenthesized; `--` starts a
-line comment. The parser resolves names against the environment being built:
-binders shadow globals, constructor names build `Constr`, defined names build
-`Const`, anything else stays a named variable for `indexify` to flag.
+line comment. The parser resolves names as it reads them, so what it returns
+is nameless: a bound name becomes the de Bruijn index of its binder (term and
+type binders share one index space, innermost first), and binders shadow
+globals. Otherwise constructor names build `Constr`, defined names build
+`Const`, and anything else is an `UnboundName`.
 """
 
 from __future__ import annotations
@@ -56,9 +58,9 @@ from .lang import (
     Ty,
     TyAsExpr,
     TyLam,
+    UnboundName,
     Var,
     app_spine,
-    indexify,
 )
 
 KEYWORDS = frozenset(
@@ -194,17 +196,17 @@ class Parser:
 
     def _expr_name(self, name: str) -> Expr:
         if name in self.scope:
-            return Var(name)
+            return Var(self.scope.index(name))
         owner = self.env.ctor_owner.get(name)
         if owner is not None:
             return Constr(owner, name)
         if name in self.env.constants:
             return Const(name)
-        return Var(name)  # left for indexify to flag
+        raise UnboundName(name)
 
     def _ty_name(self, name: str, strict: bool, tok: Token) -> Ty:
         if name in self.scope:
-            return TVar(name)
+            return TVar(self.scope.index(name))
         if name in self.aliases:
             return self.aliases[name]
         if (
@@ -215,7 +217,7 @@ class Parser:
             return TInd(name)
         if strict:
             raise ParseError(f"unknown type '{name}'", tok.line, tok.col)
-        return TVar(name)  # left for indexify to flag
+        raise UnboundName(name, "type variable")
 
     # -- types ---------------------------------------------------------------
 
@@ -369,8 +371,8 @@ class Parser:
         while self.peek().kind == "ident" and self.peek().text not in KEYWORDS:
             binders.append(self.bump().text)
         self.expect("->")
-        for b in reversed(binders):
-            self.scope.insert(0, b)
+        # the last binder is innermost: index 0
+        self.scope[:0] = reversed(binders)
         try:
             body = self.parse_expr()
         finally:
@@ -447,8 +449,7 @@ class Parser:
 
 def parse_module(text: str, base_env: GlobalEnv) -> tuple[GlobalEnv, list[tuple[str, Expr]]]:
     """Parse a module on top of `base_env` (which is not modified). Returns
-    the extended environment and the module's definitions, indexified, in
-    source order."""
+    the extended environment and the module's definitions, in source order."""
     env = base_env.copy()
     p = Parser(text, env)
     defs: list[tuple[str, Expr]] = []
@@ -465,8 +466,7 @@ def parse_module(text: str, base_env: GlobalEnv) -> tuple[GlobalEnv, list[tuple[
                 p.bump()
                 name = p.ident("definition name")
                 p.expect("=")
-                named = p.parse_expr()
-                body = indexify((), named)
+                body = p.parse_expr()
                 env.define(name, body)
                 defs.append((name, body))
             else:
@@ -474,21 +474,21 @@ def parse_module(text: str, base_env: GlobalEnv) -> tuple[GlobalEnv, list[tuple[
                     f"expected 'data', 'type' or 'def', found {p.peek().text!r}"
                 )
     except RecursionError:
-        # parsing and indexify recurse once per nesting level
+        # parsing recurses once per nesting level
         raise p.err("input nested too deeply") from None
     return env, defs
 
 
 def parse_expr_text(text: str, env: GlobalEnv, names: Sequence[str] = ()) -> Expr:
-    """Parse a single expression against an existing environment and return
-    it in nameless form; `names` supplies free variables, innermost first."""
+    """Parse a single expression against an existing environment; `names`
+    supplies free variables, innermost first (index 0 is `names[0]`)."""
     p = Parser(text, env)
     p.scope = list(names)
     try:
         e = p.parse_expr()
         if p.peek().kind != "eof":
             raise p.err(f"trailing input {p.peek().text!r}")
-        return indexify(names, e)
+        return e
     except RecursionError:
         raise p.err("input nested too deeply") from None
 
@@ -523,8 +523,6 @@ def _pp_ty(ty: Ty, ctx: list[str], prec: int) -> str:
     # prec: 0 arrow level, 1 application level, 2 atom
     match ty:
         case TVar(ref):
-            if isinstance(ref, str):
-                return ref
             if 0 <= ref < len(ctx):
                 return ctx[ref]
             return f"^{ref - len(ctx)}"
@@ -550,8 +548,8 @@ def _pp_ty(ty: Ty, ctx: list[str], prec: int) -> str:
 
 
 def pretty_expr(e: Expr, ctx: Sequence[str] = (), env: Optional[GlobalEnv] = None) -> str:
-    """Render a nameless expression so that parsing the output against the
-    same environment and indexifying yields the original AST."""
+    """Render an expression so that parsing the output against the same
+    environment, with `ctx` as its `names`, yields the original AST."""
     return _pp(e, list(ctx), 0, _global_names(env))
 
 
@@ -574,8 +572,6 @@ def _pp(e: Expr, ctx: list[str], prec: int, avoid: frozenset[str]) -> str:
     # prec: 0 top, 1 argument position (atoms only)
     match e:
         case Var(ref):
-            if isinstance(ref, str):
-                return ref
             if 0 <= ref < len(ctx):
                 return ctx[ref]
             return f"?v{ref}"

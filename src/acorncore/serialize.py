@@ -3,7 +3,8 @@ declarations and modules.
 
 Every variant is encoded as an object with a `tag` field; `from_json` is the
 exact inverse of `to_json` on well-formed data and raises JsonError on
-anything else, including a negative de Bruijn index.
+anything else, including a variable given by name rather than by a
+non-negative de Bruijn index.
 """
 
 from __future__ import annotations
@@ -104,8 +105,7 @@ def prim_from_json(obj: Any) -> PrimVal:
 def ty_to_json(ty: Ty) -> dict:
     match ty:
         case TVar(ref):
-            key = "index" if isinstance(ref, int) else "name"
-            return {"tag": "TVar", key: ref}
+            return {"tag": "TVar", "index": ref}
         case TInd(name):
             return {"tag": "TInd", "name": name}
         case TForall(hint, body):
@@ -120,9 +120,7 @@ def ty_to_json(ty: Ty) -> dict:
 def ty_from_json(obj: Any) -> Ty:
     t = _tag(obj)
     if t == "TVar":
-        if "index" in obj:
-            return TVar(_index(obj["index"], "type index"))
-        return TVar(_str(_need(obj, "name"), "type variable name"))
+        return TVar(_index(_need(obj, "index"), "type index"))
     if t == "TInd":
         return TInd(_str(_need(obj, "name"), "inductive name"))
     if t == "TForall":
@@ -154,8 +152,7 @@ def pat_from_json(obj: Any) -> Pat:
 def expr_to_json(e: Expr) -> dict:
     match e:
         case Var(ref):
-            key = "index" if isinstance(ref, int) else "name"
-            return {"tag": "Var", key: ref}
+            return {"tag": "Var", "index": ref}
         case Lam(hint, dom, body):
             return {
                 "tag": "Lam",
@@ -210,9 +207,7 @@ def expr_to_json(e: Expr) -> dict:
 def expr_from_json(obj: Any) -> Expr:
     t = _tag(obj)
     if t == "Var":
-        if "index" in obj:
-            return Var(_index(obj["index"], "variable index"))
-        return Var(_str(_need(obj, "name"), "variable name"))
+        return Var(_index(_need(obj, "index"), "variable index"))
     if t == "Lam":
         return Lam(
             _str(_need(obj, "hint"), "hint"),

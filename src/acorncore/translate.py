@@ -73,8 +73,6 @@ def ty_to_term(ty: Ty) -> k.Term:
         return t
     match ty:
         case TVar(ref):
-            if not isinstance(ref, int):
-                raise TranslateError(f"named type variable '{ref}' in translation")
             t = k.Rel(ref)
         case TInd(name):
             t = k.Ind(name)
@@ -111,8 +109,6 @@ def expr_to_term(genv: GlobalEnv, e: Expr) -> k.Term:
         return hit[1]
     match e:
         case Var(ref):
-            if not isinstance(ref, int):
-                raise TranslateError(f"named variable '{ref}' in translation")
             t: k.Term = k.Rel(ref)
         case Lam(hint, dom, body):
             t = k.Lambda(hint, ty_to_term(dom), expr_to_term(genv, body))
@@ -171,9 +167,10 @@ def branch(
     c: ConstrDecl,
     genv: GlobalEnv,
 ) -> tuple[int, k.Term]:
-    """One kernel branch: the named branch body wrapped in one lambda per
-    constructor argument. The i-th argument type is stated under i preceding
-    binders, so the instantiating type parameters are lifted accordingly."""
+    """One kernel branch: the body of the branch for `c` wrapped in one
+    lambda per constructor argument. The i-th argument type is stated under i
+    preceding binders, so the instantiating type parameters are lifted
+    accordingly."""
     for pat, body in branches:
         if pat.ctor == c.name:
             break
@@ -222,8 +219,6 @@ def decl_to_kernel(d: InductiveDecl) -> k.KernelInductive:
 def _ctor_arg(self_name: str, p: int, j: int, ty: Ty, depth: int = 0) -> k.Term:
     match ty:
         case TVar(ref):
-            if not isinstance(ref, int):
-                raise TranslateError(f"named type variable '{ref}' in a declaration")
             return k.Rel(depth + j + ref)
         case TInd(name):
             if name == self_name:

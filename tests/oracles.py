@@ -1,11 +1,13 @@
 """Helpers only the tests use: value builders, fold and map-sum checks run
-through the interpreter, a scenario for the counter contract, and the
-inverse of `serialize.module_from_json`."""
+through the interpreter, a scenario for the counter contract, the inverse of
+`serialize.module_from_json`, and the structural closedness walk that
+`kernel.term_bound` is checked against."""
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from acorncore import kernel as k
 from acorncore.chainsim import (
     DEFAULT_CALL_FUEL,
     DeployPlan,
@@ -152,3 +154,37 @@ def module_to_json(env: GlobalEnv, own_inductives, defs) -> dict:
             for name in defs
         ],
     }
+
+
+# ---------------------------------------------------------------------------
+# kernel closedness
+
+def term_closed_under(n: int, t: k.Term) -> bool:
+    """Every free index of `t` is below `n`, by a full walk."""
+    match t:
+        case k.Rel(i):
+            return 0 <= i < n
+        case k.Lambda(_, dom, body):
+            return term_closed_under(n, dom) and term_closed_under(n + 1, body)
+        case k.App(fn, arg):
+            return term_closed_under(n, fn) and term_closed_under(n, arg)
+        case k.LetIn(_, ty, bound, body):
+            return (
+                term_closed_under(n, ty)
+                and term_closed_under(n, bound)
+                and term_closed_under(n + 1, body)
+            )
+        case k.Match(_, _, tps, ret, scrut, branches):
+            return (
+                all(term_closed_under(n, x) for x in tps)
+                and term_closed_under(n + 1, ret)
+                and term_closed_under(n, scrut)
+                and all(term_closed_under(n, b) for _, b in branches)
+            )
+        case k.Fix(_, fty, body):
+            return term_closed_under(n, fty) and term_closed_under(n + 1, body)
+        case k.Prod(_, dom, cod):
+            return term_closed_under(n, dom) and term_closed_under(n + 1, cod)
+        case k.Const() | k.Ind() | k.Construct() | k.SortSet() | k.PrimLit():
+            return True
+    raise TypeError(f"not a kernel term: {t!r}")

@@ -112,6 +112,40 @@ def test_run_rejects_a_negative_index_in_a_json_module(capsys, tmp_path):
     assert "variable index must be non-negative" in err
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"tag": "Var", "name": "x"},
+        {"tag": "TyAsExpr", "ty": {"tag": "TVar", "name": "A"}},
+    ],
+)
+def test_run_rejects_a_variable_given_by_name_in_a_json_module(capsys, tmp_path, body):
+    p = tmp_path / "named.json"
+    p.write_text(json.dumps({"inductives": [], "defs": [{"name": "bad", "body": body}]}))
+    code, out, err = run_cli(capsys, "run", str(p), "--entry", "bad")
+    assert code == 2
+    assert out == ""
+    assert "missing field 'index'" in err
+
+
+def test_check_resolves_a_universal_in_a_constructor_argument(capsys, tmp_path):
+    # the bound type variable resolves, so the report is the translation's
+    p = tmp_path / "univ.acorn"
+    p.write_text("data R #0 = MkR [forall A . A]\n")
+    code, _, err = run_cli(capsys, "check", str(p))
+    assert code == 1
+    assert "does not translate: universal types inside constructor arguments" in err
+
+
+def test_check_reports_an_unbound_name_before_a_later_syntax_error(capsys, tmp_path):
+    # names resolve as they are read, ahead of the rest of the definition
+    p = tmp_path / "unbound.acorn"
+    p.write_text("def x = foo (\n")
+    code, _, err = run_cli(capsys, "check", str(p))
+    assert code == 1
+    assert "unbound variable 'foo'" in err
+
+
 def test_run_argument_syntax_error(capsys):
     code, _, err = run_cli(capsys, "run", "stdlib", "--entry", "maxInt", "--args", "((")
     assert code == 2

@@ -4,7 +4,9 @@ that means to alter the report, e.g.
 
     acorn diff-eval --gen 1000 --seed 7 --fuel 10000 > tests/golden/diff_eval_gen1000_seed7.txt
 
-`--fuel` is passed explicitly because `ACORN_FUEL` moves the default."""
+`--fuel` is passed explicitly because `ACORN_FUEL` moves the default.
+The `translate` reports print every variable by the binder its de Bruijn
+index points at, so they pin the indices the parser resolves."""
 
 from pathlib import Path
 
@@ -20,6 +22,7 @@ GOLDEN = Path(__file__).parent / "golden"
     [
         ("diff_eval_gen1000_seed7.txt", ["diff-eval", "--gen", "1000", "--seed", "7", "--fuel", "10000"]),
         ("chain_blocks50_seed3.txt", ["chain", "--blocks", "50", "--seed", "3", "--fuel", "10000"]),
+        *[(f"translate_{m}.txt", ["translate", m]) for m in ("crowdfunding", "counter", "listops", "mapops")],
     ],
 )
 def test_report_matches_its_golden_file(capsys, name, argv):

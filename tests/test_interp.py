@@ -317,7 +317,6 @@ def test_eval_type_depth_and_entries():
 def test_eval_type_failures():
     assert eval_type((VPrim(PInt(1)),), TVar(0)) is None  # term-level hit
     assert eval_type((), TVar(0)) is None                 # out of range
-    assert eval_type((), TVar("A")) is None               # named leftover
     assert eval_type((), TArr(TVar(0), TInd("Int"))) is None
 
 
@@ -326,8 +325,6 @@ def old_eval_type(rho, ty, depth=0):
     environment substitution, kept as the oracle."""
     match ty:
         case TVar(ref):
-            if not isinstance(ref, int):
-                return None
             if ref < depth:
                 return ty
             i = ref - depth
@@ -524,12 +521,11 @@ def test_subst_env_expr_respects_binders():
     assert out == Lam("x", INT, App(Var(0), Lit(PInt(9))))
 
 
-def test_subst_env_expr_refuses_named_and_negative_references():
+def test_subst_env_expr_refuses_negative_references():
     # the cached footprint's bound is infinite, so the walk never starts
-    assert subst_env_expr([Lit(PInt(1))], Var("x")) is None
     assert subst_env_expr([Lit(PInt(1))], Var(-1)) is None
     assert subst_env_expr([], Lam("x", INT, App(Var(0), Var(-1)))) is None
-    assert subst_env_expr([TyAsExpr(INT)], TyAsExpr(TVar("A"))) is None
+    assert subst_env_expr([TyAsExpr(INT)], TyAsExpr(TVar(-1))) is None
 
 
 def test_subst_env_ty_needs_type_entries():

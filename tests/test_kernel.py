@@ -28,13 +28,14 @@ from acorncore.kernel import (
     spine_view,
     subst1,
     term_bound,
-    term_closed_under,
 )
 from acorncore.kernel import _apply
 from acorncore.lang import EvalError, NOT_ENOUGH_FUEL, Ok, PInt, PNat
 from acorncore.programs import corpus_dir, load_module, stdlib_env
 from acorncore.soundness import corpus_files, gen_expr
 from acorncore.translate import expr_to_term, translate_env
+
+from oracles import term_closed_under
 
 GENV = stdlib_env()
 KENV = translate_env(GENV)
@@ -423,6 +424,27 @@ def test_fix_rejects_non_constructor_argument():
 def test_fix_body_must_be_a_lambda():
     loop = Fix("rec", INT, Rel(0))
     assert err(App(loop, zlit(1))) == "fixpoint body is not a lambda"
+
+
+def test_fix_unfolds_in_one_walk_as_in_two():
+    # `_apply` substitutes the argument and the fixpoint itself in one walk;
+    # it must build the term the two single substitutions did, also for a
+    # fixpoint that sits under binders and so is open
+    fixes, values = [], []
+    for f in corpus_files(corpus_dir()):
+        kenv = translate_env(load_module(str(f))[0])
+        for top in kenv.constants.values():
+            fixes += ((kenv, t) for t in _subterms(top) if isinstance(t, Fix))
+            r = cbv_eval(kenv, 10_000, top)
+            if isinstance(r, Ok) and kernel._constr_headed(r.value):
+                values.append(r.value)
+    assert any(term_bound(vf) > 0 for _, vf in fixes) and len(values) > 10
+    for kenv, vf in fixes:
+        for va in values:
+            two = subst1(va, subst1(vf, vf.body).body)
+            assert parallel_subst((va, vf), vf.body.body) == two
+            if term_bound(vf) == 0:
+                assert _apply(kenv, 200, vf, va) == cbv_eval(kenv, 200, two)
 
 
 # ---------------------------------------------------------------------------

@@ -28,13 +28,14 @@ from acorncore.lang import (
     Var,
     app_spine,
     expr_closed_under,
-    indexify,
     mk_app,
     resolve_constr,
     ty_app,
     ty_closed_under,
     wf_global_errors,
 )
+from acorncore.parser import parse_expr_text, parse_module
+from acorncore.programs import stdlib_env
 
 LIST = InductiveDecl(
     "List", 1, (ConstrDecl("Nil", ()), ConstrDecl("Cons", (TVar(0), ty_app(TInd("List"), TVar(0)))))
@@ -90,8 +91,6 @@ def test_ty_closed_under():
     assert ty_closed_under(0, TForall("A", TVar(0)))
     assert not ty_closed_under(0, TForall("A", TVar(1)))
     assert ty_closed_under(0, TArr(TInd("Int"), TInd("Int")))
-    # named references never count as closed
-    assert not ty_closed_under(3, TVar("A"))
 
 
 def test_expr_closed_under_binders():
@@ -124,42 +123,54 @@ def test_expr_closed_under_case():
     assert expr_closed_under(1, deep)
 
 
-# -- indexify -----------------------------------------------------------------
+# -- indexify: the parser turns names into de Bruijn indices ----------------
+
+def _parse(text, names=()):
+    return parse_expr_text(text, stdlib_env(), names)
+
 
 def test_indexify_shadowing():
-    e = Lam("x", TInd("Int"), Lam("x", TInd("Int"), Var("x")))
-    out = indexify((), e)
+    out = _parse("\\x : Int -> \\x : Int -> x")
     assert out == Lam("x", TInd("Int"), Lam("x", TInd("Int"), Var(0)))
 
 
 def test_indexify_spans_type_and_term_binders():
     # one shared index space: the lambda pushes the type var one out
-    e = TyLam("A", Lam("x", TVar("A"), TyAsExpr(TVar("A"))))
-    out = indexify((), e)
+    out = _parse("/\\A -> \\x : A -> [A]")
     assert out == TyLam("A", Lam("x", TVar(0), TyAsExpr(TVar(1))))
 
 
 def test_indexify_unbound_raises():
     with pytest.raises(UnboundName) as exc_info:
-        indexify((), Var("nope"))
+        _parse("nope")
     assert exc_info.value.name == "nope"
+    with pytest.raises(UnboundName, match="unbound type variable 'B'") as exc_info:
+        _parse("\\x : B -> x")
+    assert exc_info.value.name == "B"
 
 
 def test_indexify_initial_scope():
-    assert indexify(("x", "y"), App(Var("x"), Var("y"))) == App(Var(0), Var(1))
+    assert _parse("x y", ("x", "y")) == App(Var(0), Var(1))
 
 
 def test_indexify_case_binders():
-    e = Case(
-        Var("m"),
-        "Maybe",
-        (),
-        TInd("Int"),
-        ((Pat("Just", ("v",)), App(Var("v"), Var("m"))),),
+    # the last pattern binder is innermost
+    out = _parse("case p : Prod Int Int return Int of | Pair a b -> subInt a b", ("p",))
+    assert out.branches[0][1] == App(App(Const("subInt"), Var(1)), Var(0))
+    # a branch's binders sit in front of the enclosing scope
+    out = _parse("case m : Maybe Int return Int of | Just v -> addInt v n", ("m", "n"))
+    assert out.branches[0][1] == App(App(Const("addInt"), Var(0)), Var(2))
+
+
+def test_indexify_alias_with_a_forall_under_a_binder():
+    _, defs = parse_module(
+        "type Id = forall A . A -> A\n"
+        "def k = /\\B -> \\y : B -> \\f : Id -> y\n",
+        stdlib_env(),
     )
-    out = indexify(("m",), e)
-    branch_body = out.branches[0][1]
-    assert branch_body == App(Var(0), Var(1))
+    # the alias is closed, so its indices do not move under B and y
+    idty = TForall("A", TArr(TVar(0), TVar(0)))
+    assert dict(defs)["k"] == TyLam("B", Lam("y", TVar(0), Lam("f", idty, Var(1))))
 
 
 # -- de Bruijn layout of the parsed fold ------------------------------------
@@ -167,9 +178,6 @@ def test_indexify_case_binders():
 def _foldr_source():
     """The canonical polymorphic fold, with the binder layout the whole
     module stack assumes. Indices here come from hand derivation."""
-    from acorncore.parser import parse_expr_text
-    from acorncore.programs import stdlib_env
-
     return stdlib_env().constants["foldr"]
 
 

@@ -21,7 +21,6 @@ from acorncore.lang import (
     TyLam,
     UnboundName,
     Var,
-    indexify,
     mk_app,
 )
 from acorncore.parser import (
@@ -257,7 +256,7 @@ def test_pretty_expr_avoids_keywords_and_globals():
     e = Lam("case", TInd("Int"), Var(0))
     s = pretty_expr(e, (), stdlib_env())
     assert "\\case" not in s
-    reparsed = indexify((), parse_expr_text(s, stdlib_env()))
+    reparsed = parse_expr_text(s, stdlib_env())
     assert erase_hints(reparsed) == erase_hints(e)
     # a global constant name is dodged too
     s2 = pretty_expr(Lam("foldr", TInd("Int"), Var(0)), (), stdlib_env())
@@ -267,7 +266,7 @@ def test_pretty_expr_avoids_keywords_and_globals():
 def _round_trip(e, env):
     printed = pretty_expr(e, (), env)
     reparsed = parse_expr_text(printed, env)
-    return erase_hints(indexify((), reparsed)), printed
+    return erase_hints(reparsed), printed
 
 
 @pytest.mark.parametrize(

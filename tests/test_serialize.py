@@ -60,7 +60,6 @@ def test_prim_bad_payload():
 def test_ty_round_trip():
     tys = [
         TVar(0),
-        TVar("A"),
         TInd("Int"),
         TForall("A", TArr(TVar(0), TVar(0))),
         ty_app(TInd("AcornMap"), TInd("Nat"), TInd("Int")),

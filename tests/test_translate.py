@@ -63,11 +63,6 @@ def test_ty_to_term_basics():
     assert ty_to_term(TForall("A", TVar(0))) == k.Prod("A", k.SORT_SET, k.Rel(0))
 
 
-def test_ty_to_term_rejects_named_variables():
-    with pytest.raises(TranslateError, match="named type variable 'A'"):
-        ty_to_term(TVar("A"))
-
-
 def test_arrow_codomain_is_lifted_under_the_product_binder():
     assert ty_to_term(TArr(INT, INT)) == k.Prod(None, K_INT, K_INT)
     assert ty_to_term(TArr(TVar(0), TVar(0))) == k.Prod(None, k.Rel(0), k.Rel(1))
@@ -90,11 +85,6 @@ def test_expr_to_term_basics():
     assert expr_to_term(GENV, Let("x", INT, Lit(PInt(1)), Var(0))) == k.LetIn(
         "x", K_INT, k.PrimLit(PInt(1)), k.Rel(0)
     )
-
-
-def test_expr_to_term_rejects_named_variables():
-    with pytest.raises(TranslateError, match="named variable 'x'"):
-        expr_to_term(GENV, Var("x"))
 
 
 def test_constructor_index_follows_declaration_order():
@@ -271,12 +261,9 @@ def test_function_typed_constructor_argument():
     assert ctor.result_ty == k.App(k.Rel(2), k.Rel(1))
 
 
-def test_declaration_rejects_universals_and_names():
+def test_declaration_rejects_universals():
     d = InductiveDecl("Q", 0, (ConstrDecl("MkQ", (TForall("A", TVar(0)),)),))
     with pytest.raises(TranslateError, match="universal types inside constructor"):
-        decl_to_kernel(d)
-    d = InductiveDecl("R", 0, (ConstrDecl("MkR", (TVar("A"),)),))
-    with pytest.raises(TranslateError, match="named type variable"):
         decl_to_kernel(d)
 
 
@@ -295,8 +282,8 @@ def test_translate_env_splits_builtins_from_constants():
 
 def test_translate_env_names_the_offending_constant():
     genv = GENV.copy()
-    genv.define("broken", Var("free"))
-    with pytest.raises(TranslateError, match="in constant 'broken': named variable"):
+    genv.define("broken", Constr("Missing", "Mk"))
+    with pytest.raises(TranslateError, match="in constant 'broken': inductive 'Missing' is not declared"):
         translate_env(genv)
 
 
