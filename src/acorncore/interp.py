@@ -6,6 +6,17 @@ fuel n is reached identically with any larger amount. Closures validate their
 bodies against the captured environment when they are built, which keeps every
 value well-formed and makes the syntactic read-back `from_val` total on
 reachable values.
+
+`eval_expr` and `apply_val` dispatch on the exact node class with an `is`
+chain ordered by how often each class is met (variables, applications,
+lambdas, constants, case), not through a table of handlers, so the recursion
+passes through no frame besides these two. `Case`, `Lam` and `Fix` check the
+node's cached footprint once; only on a miss do they check each part in
+turn, which names the first part that does not fit. Constructors resolve
+through the one table `GlobalEnv.constrs`. A constant whose body is a value
+form (`_VALUE_FORMS`) is evaluated once per `GlobalEnv` and its result kept
+in `GlobalEnv.const_values`; a later reference returns it whenever the body
+would have had fuel to run.
 """
 
 from __future__ import annotations
@@ -43,7 +54,6 @@ from .lang import (
     Var,
     delta,
     expr_footprint,
-    resolve_constr,
     ty_closed_under,
     ty_footprint,
 )
@@ -178,7 +188,7 @@ def _select_branch(
         drop = len(args) - k
         if drop < 0 or drop > n_params:
             return None
-        if not all(isinstance(a, VTy) for a in args[:drop]):
+        if drop and not all(isinstance(a, VTy) for a in args[:drop]):
             return None
         return body, args[drop:]
     return None
@@ -186,6 +196,12 @@ def _select_branch(
 
 # ---------------------------------------------------------------------------
 # evaluation
+
+# Constant bodies that evaluate in the empty environment to one value at any
+# fuel of at least one, without a recursive call; `eval_expr` keeps that value
+# in `GlobalEnv.const_values`.
+_VALUE_FORMS = (Lam, TyLam, Fix, Lit)
+
 
 def eval_expr(
     genv: GlobalEnv,
@@ -197,96 +213,110 @@ def eval_expr(
     if fuel <= 0:
         return NOT_ENOUGH_FUEL
     n = fuel - 1
-    match e:
-        case Var(ref):
-            if not 0 <= ref < len(rho):
-                return EvalError(f"unbound variable index {ref}")
-            return Ok(rho[ref])
-        case Lit(p):
-            return Ok(VPrim(p))
-        case Lam(hint, dom, body):
-            if not validate(rho, 1, body):
+    t = type(e)
+    if t is Var:
+        ref = e.ref
+        if not 0 <= ref < len(rho):
+            return EvalError(f"unbound variable index {ref}")
+        return Ok(rho[ref])
+    if t is App:
+        # the argument evaluates first
+        r2 = eval_expr(genv, n, rho, e.arg, trace)
+        if type(r2) is not Ok:
+            return r2
+        r1 = eval_expr(genv, n, rho, e.fn, trace)
+        if type(r1) is not Ok:
+            return r1
+        return apply_val(genv, n, r1.value, r2.value, trace)
+    if t is Lam:
+        if _fits(rho, 0, expr_footprint(e)):
+            dom_v = _subst_ty(rho, 0, e.dom)
+        else:
+            if not validate(rho, 1, e.body):
                 return EvalError("lambda body does not fit its environment")
-            dom_v = eval_type(rho, dom)
+            dom_v = eval_type(rho, e.dom)
             if dom_v is None:
                 return EvalError("lambda domain refers to a term-level binding")
-            return Ok(VClosLam(tuple(rho), hint, dom_v, body))
-        case TyLam(hint, body):
-            return Ok(VTyClos(tuple(rho), hint, body))
-        case TyAsExpr(ty):
-            ty_v = eval_type(rho, ty)
-            if ty_v is None:
-                return EvalError("type argument refers to a term-level binding")
-            return Ok(VTy(ty_v))
-        case Const(name):
-            defn = genv.constants.get(name)
-            if defn is None:
-                return EvalError(f"unknown constant '{name}'")
-            if isinstance(defn, Builtin):
-                return Ok(VBuiltin(name, ()))
-            # constant bodies are closed, so they run in the empty environment
-            return eval_expr(genv, n, (), defn, trace)
-        case Constr(ind, ctor):
-            if resolve_constr(genv, ind, ctor) is None:
-                return EvalError(f"unknown constructor '{ctor}' of '{ind}'")
-            return Ok(VConstr(ind, ctor, ()))
-        case Let(_, _, bound, body):
-            r = eval_expr(genv, n, rho, bound, trace)
-            if not isinstance(r, Ok):
-                return r
-            rho2 = (r.value,) + tuple(rho)
-            if trace is not None:
-                trace.record(rho2, body)
-            return eval_expr(genv, n, rho2, body, trace)
-        case App(fn, arg):
-            # the argument evaluates first
-            r2 = eval_expr(genv, n, rho, arg, trace)
-            if not isinstance(r2, Ok):
-                return r2
-            r1 = eval_expr(genv, n, rho, fn, trace)
-            if not isinstance(r1, Ok):
-                return r1
-            return apply_val(genv, n, r1.value, r2.value, trace)
-        case Fix(f_hint, x_hint, dom, cod, body):
-            dom_v = eval_type(rho, dom)
-            if dom_v is None:
-                return EvalError("fixpoint domain refers to a term-level binding")
-            cod_v = eval_type(rho, cod)
-            if cod_v is None:
-                return EvalError("fixpoint codomain refers to a term-level binding")
-            if not validate(rho, 2, body):
-                return EvalError("fixpoint body does not fit its environment")
-            return Ok(VClosFix(tuple(rho), f_hint, x_hint, dom_v, cod_v, body))
-        case Case(scrut, ind, ty_params, ret_ty, branches):
-            if not validate_branches(rho, branches):
+        return Ok(VClosLam(tuple(rho), e.hint, dom_v, e.body))
+    if t is Const:
+        kept = genv.const_values.get(e.name)
+        if kept is not None:
+            return kept if n > 0 else NOT_ENOUGH_FUEL
+        defn = genv.constants.get(e.name)
+        if defn is None:
+            return EvalError(f"unknown constant '{e.name}'")
+        if isinstance(defn, Builtin):
+            return Ok(VBuiltin(e.name, ()))
+        # constant bodies are closed, so they run in the empty environment
+        r = eval_expr(genv, n, (), defn, trace)
+        if type(r) is Ok and type(defn) in _VALUE_FORMS:
+            genv.const_values[e.name] = r
+        return r
+    if t is Case:
+        if not _fits(rho, 0, expr_footprint(e)):
+            # some part misfits: report the first, in this order; when every
+            # check below passes, the misfit is in the scrutinee
+            if not validate_branches(rho, e.branches):
                 return EvalError("case branch does not fit its environment")
-            if not _fits(rho, 0, ty_footprint(ret_ty)):
+            if not _fits(rho, 0, ty_footprint(e.ret_ty)):
                 return EvalError("case return type refers to a term-level binding")
-            for tp in ty_params:
+            for tp in e.ty_params:
                 if not _fits(rho, 0, ty_footprint(tp)):
                     return EvalError("case type parameter refers to a term-level binding")
-            r = eval_expr(genv, n, rho, scrut, trace)
-            if not isinstance(r, Ok):
-                return r
-            v = r.value
-            if not isinstance(v, VConstr):
-                return EvalError("case on a non-constructor value")
-            hit = resolve_constr(genv, v.ind, v.ctor)
-            if hit is None:
-                return EvalError(f"unknown constructor '{v.ctor}' of '{v.ind}'")
-            if v.ind != ind:
-                return EvalError(
-                    f"scrutinee of '{v.ind}' matched against '{ind}'"
-                )
-            decl = genv.find_inductive(ind)
-            found = _select_branch(v.ctor, decl.num_params, v.args, branches)
-            if found is None:
-                return EvalError(f"no branch fits constructor '{v.ctor}'")
-            body, value_args = found
-            rho2 = tuple(reversed(value_args)) + tuple(rho)
-            if trace is not None:
-                trace.record(rho2, body)
-            return eval_expr(genv, n, rho2, body, trace)
+        r = eval_expr(genv, n, rho, e.scrut, trace)
+        if type(r) is not Ok:
+            return r
+        v = r.value
+        if type(v) is not VConstr:
+            return EvalError("case on a non-constructor value")
+        hit = genv.constrs.get((v.ind, v.ctor))
+        if hit is None:
+            return EvalError(f"unknown constructor '{v.ctor}' of '{v.ind}'")
+        if v.ind != e.ind:
+            return EvalError(f"scrutinee of '{v.ind}' matched against '{e.ind}'")
+        found = _select_branch(v.ctor, hit[2].num_params, v.args, e.branches)
+        if found is None:
+            return EvalError(f"no branch fits constructor '{v.ctor}'")
+        body, value_args = found
+        rho2 = tuple(reversed(value_args)) + tuple(rho)
+        if trace is not None:
+            trace.record(rho2, body)
+        return eval_expr(genv, n, rho2, body, trace)
+    if t is Let:
+        r = eval_expr(genv, n, rho, e.bound, trace)
+        if type(r) is not Ok:
+            return r
+        rho2 = (r.value,) + tuple(rho)
+        if trace is not None:
+            trace.record(rho2, e.body)
+        return eval_expr(genv, n, rho2, e.body, trace)
+    if t is Constr:
+        if (e.ind, e.ctor) not in genv.constrs:
+            return EvalError(f"unknown constructor '{e.ctor}' of '{e.ind}'")
+        return Ok(VConstr(e.ind, e.ctor, ()))
+    if t is Lit:
+        return Ok(VPrim(e.value))
+    if t is Fix:
+        if _fits(rho, 0, expr_footprint(e)):
+            dom_v = _subst_ty(rho, 0, e.dom)
+            cod_v = _subst_ty(rho, 0, e.cod)
+        else:
+            dom_v = eval_type(rho, e.dom)
+            if dom_v is None:
+                return EvalError("fixpoint domain refers to a term-level binding")
+            cod_v = eval_type(rho, e.cod)
+            if cod_v is None:
+                return EvalError("fixpoint codomain refers to a term-level binding")
+            if not validate(rho, 2, e.body):
+                return EvalError("fixpoint body does not fit its environment")
+        return Ok(VClosFix(tuple(rho), e.f_hint, e.x_hint, dom_v, cod_v, e.body))
+    if t is TyLam:
+        return Ok(VTyClos(tuple(rho), e.hint, e.body))
+    if t is TyAsExpr:
+        ty_v = eval_type(rho, e.ty)
+        if ty_v is None:
+            return EvalError("type argument refers to a term-level binding")
+        return Ok(VTy(ty_v))
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -299,50 +329,47 @@ def apply_val(
 ) -> EvalResult:
     """Apply an evaluated function to an evaluated argument at the same fuel
     the surrounding application step runs at."""
-    match v1:
-        case VClosLam(env, _, _, body):
-            rho2 = (v2,) + env
-            if trace is not None:
-                trace.record(rho2, body)
-            return eval_expr(genv, fuel, rho2, body, trace)
-        case VClosFix(env, _, _, _, _, body):
-            if not is_constr_like(v2):
-                return EvalError("fixpoint applied to a non-constructor value")
-            rho2 = (v2, v1) + env
-            if trace is not None:
-                trace.record(rho2, body)
-            return eval_expr(genv, fuel, rho2, body, trace)
-        case VTyClos(env, _, body):
-            if not isinstance(v2, VTy):
-                return EvalError("type abstraction applied to a term value")
-            rho2 = (v2,) + env
-            if trace is not None:
-                trace.record(rho2, body)
-            return eval_expr(genv, fuel, rho2, body, trace)
-        case VConstr(ind, ctor, args):
-            hit = resolve_constr(genv, ind, ctor)
-            if hit is None:
-                return EvalError(f"unknown constructor '{ctor}' of '{ind}'")
-            decl = genv.find_inductive(ind)
-            limit = decl.num_params + len(hit[1].arg_tys)
-            if len(args) >= limit:
-                return EvalError(f"constructor '{ctor}' applied to too many arguments")
-            return Ok(VConstr(ind, ctor, args + (v2,)))
-        case VBuiltin(name, args):
-            b = genv.constants.get(name)
-            if not isinstance(b, Builtin):
-                return EvalError(f"unknown primitive '{name}'")
-            args2 = args + (v2,)
-            if len(args2) < len(b.arg_kinds):
-                return Ok(VBuiltin(name, args2))
-            out = delta(b, [a.prim if isinstance(a, VPrim) else None for a in args2])
-            if isinstance(out, EvalError):
-                return out
-            if isinstance(out, bool):
-                return Ok(VConstr("Bool", "True" if out else "False"))
-            return Ok(VPrim(out))
-        case _:
-            return EvalError("application of a non-function value")
+    t = type(v1)
+    if t is VClosLam:
+        rho2 = (v2,) + v1.env
+        if trace is not None:
+            trace.record(rho2, v1.body)
+        return eval_expr(genv, fuel, rho2, v1.body, trace)
+    if t is VConstr:
+        hit = genv.constrs.get((v1.ind, v1.ctor))
+        if hit is None:
+            return EvalError(f"unknown constructor '{v1.ctor}' of '{v1.ind}'")
+        if len(v1.args) >= hit[2].num_params + len(hit[1].arg_tys):
+            return EvalError(f"constructor '{v1.ctor}' applied to too many arguments")
+        return Ok(VConstr(v1.ind, v1.ctor, v1.args + (v2,)))
+    if t is VBuiltin:
+        b = genv.constants.get(v1.name)
+        if not isinstance(b, Builtin):
+            return EvalError(f"unknown primitive '{v1.name}'")
+        args2 = v1.args + (v2,)
+        if len(args2) < len(b.arg_kinds):
+            return Ok(VBuiltin(v1.name, args2))
+        out = delta(b, [a.prim if isinstance(a, VPrim) else None for a in args2])
+        if isinstance(out, EvalError):
+            return out
+        if isinstance(out, bool):
+            return Ok(VConstr("Bool", "True" if out else "False"))
+        return Ok(VPrim(out))
+    if t is VClosFix:
+        if not is_constr_like(v2):
+            return EvalError("fixpoint applied to a non-constructor value")
+        rho2 = (v2, v1) + v1.env
+        if trace is not None:
+            trace.record(rho2, v1.body)
+        return eval_expr(genv, fuel, rho2, v1.body, trace)
+    if t is VTyClos:
+        if not isinstance(v2, VTy):
+            return EvalError("type abstraction applied to a term value")
+        rho2 = (v2,) + v1.env
+        if trace is not None:
+            trace.record(rho2, v1.body)
+        return eval_expr(genv, fuel, rho2, v1.body, trace)
+    return EvalError("application of a non-function value")
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +378,8 @@ def apply_val(
 def wf_val(genv: GlobalEnv, v: Val) -> bool:
     match v:
         case VConstr(ind, ctor, args):
-            hit = resolve_constr(genv, ind, ctor)
-            if hit is None:
-                return False
-            decl = genv.find_inductive(ind)
-            if len(args) > decl.num_params + len(hit[1].arg_tys):
+            hit = genv.constrs.get((ind, ctor))
+            if hit is None or len(args) > hit[2].num_params + len(hit[1].arg_tys):
                 return False
             return all(wf_val(genv, a) for a in args)
         case VClosLam(env, _, dom, body):

@@ -251,14 +251,24 @@ class LangError(Exception):
 
 
 class UnboundName(LangError):
-    def __init__(self, name: str, kind: str = "variable"):
-        super().__init__(f"unbound {kind} '{name}'")
+    """A name that is neither bound nor global, at the token that reads it."""
+
+    def __init__(self, name: str, line: int, col: int, kind: str = "variable"):
+        super().__init__(f"{line}:{col}: unbound {kind} '{name}'")
         self.name = name
         self.kind = kind
+        self.line = line
+        self.col = col
 
 
 class GlobalEnv:
-    """Inductive declarations plus named constants (expressions or builtins)."""
+    """Inductive declarations plus named constants (expressions or builtins).
+
+    `constrs` maps (inductive, constructor) to the constructor's zero-based
+    position, its declaration and its inductive; the first of two
+    same-named constructors wins. `const_values` is the interpreter's store
+    of constant values (see `interp.eval_expr`); `define` drops an entry
+    it makes stale."""
 
     def __init__(
         self,
@@ -269,6 +279,8 @@ class GlobalEnv:
         self.constants: dict[str, Union[Expr, Builtin]] = {}
         self._by_name: dict[str, InductiveDecl] = {}
         self.ctor_owner: dict[str, str] = {}
+        self.constrs: dict[tuple[str, str], tuple[int, ConstrDecl, InductiveDecl]] = {}
+        self.const_values: dict[str, object] = {}
         for d in inductives:
             self.add_inductive(d)
         for name, body in (constants or {}).items():
@@ -279,11 +291,13 @@ class GlobalEnv:
             raise LangError(f"duplicate inductive declaration '{decl.name}'")
         self.inductives.append(decl)
         self._by_name[decl.name] = decl
-        for c in decl.constrs:
+        for i, c in enumerate(decl.constrs):
             self.ctor_owner[c.name] = decl.name
+            self.constrs.setdefault((decl.name, c.name), (i, c, decl))
 
     def define(self, name: str, body: Union[Expr, Builtin]) -> None:
         self.constants[name] = body
+        self.const_values.pop(name, None)
 
     def has_inductive(self, name: str) -> bool:
         return name in self._by_name
@@ -299,13 +313,8 @@ def resolve_constr(
     env: GlobalEnv, ind: str, ctor: str
 ) -> Optional[tuple[int, ConstrDecl]]:
     """Zero-based position and declaration of `ctor` within `ind`, or None."""
-    decl = env.find_inductive(ind)
-    if decl is None:
-        return None
-    for i, c in enumerate(decl.constrs):
-        if c.name == ctor:
-            return i, c
-    return None
+    hit = env.constrs.get((ind, ctor))
+    return None if hit is None else hit[:2]
 
 
 # ---------------------------------------------------------------------------

@@ -194,7 +194,8 @@ class Parser:
 
     # -- name classification -----------------------------------------------
 
-    def _expr_name(self, name: str) -> Expr:
+    def _expr_name(self, tok: Token) -> Expr:
+        name = tok.text
         if name in self.scope:
             return Var(self.scope.index(name))
         owner = self.env.ctor_owner.get(name)
@@ -202,9 +203,10 @@ class Parser:
             return Constr(owner, name)
         if name in self.env.constants:
             return Const(name)
-        raise UnboundName(name)
+        raise UnboundName(name, tok.line, tok.col)
 
-    def _ty_name(self, name: str, strict: bool, tok: Token) -> Ty:
+    def _ty_name(self, tok: Token, strict: bool) -> Ty:
+        name = tok.text
         if name in self.scope:
             return TVar(self.scope.index(name))
         if name in self.aliases:
@@ -217,7 +219,7 @@ class Parser:
             return TInd(name)
         if strict:
             raise ParseError(f"unknown type '{name}'", tok.line, tok.col)
-        raise UnboundName(name, "type variable")
+        raise UnboundName(name, tok.line, tok.col, "type variable")
 
     # -- types ---------------------------------------------------------------
 
@@ -264,7 +266,7 @@ class Parser:
             return TVar(int(num.text))
         if t.kind == "ident" and t.text not in KEYWORDS:
             self.bump()
-            return self._ty_name(t.text, strict, t)
+            return self._ty_name(t, strict)
         raise self.err(f"expected a type, found {t.text!r}")
 
     # -- expressions ---------------------------------------------------------
@@ -413,7 +415,7 @@ class Parser:
             return Lit(PNat(int(body)))
         if t.kind == "ident" and t.text not in KEYWORDS:
             self.bump()
-            return self._expr_name(t.text)
+            return self._expr_name(t)
         raise self.err(f"expected an expression, found {t.text!r}")
 
     # -- declarations ----------------------------------------------------------

@@ -146,6 +146,14 @@ def test_check_reports_an_unbound_name_before_a_later_syntax_error(capsys, tmp_p
     assert "unbound variable 'foo'" in err
 
 
+def test_check_gives_an_unbound_type_name_its_position(capsys, tmp_path):
+    p = tmp_path / "unbound_ty.acorn"
+    p.write_text("def x = \\y : Foo -> y\n")
+    code, _, err = run_cli(capsys, "check", str(p))
+    assert code == 1
+    assert "1:14: unbound type variable 'Foo'" in err
+
+
 def test_run_argument_syntax_error(capsys):
     code, _, err = run_cli(capsys, "run", "stdlib", "--entry", "maxInt", "--args", "((")
     assert code == 2

@@ -46,8 +46,8 @@ from acorncore.lang import (
     mk_app,
     ty_app,
 )
-from acorncore.programs import int_list_expr, stdlib_env
-from acorncore.soundness import minimal_fuel
+from acorncore.programs import corpus_dir, int_list_expr, load_module, stdlib_env
+from acorncore.soundness import corpus_files, minimal_fuel
 
 from test_validate import (
     corpus_definitions,
@@ -284,6 +284,121 @@ def test_case_multi_binder_order():
         ((Pat("Pair", ("a", "b")), Var(1)),),
     )
     assert ok(e) == VPrim(PInt(1))
+
+
+# -- whole-node checks --------------------------------------------------------
+#
+# `Case`, `Lam` and `Fix` check their whole footprint first and, on a miss,
+# each part in a fixed order. With index 0 a term entry, `TVar(0)` misfits a
+# type position and `Var(1)` (two binders further in, `Var(3)`) is out of
+# range.
+
+TERM_RHO = (VPrim(PInt(0)),)
+BAD_TY = TVar(0)
+
+
+def _bool_case(scrut=Constr("Bool", "True"), ty_params=(), ret_ty=INT, branch=Lit(PInt(1))):
+    return Case(scrut, "Bool", ty_params, ret_ty, ((Pat("True"), branch),))
+
+
+@pytest.mark.parametrize(
+    "e, reason",
+    [
+        (_bool_case(), None),
+        (_bool_case(branch=Var(1)), "case branch does not fit its environment"),
+        (_bool_case(branch=Var(-1)), "case branch does not fit its environment"),
+        (_bool_case(ret_ty=BAD_TY), "case return type refers to a term-level binding"),
+        (_bool_case(ty_params=(INT, BAD_TY)), "case type parameter refers to a term-level binding"),
+        (_bool_case(scrut=Var(1)), "unbound variable index 1"),
+        (_bool_case(scrut=TyAsExpr(BAD_TY)), "type argument refers to a term-level binding"),
+        (_bool_case(scrut=Var(1), ty_params=(BAD_TY,), ret_ty=BAD_TY, branch=Var(1)),
+         "case branch does not fit its environment"),
+        (_bool_case(scrut=Var(1), ty_params=(BAD_TY,), ret_ty=BAD_TY),
+         "case return type refers to a term-level binding"),
+        (_bool_case(scrut=Var(1), ty_params=(BAD_TY,)),
+         "case type parameter refers to a term-level binding"),
+        (Lam("x", INT, Var(2)), "lambda body does not fit its environment"),
+        (Lam("x", BAD_TY, Var(0)), "lambda domain refers to a term-level binding"),
+        (Lam("x", BAD_TY, Var(2)), "lambda body does not fit its environment"),
+        (Fix("f", "x", BAD_TY, INT, Var(0)), "fixpoint domain refers to a term-level binding"),
+        (Fix("f", "x", INT, BAD_TY, Var(0)), "fixpoint codomain refers to a term-level binding"),
+        (Fix("f", "x", INT, INT, Var(3)), "fixpoint body does not fit its environment"),
+        (Fix("f", "x", BAD_TY, BAD_TY, Var(3)), "fixpoint domain refers to a term-level binding"),
+        (Fix("f", "x", INT, BAD_TY, Var(3)), "fixpoint codomain refers to a term-level binding"),
+    ],
+)
+def test_a_misfit_part_reports_its_own_error(e, reason):
+    r = ev(e, rho=TERM_RHO)
+    if reason is None:
+        assert isinstance(r, Ok)
+    else:
+        assert r == EvalError(reason)
+
+
+def test_a_fitting_node_resolves_its_types_through_type_entries():
+    rho = (VTy(INT), VPrim(PInt(0)))
+    lam = ok(Lam("x", TVar(0), Var(2)), rho=rho)
+    assert lam.dom == INT and lam.env == rho
+    fix = ok(Fix("f", "x", TVar(0), TArr(TVar(0), INT), Var(3)), rho=rho)
+    assert (fix.dom, fix.cod) == (INT, TArr(INT, INT))
+    case = _bool_case(ty_params=(TVar(0),), ret_ty=TVar(0), branch=Var(1))
+    assert ok(case, rho=rho) == VPrim(PInt(0))
+    assert err(case, rho=(VPrim(PInt(0)), VTy(INT))) == (
+        "case return type refers to a term-level binding"
+    )
+
+
+# -- constants ----------------------------------------------------------------
+
+def _with_k():
+    env = ENV.copy()
+    env.define("k", Lam("x", INT, Var(0)))
+    return env
+
+
+def test_a_kept_constant_value_still_needs_its_fuel():
+    env = _with_k()
+    assert ev(Const("k"), fuel=1, env=env) is NOT_ENOUGH_FUEL
+    warm = ok(Const("k"), fuel=10, env=env)
+    assert isinstance(warm, VClosLam)
+    assert ev(Const("k"), fuel=1, env=env) is NOT_ENOUGH_FUEL
+    assert ok(Const("k"), fuel=2, env=env) == warm
+    assert ev(App(Const("k"), Lit(PInt(4))), fuel=2, env=env) is NOT_ENOUGH_FUEL
+    assert ok(App(Const("k"), Lit(PInt(4))), fuel=3, env=env) == VPrim(PInt(4))
+
+
+def test_define_after_an_evaluation_is_seen_by_the_next_one():
+    env = _with_k()
+    assert isinstance(ok(Const("k"), env=env), VClosLam)
+    env.define("k", Lit(PInt(7)))
+    assert ok(Const("k"), env=env) == VPrim(PInt(7))
+    env.define("k", Const("addInt"))
+    assert ok(Const("k"), env=env) == VBuiltin("addInt")
+
+
+def test_a_copy_keeps_constant_values_of_its_own():
+    env = _with_k()
+    closure = ok(Const("k"), env=env)
+    other = env.copy()
+    other.define("k", Lit(PInt(7)))
+    assert ok(Const("k"), env=other) == VPrim(PInt(7))
+    assert ok(Const("k"), env=env) == closure
+    assert ok(Const("k"), env=env.copy()) == closure
+
+
+def test_minimal_fuel_of_corpus_definitions_is_the_same_cold_and_warm():
+    checked = kept = 0
+    for path in corpus_files(corpus_dir()):
+        env, defs = load_module(str(path))
+        warm = env.copy()
+        for name, _ in defs:
+            ev(Const(name), env=warm)
+        kept += len(warm.const_values)
+        for name, body in defs:
+            for e in (Const(name), body):
+                assert minimal_fuel(env.copy(), e) == minimal_fuel(warm, e), name
+                checked += 1
+    assert checked > 200 and kept > 50
 
 
 # -- constants ----------------------------------------------------------------

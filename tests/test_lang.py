@@ -77,6 +77,16 @@ def test_resolvers():
     assert resolve_constr(env, "List", "Just") is None
 
 
+def test_a_repeated_constructor_resolves_to_its_first_declaration():
+    # ill-formed (`wf_global_errors` says so), but still resolved the way a
+    # scan of the declaration would: the first one wins
+    twice = InductiveDecl("Twice", 1, (ConstrDecl("C", ()), ConstrDecl("C", (TVar(0),))))
+    env = GlobalEnv([twice])
+    assert resolve_constr(env, "Twice", "C") == (0, ConstrDecl("C", ()))
+    assert env.constrs[("Twice", "C")] == (0, ConstrDecl("C", ()), twice)
+    assert env.copy().constrs == env.constrs
+
+
 def test_ctor_owner_map():
     env = GlobalEnv([LIST, MAYBE])
     assert env.ctor_owner["Cons"] == "List"

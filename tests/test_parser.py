@@ -163,8 +163,18 @@ def test_comments_and_whitespace():
 
 
 def test_unbound_name_raises_through():
-    with pytest.raises((UnboundName, ParseError)):
+    with pytest.raises(UnboundName):
         parse("missing 1z")
+
+
+def test_unbound_names_carry_the_token_position():
+    with pytest.raises(UnboundName) as exc_info:
+        parse("addInt 1z\n  missing")
+    assert (exc_info.value.line, exc_info.value.col) == (2, 3)
+    assert str(exc_info.value) == "2:3: unbound variable 'missing'"
+    with pytest.raises(UnboundName) as exc_info:
+        parse_module("def x = \\y : Foo -> y", stdlib_env())
+    assert str(exc_info.value) == "1:14: unbound type variable 'Foo'"
 
 
 def test_parse_error_carries_position():
@@ -227,7 +237,7 @@ def test_module_alias_expands_at_parse_time():
 
 
 def test_module_def_sees_earlier_defs_only():
-    with pytest.raises((UnboundName, ParseError)):
+    with pytest.raises(UnboundName):
         parse_module("def a = b\ndef b = 1z", stdlib_env())
 
 
