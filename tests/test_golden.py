@@ -22,11 +22,11 @@ GOLDEN = Path(__file__).parent / "golden"
     [
         ("diff_eval_gen1000_seed7.txt", ["diff-eval", "--gen", "1000", "--seed", "7", "--fuel", "10000"]),
         ("chain_blocks50_seed3.txt", ["chain", "--blocks", "50", "--seed", "3", "--fuel", "10000"]),
+        *[(f"translate_{m}.txt", ["translate", m]) for m in ("crowdfunding", "counter", "listops", "mapops")],
         (
             "chain_counter_blocks50_seed3.txt",
             ["chain", "--scenario", "counter", "--blocks", "50", "--seed", "3", "--fuel", "10000"],
         ),
-        *[(f"translate_{m}.txt", ["translate", m]) for m in ("crowdfunding", "counter", "listops", "mapops")],
     ],
 )
 def test_report_matches_its_golden_file(capsys, name, argv):
