@@ -68,7 +68,7 @@ class Call:
 Action = Union[Transfer, Deploy, Call]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeployedContract:
     program: str
     state: Val
@@ -87,12 +87,8 @@ def genesis(balances: dict[int, int]) -> ChainState:
 
 
 def clone(st: ChainState) -> ChainState:
-    return ChainState(
-        st.slot,
-        dict(st.balances),
-        {a: DeployedContract(c.program, c.state) for a, c in st.contracts.items()},
-        st.next_address,
-    )
+    # contract records are immutable, so the two dicts are all there is to copy
+    return ChainState(st.slot, dict(st.balances), dict(st.contracts), st.next_address)
 
 
 def _chain_val(st: ChainState) -> Val:
@@ -177,7 +173,7 @@ def call_contract(
         log.append(f"contract {target} rejected the call")
         return False
     new_state, emitted = decoded
-    con.state = new_state
+    st.contracts[target] = DeployedContract(con.program, new_state)
     for out_amount, recipient in emitted:
         if not _exec_action(st, Transfer(target, recipient, out_amount), depth + 1, log, fuel):
             return False
@@ -197,18 +193,18 @@ def _exec_action(
                 return call_contract(st, sender, target, None, amount, depth, log, fuel)
             return _move(st, sender, target, amount, log)
         case Deploy(sender, name, setup, amount):
-            prog = CONTRACTS.get(name)
-            if prog is None:
+            try:
+                loaded = contract(name)
+            except ConversionError:
                 log.append(f"unknown contract '{name}'")
                 return False
-            loaded = contract(name)
             address = st.next_address
             st.next_address += 1
             # the endowment lands before init runs
             if not _move(st, sender, address, amount, log):
                 return False
             rho = (_chain_val(st), _ctx_val(sender, amount), setup)
-            expr = mk_app(Const(prog.init_name), Var(0), Var(1), Var(2))
+            expr = mk_app(Const(loaded.program.init_name), Var(0), Var(1), Var(2))
             r = eval_expr(loaded.env, fuel, rho, expr)
             if not isinstance(r, Ok):
                 log.append(f"init of '{name}' failed: {r!r}")
@@ -472,8 +468,13 @@ def gen_trace(
     fuel: int = DEFAULT_CALL_FUEL,
 ) -> Trace:
     """A reproducible random trace: one deployment block, then random blocks.
-    Rejected blocks stay in the trace; their surviving actions are retried so
-    the chain keeps moving."""
+
+    Each random block is run once, action by action, each action on a clone
+    of the state after the actions kept before it. An action that fails is
+    dropped and its clone discarded. When every action is kept the block is
+    accepted. Otherwise it stays in the trace as rejected, followed (if
+    there is room) by an accepted block of the kept actions under the same
+    header, so the chain keeps moving."""
     rng = random.Random(seed)
     st = genesis(dict(scenario.actors))
     trace = Trace(clone(st))
@@ -491,23 +492,21 @@ def gen_trace(
     while len(trace.steps) < max_blocks:
         header = BlockHeader(st.slot + rng.choice((1, 1, 2, 3)))
         actions = [_rand_action(rng, st, actors) for _ in range(rng.randint(1, 3))]
-        new, log = add_block(st, header, actions, fuel)
-        if new is not None:
-            trace.steps.append(TraceStep(header, tuple(actions), True))
-            st = new
-            continue
-        trace.steps.append(TraceStep(header, tuple(actions), False))
-        if len(trace.steps) >= max_blocks:
-            break
+        cur = clone(st)
+        cur.slot = header.slot
         kept: list[Action] = []
         for act in actions:
-            trial, _ = add_block(st, header, kept + [act], fuel)
-            if trial is not None:
+            if _exec_action(trial := clone(cur), act, 0, [], fuel):
                 kept.append(act)
-        if kept:
-            new, _ = add_block(st, header, kept, fuel)
+                cur = trial
+        if len(kept) == len(actions):
+            trace.steps.append(TraceStep(header, tuple(actions), True))
+            st = cur
+            continue
+        trace.steps.append(TraceStep(header, tuple(actions), False))
+        if kept and len(trace.steps) < max_blocks:
             trace.steps.append(TraceStep(header, tuple(kept), True))
-            st = new
+            st = cur
     return trace
 
 

@@ -8,11 +8,11 @@ module, evaluation error, evaluator disagreement, violated invariant);
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Optional, Sequence
 
 from .chainsim import (
+    DEFAULT_CALL_FUEL,
     INVARIANTS,
     ChainError,
     check_invariants,
@@ -38,10 +38,6 @@ from .soundness import run_corpus
 from .translate import TranslateError, translate_env
 
 
-def _default_fuel() -> int:
-    return int(os.environ.get("ACORN_FUEL", 10_000))
-
-
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="acorn", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -53,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("module")
     p.add_argument("--entry", required=True, help="constant to evaluate")
     p.add_argument("--args", default=None, help="arguments, in concrete syntax")
-    p.add_argument("--fuel", type=int, default=_default_fuel())
+    p.add_argument("--fuel", type=int, default=10_000)
 
     p = sub.add_parser("translate", help="show kernel terms for a module")
     p.add_argument("module")
@@ -64,13 +60,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gen", type=int, default=0, help="extra generated expressions")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--size", type=int, default=12)
-    p.add_argument("--fuel", type=int, default=_default_fuel())
+    p.add_argument("--fuel", type=int, default=10_000)
 
     p = sub.add_parser("chain", help="simulate random blocks against a scenario")
     p.add_argument("--scenario", default="crowdfunding")
     p.add_argument("--blocks", type=int, default=12)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--fuel", type=int, default=100_000)
+    p.add_argument("--fuel", type=int, default=DEFAULT_CALL_FUEL)
     p.add_argument(
         "--check",
         default="money_conserved,cf_backed,cf_balance_consistent",

@@ -309,14 +309,6 @@ class GlobalEnv:
         return GlobalEnv(self.inductives, dict(self.constants))
 
 
-def resolve_constr(
-    env: GlobalEnv, ind: str, ctor: str
-) -> Optional[tuple[int, ConstrDecl]]:
-    """Zero-based position and declaration of `ctor` within `ind`, or None."""
-    hit = env.constrs.get((ind, ctor))
-    return None if hit is None else hit[:2]
-
-
 # ---------------------------------------------------------------------------
 # free-index footprint and closedness
 

@@ -205,7 +205,7 @@ class Parser:
             return Const(name)
         raise UnboundName(name, tok.line, tok.col)
 
-    def _ty_name(self, tok: Token, strict: bool) -> Ty:
+    def _ty_name(self, tok: Token) -> Ty:
         name = tok.text
         if name in self.scope:
             return TVar(self.scope.index(name))
@@ -217,32 +217,30 @@ class Parser:
             or name in PRIM_TYPE_NAMES
         ):
             return TInd(name)
-        if strict:
-            raise ParseError(f"unknown type '{name}'", tok.line, tok.col)
         raise UnboundName(name, tok.line, tok.col, "type variable")
 
     # -- types ---------------------------------------------------------------
 
-    def parse_ty(self, strict: bool = False) -> Ty:
+    def parse_ty(self) -> Ty:
         if self.at_keyword("forall"):
             self.bump()
             hint = self.ident("type variable")
             self.expect(".")
             self.scope.insert(0, hint)
             try:
-                body = self.parse_ty(strict)
+                body = self.parse_ty()
             finally:
                 self.scope.pop(0)
             return TForall(hint, body)
-        left = self.parse_ty_app(strict)
+        left = self.parse_ty_app()
         if self.accept("->"):
-            return TArr(left, self.parse_ty(strict))
+            return TArr(left, self.parse_ty())
         return left
 
-    def parse_ty_app(self, strict: bool = False) -> Ty:
-        ty = self.parse_ty_atom(strict)
+    def parse_ty_app(self) -> Ty:
+        ty = self.parse_ty_atom()
         while self._starts_ty_atom():
-            ty = TApp(ty, self.parse_ty_atom(strict))
+            ty = TApp(ty, self.parse_ty_atom())
         return ty
 
     def _starts_ty_atom(self) -> bool:
@@ -251,11 +249,11 @@ class Parser:
             return True
         return t.kind == "ident" and t.text not in KEYWORDS
 
-    def parse_ty_atom(self, strict: bool = False) -> Ty:
+    def parse_ty_atom(self) -> Ty:
         t = self.peek()
         if t.kind == "(":
             self.bump()
-            ty = self.parse_ty(strict)
+            ty = self.parse_ty()
             self.expect(")")
             return ty
         if t.kind == "^":
@@ -266,7 +264,7 @@ class Parser:
             return TVar(int(num.text))
         if t.kind == "ident" and t.text not in KEYWORDS:
             self.bump()
-            return self._ty_name(t, strict)
+            return self._ty_name(t)
         raise self.err(f"expected a type, found {t.text!r}")
 
     # -- expressions ---------------------------------------------------------
@@ -442,9 +440,9 @@ class Parser:
         self.expect("[")
         args: list[Ty] = []
         if self.peek().kind != "]":
-            args.append(self.parse_ty(strict=True))
+            args.append(self.parse_ty())
             while self.accept(","):
-                args.append(self.parse_ty(strict=True))
+                args.append(self.parse_ty())
         self.expect("]")
         return ConstrDecl(name, tuple(args))
 
@@ -463,7 +461,7 @@ def parse_module(text: str, base_env: GlobalEnv) -> tuple[GlobalEnv, list[tuple[
                 p.bump()
                 name = p.ident("type alias name")
                 p.expect("=")
-                p.aliases[name] = p.parse_ty(strict=True)
+                p.aliases[name] = p.parse_ty()
             elif p.at_keyword("def"):
                 p.bump()
                 name = p.ident("definition name")

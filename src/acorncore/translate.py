@@ -124,15 +124,12 @@ def expr_to_term(genv: GlobalEnv, e: Expr) -> k.Term:
         case App(fn, arg):
             t = k.App(expr_to_term(genv, fn), expr_to_term(genv, arg))
         case Constr(ind, ctor):
-            decl = genv.find_inductive(ind)
-            if decl is None:
-                raise MissingInductive(ind)
-            for i, c in enumerate(decl.constrs):
-                if c.name == ctor:
-                    t = k.Construct(ind, i)
-                    break
-            else:
+            hit = genv.constrs.get((ind, ctor))
+            if hit is None:
+                if not genv.has_inductive(ind):
+                    raise MissingInductive(ind)
                 raise MissingConstructor(ind, ctor)
+            t = k.Construct(ind, hit[0])
         case Case(scrut, ind, ty_params, ret_ty, branches):
             decl = genv.find_inductive(ind)
             if decl is None:

@@ -1,26 +1,38 @@
 """Helpers only the tests use: value builders, fold and map-sum checks run
-through the interpreter, a scenario for the counter contract, the inverse of
+through the interpreter, a scenario for the counter contract, the trace
+generator that `chainsim.gen_trace` is checked against, the inverse of
 `serialize.module_from_json`, and the structural closedness walk that
 `kernel.term_bound` is checked against."""
 
 from __future__ import annotations
 
+import random
 from typing import Sequence
 
 from acorncore import kernel as k
 from acorncore.chainsim import (
     DEFAULT_CALL_FUEL,
+    Action,
+    BlockHeader,
+    ChainError,
+    Deploy,
     DeployPlan,
     Scenario,
     Trace,
+    TraceStep,
     _cf_contracts,
+    _rand_action,
+    add_block,
     cf_state_fields,
+    clone,
     final_state,
+    genesis,
 )
 from acorncore.interp import Ok, VConstr, VTy, Val, eval_expr
 from acorncore.lang import App, Const, GlobalEnv, Lit, PInt, Ty, TyAsExpr, Var, mk_app
 from acorncore.parser import _pp_ty
 from acorncore.programs import (
+    CONTRACTS,
     ConversionError,
     _INT,
     int_list_expr,
@@ -132,6 +144,50 @@ def funded_outcome(trace: Trace, fuel: int = DEFAULT_CALL_FUEL) -> bool:
     """True when some crowdfunding instance ended with the funds collected."""
     st = final_state(trace, fuel)
     return any(cf_state_fields(con.state)[4] for _, con in _cf_contracts(st))
+
+
+def gen_trace_by_retries(
+    seed: int, max_blocks: int, scenario: Scenario, fuel: int = DEFAULT_CALL_FUEL
+) -> Trace:
+    """The trace `chainsim.gen_trace` records, made the long way: each random
+    block is first applied whole; once it is rejected, each action is tried
+    again behind the actions kept so far, and the kept ones are committed
+    by a third `add_block`."""
+    rng = random.Random(seed)
+    st = genesis(dict(scenario.actors))
+    trace = Trace(clone(st))
+    deploy_acts: list[Action] = [
+        Deploy(p.deployer, p.contract, CONTRACTS[p.contract].make_setup(p.setup), p.amount)
+        for p in scenario.deploys
+    ]
+    header = BlockHeader(st.slot + 1)
+    new, log = add_block(st, header, deploy_acts, fuel)
+    if new is None:
+        raise ChainError(f"deployment block failed: {log}")
+    trace.steps.append(TraceStep(header, tuple(deploy_acts), True))
+    st = new
+    actors = [a for a, _ in scenario.actors]
+    while len(trace.steps) < max_blocks:
+        header = BlockHeader(st.slot + rng.choice((1, 1, 2, 3)))
+        actions = [_rand_action(rng, st, actors) for _ in range(rng.randint(1, 3))]
+        new, log = add_block(st, header, actions, fuel)
+        if new is not None:
+            trace.steps.append(TraceStep(header, tuple(actions), True))
+            st = new
+            continue
+        trace.steps.append(TraceStep(header, tuple(actions), False))
+        if len(trace.steps) >= max_blocks:
+            break
+        kept: list[Action] = []
+        for act in actions:
+            trial, _ = add_block(st, header, kept + [act], fuel)
+            if trial is not None:
+                kept.append(act)
+        if kept:
+            new, _ = add_block(st, header, kept, fuel)
+            trace.steps.append(TraceStep(header, tuple(kept), True))
+            st = new
+    return trace
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 behavior under deterministic scenarios, random traces, replay, and the
 ledger invariants."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
+from acorncore import chainsim
 from acorncore.chainsim import (
     BlockHeader,
     CONTRACT_BASE,
@@ -48,7 +51,13 @@ from acorncore.programs import (
     val_to_nat,
 )
 
-from oracles import bool_val, counter_scenario, funded_outcome, to_acorn_map
+from oracles import (
+    bool_val,
+    counter_scenario,
+    funded_outcome,
+    gen_trace_by_retries,
+    to_acorn_map,
+)
 
 DONATE = VConstr("Msg", "Donate")
 CLAIM = VConstr("Msg", "Claim")
@@ -83,11 +92,14 @@ def test_clone_is_independent():
     st.contracts[CF] = DeployedContract("counter", int_val(0))
     c = clone(st)
     c.balances[1] = 0
-    c.contracts[CF].state = int_val(9)
+    c.contracts[CF] = DeployedContract("counter", int_val(9))
     c.slot = 99
     assert st.balances[1] == 50
     assert st.contracts[CF].state == int_val(0)
     assert st.slot == 0
+    # records are shared between clones, so none may change in place
+    with pytest.raises(FrozenInstanceError):
+        c.contracts[CF].state = int_val(7)
 
 
 def test_block_must_advance_the_slot():
@@ -306,6 +318,55 @@ def test_gen_trace_is_deterministic():
     assert a.steps[0].accepted and isinstance(a.steps[0].actions[0], Deploy)
 
 
+GEN_SCENARIOS = (
+    crowdfunding_scenario(),
+    crowdfunding_scenario(name="crowdfunding_overrecord"),
+    load_scenario("counter"),
+)
+
+
+@pytest.mark.parametrize("scenario", GEN_SCENARIOS, ids=lambda s: s.deploys[0].contract)
+def test_gen_trace_records_what_whole_blocks_and_retries_record(scenario):
+    for seed in range(30):
+        assert repr(gen_trace(seed, 20, scenario)) == repr(
+            gen_trace_by_retries(seed, 20, scenario)
+        )
+
+
+def _is_retry(prev: TraceStep, step: TraceStep) -> bool:
+    # the accepted survivors of a rejected block, under the same header
+    return not prev.accepted and all(
+        any(a is b for b in prev.actions) for a in step.actions
+    )
+
+
+def test_gen_trace_runs_each_generated_action_once(monkeypatch):
+    counts = {"actions": 0, "blocks": 0}
+    exec_action, add_block_ = chainsim._exec_action, chainsim.add_block
+
+    def counting_exec(st, act, depth, log, fuel):
+        if depth == 0:
+            counts["actions"] += 1
+        return exec_action(st, act, depth, log, fuel)
+
+    def counting_add_block(*args, **kwargs):
+        counts["blocks"] += 1
+        return add_block_(*args, **kwargs)
+
+    monkeypatch.setattr(chainsim, "_exec_action", counting_exec)
+    monkeypatch.setattr(chainsim, "add_block", counting_add_block)
+    for seed in range(40):
+        counts.update(actions=0, blocks=0)
+        t = gen_trace(seed, 20, crowdfunding_scenario())
+        steps = t.steps
+        generated = len(steps[0].actions) + sum(
+            len(step.actions)
+            for prev, step in zip(steps, steps[1:])
+            if not _is_retry(prev, step)
+        )
+        assert counts == {"actions": generated, "blocks": 1}, seed
+
+
 def test_gen_trace_slots_advance_across_accepted_steps():
     # rejected headers never enter the chain, so only the accepted ones
     # have to climb
@@ -400,7 +461,7 @@ def test_invariant_messages_name_the_drift():
     t = Trace(genesis({1: 40}))
     msg = cf_backed(t, 0, st)
     assert msg == f"contract {CF} holds 30, ledger claims 50"
-    st.contracts[CF].state = _cf_state(50, [(2, 40)])
+    st.contracts[CF] = DeployedContract("crowdfunding", _cf_state(50, [(2, 40)]))
     msg = cf_balance_consistent(t, 0, st)
     assert msg == f"contract {CF}: recorded donations sum to 40, balance says 50"
 

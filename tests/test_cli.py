@@ -84,11 +84,11 @@ def test_run_out_of_fuel(capsys):
     assert "out of fuel (1)" in err
 
 
-def test_run_fuel_default_comes_from_the_environment(capsys, monkeypatch):
-    monkeypatch.setenv("ACORN_FUEL", "1")
-    code, _, err = run_cli(capsys, "run", "counter", "--entry", "inc3")
-    assert code == 1
-    assert "out of fuel (1)" in err
+def test_run_fuel_default_ignores_the_environment(capsys, monkeypatch):
+    # `--fuel` is the one knob; a stray ACORN_FUEL neither moves nor breaks it
+    monkeypatch.setenv("ACORN_FUEL", "abc")
+    code, _, _ = run_cli(capsys, "run", "stdlib", "--entry", "maxInt")
+    assert code == 0
 
 
 def test_run_surfaces_evaluation_errors(capsys, tmp_path):
@@ -148,10 +148,15 @@ def test_check_reports_an_unbound_name_before_a_later_syntax_error(capsys, tmp_p
 
 def test_check_gives_an_unbound_type_name_its_position(capsys, tmp_path):
     p = tmp_path / "unbound_ty.acorn"
-    p.write_text("def x = \\y : Foo -> y\n")
-    code, _, err = run_cli(capsys, "check", str(p))
-    assert code == 1
-    assert "1:14: unbound type variable 'Foo'" in err
+    for text, col in [
+        ("def x = \\y : Foo -> y\n", 14),
+        ("type T = Foo\n", 10),
+        ("data D #0 = C [Foo]\n", 16),
+    ]:
+        p.write_text(text)
+        code, _, err = run_cli(capsys, "check", str(p))
+        assert code == 1
+        assert f"error: 1:{col}: unbound type variable 'Foo'" in err
 
 
 def test_run_argument_syntax_error(capsys):

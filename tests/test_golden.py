@@ -4,7 +4,8 @@ that means to alter the report, e.g.
 
     acorn diff-eval --gen 1000 --seed 7 --fuel 10000 > tests/golden/diff_eval_gen1000_seed7.txt
 
-`--fuel` is passed explicitly because `ACORN_FUEL` moves the default.
+`--fuel` is passed explicitly, so each file names the fuel it was made at;
+the `chain` files run below that command's default.
 The `translate` reports print every variable by the binder its de Bruijn
 index points at, so they pin the indices the parser resolves."""
 

@@ -29,13 +29,14 @@ from acorncore.lang import (
     app_spine,
     expr_closed_under,
     mk_app,
-    resolve_constr,
     ty_app,
     ty_closed_under,
     wf_global_errors,
 )
+from acorncore import kernel as k
 from acorncore.parser import parse_expr_text, parse_module
 from acorncore.programs import stdlib_env
+from acorncore.translate import expr_to_term
 
 LIST = InductiveDecl(
     "List", 1, (ConstrDecl("Nil", ()), ConstrDecl("Cons", (TVar(0), ty_app(TInd("List"), TVar(0)))))
@@ -72,9 +73,9 @@ def test_resolvers():
     env = GlobalEnv([LIST, MAYBE])
     assert env.find_inductive("List") is LIST
     assert env.find_inductive("Tree") is None
-    idx, decl = resolve_constr(env, "List", "Cons")
-    assert idx == 1 and decl.name == "Cons"
-    assert resolve_constr(env, "List", "Just") is None
+    idx, decl, ind = env.constrs[("List", "Cons")]
+    assert idx == 1 and decl.name == "Cons" and ind is LIST
+    assert ("List", "Just") not in env.constrs
 
 
 def test_a_repeated_constructor_resolves_to_its_first_declaration():
@@ -82,9 +83,9 @@ def test_a_repeated_constructor_resolves_to_its_first_declaration():
     # scan of the declaration would: the first one wins
     twice = InductiveDecl("Twice", 1, (ConstrDecl("C", ()), ConstrDecl("C", (TVar(0),))))
     env = GlobalEnv([twice])
-    assert resolve_constr(env, "Twice", "C") == (0, ConstrDecl("C", ()))
     assert env.constrs[("Twice", "C")] == (0, ConstrDecl("C", ()), twice)
     assert env.copy().constrs == env.constrs
+    assert expr_to_term(env, Constr("Twice", "C")) == k.Construct("Twice", 0)
 
 
 def test_ctor_owner_map():

@@ -172,9 +172,15 @@ def test_unbound_names_carry_the_token_position():
         parse("addInt 1z\n  missing")
     assert (exc_info.value.line, exc_info.value.col) == (2, 3)
     assert str(exc_info.value) == "2:3: unbound variable 'missing'"
-    with pytest.raises(UnboundName) as exc_info:
-        parse_module("def x = \\y : Foo -> y", stdlib_env())
-    assert str(exc_info.value) == "1:14: unbound type variable 'Foo'"
+    # one error for an unknown type name, wherever the type is written
+    for text, col in [
+        ("def x = \\y : Foo -> y", 14),
+        ("type T = Foo", 10),
+        ("data D #0 = C [Foo]", 16),
+    ]:
+        with pytest.raises(UnboundName) as exc_info:
+            parse_module(text, stdlib_env())
+        assert str(exc_info.value) == f"1:{col}: unbound type variable 'Foo'"
 
 
 def test_parse_error_carries_position():
