@@ -8,11 +8,10 @@ depth-first, before the remaining queued actions, with a bounded call depth.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 from .interp import Ok, VConstr, VPrim, Val, eval_expr
 from .lang import Const, PInt, PNat, Var, mk_app
@@ -27,6 +26,7 @@ from .programs import (
     val_to_int,
     val_to_nat,
 )
+from .serialize import JsonError, _index, _list, _need, _str, parse_json
 
 CONTRACT_BASE = 1000
 DEFAULT_CALL_FUEL = 100_000
@@ -413,18 +413,41 @@ def crowdfunding_scenario(
     )
 
 
-def scenario_from_json(data: dict) -> Scenario:
-    actors = tuple((int(a), int(funds)) for a, funds in data["actors"])
-    deploys = tuple(
-        DeployPlan(
-            d["contract"],
-            int(d["deployer"]),
-            int(d.get("amount", 0)),
-            dict(d.get("setup", {})),
+def scenario_from_json(data: Any) -> Scenario:
+    """Decode a scenario, raising JsonError on anything malformed. Each
+    deployment's setup value is built here once, so that a missing or
+    out-of-range setup field is reported before any block runs."""
+    actors = []
+    for a in _list(_need(data, "actors"), "scenario actors"):
+        if not isinstance(a, list) or len(a) != 2:
+            raise JsonError("each actor must be an [address, funds] pair")
+        addr = _index(a[0], "actor address")
+        if any(addr == b for b, _ in actors):
+            raise JsonError(f"actor {addr} is listed twice")
+        actors.append((addr, _index(a[1], "actor funds")))
+    deploys = []
+    for d in _list(_need(data, "deploys"), "scenario deploys"):
+        name = _str(_need(d, "contract"), "contract name")
+        if name not in CONTRACTS:
+            raise JsonError(f"unknown contract '{name}'")
+        setup = d.get("setup", {})
+        if not isinstance(setup, dict):
+            raise JsonError(f"setup of '{name}' must be an object")
+        try:
+            CONTRACTS[name].make_setup(setup)
+        except KeyError as err:
+            raise JsonError(f"setup of '{name}' lacks field {err}") from None
+        except (TypeError, ValueError) as err:
+            raise JsonError(f"setup of '{name}' is invalid: {err}") from None
+        deploys.append(
+            DeployPlan(
+                name,
+                _index(_need(d, "deployer"), "deployer"),
+                _index(d.get("amount", 0), "deploy amount"),
+                dict(setup),
+            )
         )
-        for d in data["deploys"]
-    )
-    return Scenario(actors, deploys)
+    return Scenario(tuple(actors), tuple(deploys))
 
 
 def load_scenario(name_or_path: str) -> Scenario:
@@ -438,7 +461,7 @@ def load_scenario(name_or_path: str) -> Scenario:
             p = cand
     if not p.exists():
         raise FileNotFoundError(f"no scenario at '{name_or_path}'")
-    return scenario_from_json(json.loads(p.read_text()))
+    return scenario_from_json(parse_json(p.read_text(), f"scenario '{p}'"))
 
 
 def _rand_action(rng: random.Random, st: ChainState, actors: list[int]) -> Action:

@@ -32,7 +32,7 @@ from .lang import (
     wf_global_errors,
 )
 from .parser import ParseError, parse_expr_text, pretty_expr
-from .programs import load_module
+from .programs import contract, load_module
 from .serialize import JsonError
 from .soundness import run_corpus
 from .translate import TranslateError, translate_env
@@ -92,6 +92,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _render_value(env: GlobalEnv, v) -> str:
+    """A value in concrete syntax, or its repr when it does not read back."""
     shell = from_val(v)
     if shell is None:
         return repr(v)
@@ -173,7 +174,8 @@ def _cmd_chain(args: argparse.Namespace) -> int:
         print(f"balance {addr}: {st.balances[addr]}")
     for addr in sorted(st.contracts):
         con = st.contracts[addr]
-        print(f"contract {addr} ({con.program}): {_render_value_for(con)}")
+        env = contract(con.program).env
+        print(f"contract {addr} ({con.program}): {_render_value(env, con.state)}")
     failures = 0
     violations = check_invariants(trace, [INVARIANTS[n] for n in names], states=states)
     for name, violation in zip(names, violations):
@@ -187,13 +189,6 @@ def _cmd_chain(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
     return 1 if failures else 0
-
-
-def _render_value_for(con) -> str:
-    from .programs import contract
-
-    loaded = contract(con.program)
-    return pretty_expr(from_val(con.state) or Const("?"), (), loaded.env)
 
 
 _COMMANDS = {

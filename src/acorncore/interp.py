@@ -2,17 +2,18 @@
 
 Evaluation is fuel-limited: every recursive call runs at one unit less, so
 fuel bounds call depth rather than step count, and any result reached with
-fuel n is reached identically with any larger amount. Closures validate their
-bodies against the captured environment when they are built, which keeps every
-value well-formed and makes the syntactic read-back `from_val` total on
-reachable values.
+fuel n is reached identically with any larger amount. Closures check their
+bodies against the captured environment when they are built, which keeps
+every value well-formed and makes the syntactic read-back `from_val` total
+on reachable values.
 
 `eval_expr` and `apply_val` dispatch on the exact node class with an `is`
 chain ordered by how often each class is met (variables, applications,
 lambdas, constants, case), not through a table of handlers, so the recursion
 passes through no frame besides these two. `Case`, `Lam` and `Fix` check the
-node's cached footprint once; only on a miss do they check each part in
-turn, which names the first part that does not fit. Constructors resolve
+whole node with `fits` once; only on a miss do they check each part in turn,
+which names the first part that does not fit. `fits` and `_subst` each serve
+types and expressions alike, as `lang.footprint` does. Constructors resolve
 through the one table `GlobalEnv.constrs`. A constant whose body is a value
 form (`_VALUE_FORMS`) is evaluated once per `GlobalEnv` and its result kept
 in `GlobalEnv.const_values`; a later reference returns it whenever the body
@@ -35,7 +36,6 @@ from .lang import (
     EvalResult,
     Expr,
     Fix,
-    Footprint,
     GlobalEnv,
     Lam,
     Let,
@@ -52,10 +52,9 @@ from .lang import (
     TyAsExpr,
     TyLam,
     Var,
+    closed_under,
     delta,
-    expr_footprint,
-    ty_closed_under,
-    ty_footprint,
+    footprint,
 )
 
 
@@ -116,11 +115,6 @@ class VBuiltin(Val):
     args: tuple[Val, ...] = ()
 
 
-def is_constr_like(v: Val) -> bool:
-    # primitive literals act as constructor forms for the fix guard
-    return isinstance(v, (VConstr, VPrim))
-
-
 class EnvTrace:
     """Collects (environment, body) pairs at every point where evaluation
     extends its environment; feeds the substitution-commutation property."""
@@ -141,35 +135,26 @@ def eval_type(rho: Sequence[Val], ty: Ty) -> Optional[Ty]:
     """Resolve environment references inside a type. Every free index must
     land on a type entry, whose payload is closed; None otherwise. A subtree
     closed under its binders comes back as it is."""
-    if not _fits(rho, 0, ty_footprint(ty)):
+    if not fits(rho, 0, ty):
         return None
-    return _subst_ty(rho, 0, ty)
+    return _subst(rho, 0, ty)
 
 
 # ---------------------------------------------------------------------------
-# environment fit (validate)
+# environment fit
 
-def validate(rho: Sequence[Val], n_extra: int, e: Expr) -> bool:
-    """True when `e` fits `rho` extended by `n_extra` yet-unknown entries:
+def fits(rho: Sequence[Val], n_extra: int, node: Union[Ty, Expr]) -> bool:
+    """True when `node` fits `rho` extended by `n_extra` yet-unknown entries:
     it is closed under the combined length and every type position that
     reaches into `rho` lands on a type entry. Reads the node's cached
-    footprint, so it costs O(free type references), not O(size of `e`)."""
-    return _fits(rho, n_extra, expr_footprint(e))
-
-
-def _fits(rho: Sequence[Val], n_extra: int, fp: Footprint) -> bool:
-    if fp[0] > len(rho) + n_extra:
+    footprint, so it costs O(free type references), not O(size of `node`)."""
+    bound, ty_refs = footprint(node)
+    if bound > len(rho) + n_extra:
         return False
-    for j in fp[1]:
+    for j in ty_refs:
         if j >= n_extra and not isinstance(rho[j - n_extra], VTy):
             return False
     return True
-
-
-def validate_branches(
-    rho: Sequence[Val], branches: tuple[tuple[Pat, Expr], ...]
-) -> bool:
-    return all(validate(rho, len(p.binders), b) for p, b in branches)
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +214,10 @@ def eval_expr(
             return r1
         return apply_val(genv, n, r1.value, r2.value, trace)
     if t is Lam:
-        if _fits(rho, 0, expr_footprint(e)):
-            dom_v = _subst_ty(rho, 0, e.dom)
+        if fits(rho, 0, e):
+            dom_v = _subst(rho, 0, e.dom)
         else:
-            if not validate(rho, 1, e.body):
+            if not fits(rho, 1, e.body):
                 return EvalError("lambda body does not fit its environment")
             dom_v = eval_type(rho, e.dom)
             if dom_v is None:
@@ -253,15 +238,15 @@ def eval_expr(
             genv.const_values[e.name] = r
         return r
     if t is Case:
-        if not _fits(rho, 0, expr_footprint(e)):
+        if not fits(rho, 0, e):
             # some part misfits: report the first, in this order; when every
             # check below passes, the misfit is in the scrutinee
-            if not validate_branches(rho, e.branches):
+            if not all(fits(rho, len(p.binders), b) for p, b in e.branches):
                 return EvalError("case branch does not fit its environment")
-            if not _fits(rho, 0, ty_footprint(e.ret_ty)):
+            if not fits(rho, 0, e.ret_ty):
                 return EvalError("case return type refers to a term-level binding")
             for tp in e.ty_params:
-                if not _fits(rho, 0, ty_footprint(tp)):
+                if not fits(rho, 0, tp):
                     return EvalError("case type parameter refers to a term-level binding")
         r = eval_expr(genv, n, rho, e.scrut, trace)
         if type(r) is not Ok:
@@ -297,9 +282,9 @@ def eval_expr(
     if t is Lit:
         return Ok(VPrim(e.value))
     if t is Fix:
-        if _fits(rho, 0, expr_footprint(e)):
-            dom_v = _subst_ty(rho, 0, e.dom)
-            cod_v = _subst_ty(rho, 0, e.cod)
+        if fits(rho, 0, e):
+            dom_v = _subst(rho, 0, e.dom)
+            cod_v = _subst(rho, 0, e.cod)
         else:
             dom_v = eval_type(rho, e.dom)
             if dom_v is None:
@@ -307,7 +292,7 @@ def eval_expr(
             cod_v = eval_type(rho, e.cod)
             if cod_v is None:
                 return EvalError("fixpoint codomain refers to a term-level binding")
-            if not validate(rho, 2, e.body):
+            if not fits(rho, 2, e.body):
                 return EvalError("fixpoint body does not fit its environment")
         return Ok(VClosFix(tuple(rho), e.f_hint, e.x_hint, dom_v, cod_v, e.body))
     if t is TyLam:
@@ -356,7 +341,8 @@ def apply_val(
             return Ok(VConstr("Bool", "True" if out else "False"))
         return Ok(VPrim(out))
     if t is VClosFix:
-        if not is_constr_like(v2):
+        # primitive literals act as constructor forms for the fix guard
+        if not isinstance(v2, (VConstr, VPrim)):
             return EvalError("fixpoint applied to a non-constructor value")
         rho2 = (v2, v1) + v1.env
         if trace is not None:
@@ -385,20 +371,20 @@ def wf_val(genv: GlobalEnv, v: Val) -> bool:
         case VClosLam(env, _, dom, body):
             return (
                 all(wf_val(genv, x) for x in env)
-                and ty_closed_under(0, dom)
-                and validate(env, 1, body)
+                and closed_under(0, dom)
+                and fits(env, 1, body)
             )
         case VClosFix(env, _, _, dom, cod, body):
             return (
                 all(wf_val(genv, x) for x in env)
-                and ty_closed_under(0, dom)
-                and ty_closed_under(0, cod)
-                and validate(env, 2, body)
+                and closed_under(0, dom)
+                and closed_under(0, cod)
+                and fits(env, 2, body)
             )
         case VTyClos(env, _, body):
-            return all(wf_val(genv, x) for x in env) and validate(env, 1, body)
+            return all(wf_val(genv, x) for x in env) and fits(env, 1, body)
         case VTy(ty):
-            return ty_closed_under(0, ty)
+            return closed_under(0, ty)
         case VPrim(_):
             return True
         case VBuiltin(name, args):
@@ -420,75 +406,64 @@ def subst_env_expr(rho: Sequence[Expr], e: Expr) -> Optional[Expr]:
     or a type position would receive a term-level entry, which the cached
     footprint tells before the walk. A subtree closed under its local binders
     comes back as it is, keeping what is cached on it."""
-    bound, ty_refs = expr_footprint(e)
+    bound, ty_refs = footprint(e)
     if bound == math.inf:
         return None
     for j in ty_refs:
         if j < len(rho) and not isinstance(rho[j], TyAsExpr):
             return None
-    return _subst_expr(tuple(rho), 0, e)
+    return _subst(tuple(rho), 0, e)
 
 
-# The walkers below never fail: their callers have checked with the footprint
-# that every free index is non-negative and that each one in a type position
-# lands on a type entry, a `TyAsExpr` (`subst_env_expr`) or a `VTy`
-# (`eval_type`), whose payload is closed.
+# `_subst` never fails: its callers have checked with the footprint that every
+# free index is non-negative and that each one in a type position lands on a
+# type entry, a `TyAsExpr` (`subst_env_expr`) or a `VTy` (`eval_type`), whose
+# payload is closed.
 
-def _subst_ty(rho: Sequence[Union[Expr, Val]], depth: int, ty: Ty) -> Ty:
-    if ty_footprint(ty)[0] <= depth:
-        return ty
-    match ty:
-        case TVar(ref):
-            j = ref - depth
-            return rho[j].ty if j < len(rho) else TVar(ref - len(rho))
-        case TForall(hint, body):
-            return TForall(hint, _subst_ty(rho, depth + 1, body))
-        case TApp(fn, arg):
-            return TApp(_subst_ty(rho, depth, fn), _subst_ty(rho, depth, arg))
-        case TArr(dom, cod):
-            return TArr(_subst_ty(rho, depth, dom), _subst_ty(rho, depth, cod))
-    raise TypeError(f"not a type: {ty!r}")
-
-
-def _subst_expr(rho: tuple[Expr, ...], depth: int, e: Expr) -> Expr:
-    if expr_footprint(e)[0] <= depth:
-        return e
-    match e:
+def _subst(
+    rho: Sequence[Union[Expr, Val]], depth: int, node: Union[Ty, Expr]
+) -> Union[Ty, Expr]:
+    if footprint(node)[0] <= depth:
+        return node
+    match node:
         case Var(ref):
             j = ref - depth
             return rho[j] if j < len(rho) else Var(ref - len(rho))
         case Lam(hint, dom, body):
-            return Lam(hint, _subst_ty(rho, depth, dom), _subst_expr(rho, depth + 1, body))
-        case TyLam(hint, body):
-            return TyLam(hint, _subst_expr(rho, depth + 1, body))
+            return Lam(hint, _subst(rho, depth, dom), _subst(rho, depth + 1, body))
+        case TyLam(hint, body) | TForall(hint, body):
+            return type(node)(hint, _subst(rho, depth + 1, body))
         case Let(hint, ty, bound, body):
             return Let(
                 hint,
-                _subst_ty(rho, depth, ty),
-                _subst_expr(rho, depth, bound),
-                _subst_expr(rho, depth + 1, body),
+                _subst(rho, depth, ty),
+                _subst(rho, depth, bound),
+                _subst(rho, depth + 1, body),
             )
-        case App(fn, arg):
-            return App(_subst_expr(rho, depth, fn), _subst_expr(rho, depth, arg))
+        case App(fn, arg) | TApp(fn, arg) | TArr(fn, arg):
+            return type(node)(_subst(rho, depth, fn), _subst(rho, depth, arg))
         case Case(scrut, ind, ty_params, ret_ty, branches):
             return Case(
-                _subst_expr(rho, depth, scrut),
+                _subst(rho, depth, scrut),
                 ind,
-                tuple(_subst_ty(rho, depth, tp) for tp in ty_params),
-                _subst_ty(rho, depth, ret_ty),
-                tuple((p, _subst_expr(rho, depth + len(p.binders), b)) for p, b in branches),
+                tuple(_subst(rho, depth, tp) for tp in ty_params),
+                _subst(rho, depth, ret_ty),
+                tuple((p, _subst(rho, depth + len(p.binders), b)) for p, b in branches),
             )
         case Fix(f_hint, x_hint, dom, cod, body):
             return Fix(
                 f_hint,
                 x_hint,
-                _subst_ty(rho, depth, dom),
-                _subst_ty(rho, depth, cod),
-                _subst_expr(rho, depth + 2, body),
+                _subst(rho, depth, dom),
+                _subst(rho, depth, cod),
+                _subst(rho, depth + 2, body),
             )
         case TyAsExpr(ty):
-            return TyAsExpr(_subst_ty(rho, depth, ty))
-    raise TypeError(f"not an expression: {e!r}")
+            return TyAsExpr(_subst(rho, depth, ty))
+        case TVar(ref):
+            j = ref - depth
+            return rho[j].ty if j < len(rho) else TVar(ref - len(rho))
+    raise TypeError(f"not a type or expression: {node!r}")
 
 
 # kept in the `_expr` slot for "does not read back", which has to be told

@@ -49,13 +49,15 @@ PRIM_TYPE_NAMES = frozenset({"Int", "Nat"})
 
 # Surface nodes (`Ty`, `Expr`) and interpreter values (`interp.Val`) keep
 # answers computed from them in slots declared on their base class: `_fp` is
-# the free-index footprint, `_term` the kernel translation and `_expr`
-# (values only) the read-back. Slots sit outside the dataclass fields, so
-# equality, hashing and repr do not see them, and nodes are immutable, so a
-# kept answer never goes stale. Every cache is read as
-# `getattr(node, name, None)`, None meaning "not computed yet", and written
-# with `object.__setattr__`. Slots rather than instance-dictionary entries
-# keep a node small however many of its caches are filled.
+# the free-index footprint (`footprint`, one walker for types and
+# expressions), `_term` the kernel translation (`translate.ty_to_term` or
+# `translate.expr_to_term`) and `_expr` (values only) the read-back. Slots
+# sit outside the dataclass fields, so equality, hashing and repr do not see
+# them, and nodes are immutable, so a kept answer never goes stale. Every
+# cache is read as `getattr(node, name, None)`, None meaning "not computed
+# yet", and written with `object.__setattr__`. Slots rather than
+# instance-dictionary entries keep a node small however many of its caches
+# are filled.
 class Ty:
     __slots__ = ("_fp", "_term")
 
@@ -344,72 +346,46 @@ def _join(*fps: Footprint) -> Footprint:
     return (bound, refs) if bound else _NO_FREE
 
 
-def ty_footprint(ty: Ty) -> Footprint:
-    """Free-index footprint of a type; every position in it is a type position."""
-    hit = getattr(ty, "_fp", None)
+def footprint(node: Union[Ty, Expr]) -> Footprint:
+    """Free-index footprint of a type or expression (see `Footprint`). The
+    node's class tells the position: a `TVar` is a type position and a `Var`
+    is not."""
+    hit = getattr(node, "_fp", None)
     if hit is not None:
         return hit
-    match ty:
-        case TVar(ref):
-            fp = (ref + 1, frozenset((ref,))) if ref >= 0 else _OPEN
-        case TInd(_):
-            fp = _NO_FREE
-        case TForall(_, body):
-            fp = _shift(ty_footprint(body), 1)
-        case TApp(fn, arg):
-            fp = _join(ty_footprint(fn), ty_footprint(arg))
-        case TArr(dom, cod):
-            fp = _join(ty_footprint(dom), ty_footprint(cod))
-        case _:
-            raise TypeError(f"not a type: {ty!r}")
-    object.__setattr__(ty, "_fp", fp)
-    return fp
-
-
-def expr_footprint(e: Expr) -> Footprint:
-    """Free-index footprint of an expression (see `Footprint`)."""
-    hit = getattr(e, "_fp", None)
-    if hit is not None:
-        return hit
-    match e:
+    match node:
         case Var(ref):
             fp = (ref + 1, _NO_REFS) if ref >= 0 else _OPEN
         case Lam(_, dom, body):
-            fp = _join(ty_footprint(dom), _shift(expr_footprint(body), 1))
-        case TyLam(_, body):
-            fp = _shift(expr_footprint(body), 1)
+            fp = _join(footprint(dom), _shift(footprint(body), 1))
+        case TyLam(_, body) | TForall(_, body):
+            fp = _shift(footprint(body), 1)
         case Let(_, ty, bound, body):
-            fp = _join(
-                ty_footprint(ty), expr_footprint(bound), _shift(expr_footprint(body), 1)
-            )
-        case App(fn, arg):
-            fp = _join(expr_footprint(fn), expr_footprint(arg))
+            fp = _join(footprint(ty), footprint(bound), _shift(footprint(body), 1))
+        case App(fn, arg) | TApp(fn, arg) | TArr(fn, arg):
+            fp = _join(footprint(fn), footprint(arg))
         case Case(scrut, _, ty_params, ret_ty, branches):
-            parts = [expr_footprint(scrut), ty_footprint(ret_ty)]
-            parts += map(ty_footprint, ty_params)
+            parts = [footprint(scrut), footprint(ret_ty)]
+            parts += map(footprint, ty_params)
             for p, b in branches:
-                parts.append(_shift(expr_footprint(b), len(p.binders)))
+                parts.append(_shift(footprint(b), len(p.binders)))
             fp = _join(*parts)
         case Fix(_, _, dom, cod, body):
-            fp = _join(
-                ty_footprint(dom), ty_footprint(cod), _shift(expr_footprint(body), 2)
-            )
+            fp = _join(footprint(dom), footprint(cod), _shift(footprint(body), 2))
         case TyAsExpr(ty):
-            fp = ty_footprint(ty)
-        case Constr() | Const() | Lit():
+            fp = footprint(ty)
+        case TVar(ref):
+            fp = (ref + 1, frozenset((ref,))) if ref >= 0 else _OPEN
+        case Constr() | Const() | Lit() | TInd():
             fp = _NO_FREE
         case _:
-            raise TypeError(f"not an expression: {e!r}")
-    object.__setattr__(e, "_fp", fp)
+            raise TypeError(f"not a type or expression: {node!r}")
+    object.__setattr__(node, "_fp", fp)
     return fp
 
 
-def ty_closed_under(n: int, ty: Ty) -> bool:
-    return ty_footprint(ty)[0] <= n
-
-
-def expr_closed_under(n: int, e: Expr) -> bool:
-    return expr_footprint(e)[0] <= n
+def closed_under(n: int, node: Union[Ty, Expr]) -> bool:
+    return footprint(node)[0] <= n
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +409,7 @@ def wf_global_errors(env: GlobalEnv) -> list[str]:
             ctor_names.add(c.name)
             ctor_home.setdefault(c.name, d.name)
             for i, t in enumerate(c.arg_tys):
-                if not ty_closed_under(d.num_params, t):
+                if not closed_under(d.num_params, t):
                     problems.append(
                         f"inductive '{d.name}', constructor '{c.name}': argument"
                         f" {i} is not closed under {d.num_params} parameter(s)"
@@ -441,7 +417,7 @@ def wf_global_errors(env: GlobalEnv) -> list[str]:
     for name, body in env.constants.items():
         if isinstance(body, Builtin):
             continue
-        if not expr_closed_under(0, body):
+        if not closed_under(0, body):
             problems.append(f"constant '{name}' is not closed")
     return problems
 

@@ -332,10 +332,8 @@ class Parser:
             self.expect(":")
             ind_tok = self.peek()
             ind = self.ident("inductive name")
-            if not (
-                ind == self.pending_ind or self.env.has_inductive(ind)
-            ):
-                raise ParseError(f"unknown inductive '{ind}'", ind_tok.line, ind_tok.col)
+            if not (ind == self.pending_ind or self.env.has_inductive(ind)):
+                raise UnboundName(ind, ind_tok.line, ind_tok.col, "inductive")
             ty_params = []
             while self._starts_ty_atom():
                 ty_params.append(self.parse_ty_atom())

@@ -9,7 +9,6 @@ evaluation results with.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -30,7 +29,7 @@ from .lang import (
     mk_app,
 )
 from .parser import parse_module
-from .serialize import module_from_json
+from .serialize import module_from_json, parse_json
 from .translate import translate_env
 
 
@@ -82,7 +81,7 @@ def load_module(name_or_path: str) -> tuple[GlobalEnv, list[tuple[str, Expr]]]:
         # the prelude itself sits on the bare builtins
         return parse_module(path.read_text(), base_env())
     if path.suffix == ".json":
-        decls, defs = module_from_json(json.loads(path.read_text()))
+        decls, defs = module_from_json(parse_json(path.read_text(), f"module '{path}'"))
         env = stdlib_env().copy()
         for d in decls:
             env.add_inductive(d)
@@ -187,10 +186,6 @@ def contract(name: str) -> LoadedContract:
 
 # ---------------------------------------------------------------------------
 # value <-> Python conversions
-
-def int_val(n: int) -> Val:
-    return VPrim(PInt(n))
-
 
 def nat_val(n: int) -> Val:
     return VPrim(PNat(n))

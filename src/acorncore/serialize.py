@@ -9,6 +9,7 @@ non-negative de Bruijn index.
 
 from __future__ import annotations
 
+import json
 from typing import Any
 
 from .lang import (
@@ -74,6 +75,20 @@ def _index(v: Any, what: str) -> int:
     if _int(v, what) < 0:
         raise JsonError(f"{what} must be non-negative")
     return v
+
+
+def _list(v: Any, what: str) -> list:
+    if not isinstance(v, list):
+        raise JsonError(f"{what} must be a list")
+    return v
+
+
+def parse_json(text: str, what: str) -> Any:
+    """`json.loads`, raising JsonError on malformed text."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise JsonError(f"{what} is not valid JSON: {err}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +158,7 @@ def pat_to_json(p: Pat) -> dict:
 
 def pat_from_json(obj: Any) -> Pat:
     ctor = _str(_need(obj, "ctor"), "pattern constructor")
-    binders = _need(obj, "binders")
-    if not isinstance(binders, list):
-        raise JsonError("pattern binders must be a list")
+    binders = _list(_need(obj, "binders"), "pattern binders")
     return Pat(ctor, tuple(_str(b, "pattern binder") for b in binders))
 
 
@@ -228,13 +241,14 @@ def expr_from_json(obj: Any) -> Expr:
     if t == "App":
         return App(expr_from_json(_need(obj, "fn")), expr_from_json(_need(obj, "arg")))
     if t == "Case":
-        branches = _need(obj, "branches")
-        if not isinstance(branches, list):
-            raise JsonError("case branches must be a list")
+        branches = _list(_need(obj, "branches"), "case branches")
         return Case(
             expr_from_json(_need(obj, "scrut")),
             _str(_need(obj, "ind"), "inductive name"),
-            tuple(ty_from_json(x) for x in _need(obj, "tyParams")),
+            tuple(
+                ty_from_json(x)
+                for x in _list(_need(obj, "tyParams"), "case type parameters")
+            ),
             ty_from_json(_need(obj, "retTy")),
             tuple(
                 (pat_from_json(_need(b, "pat")), expr_from_json(_need(b, "body")))
@@ -266,28 +280,18 @@ def expr_from_json(obj: Any) -> Expr:
 # ---------------------------------------------------------------------------
 # declarations and modules
 
-def decl_to_json(d: InductiveDecl) -> dict:
-    return {
-        "name": d.name,
-        "numParams": d.num_params,
-        "constrs": [
-            {"name": c.name, "args": [ty_to_json(t) for t in c.arg_tys]}
-            for c in d.constrs
-        ],
-    }
-
-
 def decl_from_json(obj: Any) -> InductiveDecl:
-    constrs = _need(obj, "constrs")
-    if not isinstance(constrs, list):
-        raise JsonError("'constrs' must be a list")
+    constrs = _list(_need(obj, "constrs"), "'constrs'")
     return InductiveDecl(
         _str(_need(obj, "name"), "inductive name"),
         _int(_need(obj, "numParams"), "numParams"),
         tuple(
             ConstrDecl(
                 _str(_need(c, "name"), "constructor name"),
-                tuple(ty_from_json(t) for t in _need(c, "args")),
+                tuple(
+                    ty_from_json(t)
+                    for t in _list(_need(c, "args"), "constructor arguments")
+                ),
             )
             for c in constrs
         ),

@@ -1,8 +1,8 @@
 """Helpers only the tests use: value builders, fold and map-sum checks run
 through the interpreter, a scenario for the counter contract, the trace
-generator that `chainsim.gen_trace` is checked against, the inverse of
-`serialize.module_from_json`, and the structural closedness walk that
-`kernel.term_bound` is checked against."""
+generator that `chainsim.gen_trace` is checked against, the inverses of
+`serialize.module_from_json` and `serialize.decl_from_json`, and the
+structural closedness walk that `kernel.term_bound` is checked against."""
 
 from __future__ import annotations
 
@@ -28,23 +28,37 @@ from acorncore.chainsim import (
     final_state,
     genesis,
 )
-from acorncore.interp import Ok, VConstr, VTy, Val, eval_expr
-from acorncore.lang import App, Const, GlobalEnv, Lit, PInt, Ty, TyAsExpr, Var, mk_app
+from acorncore.interp import Ok, VConstr, VPrim, VTy, Val, eval_expr
+from acorncore.lang import (
+    App,
+    Const,
+    GlobalEnv,
+    InductiveDecl,
+    Lit,
+    PInt,
+    Ty,
+    TyAsExpr,
+    Var,
+    mk_app,
+)
 from acorncore.parser import _pp_ty
 from acorncore.programs import (
     CONTRACTS,
     ConversionError,
     _INT,
     int_list_expr,
-    int_val,
     nat_val,
     val_to_int,
 )
-from acorncore.serialize import decl_to_json, expr_to_json
+from acorncore.serialize import expr_to_json, ty_to_json
 
 
 # ---------------------------------------------------------------------------
 # values
+
+def int_val(n: int) -> Val:
+    return VPrim(PInt(n))
+
 
 def bool_val(b: bool) -> Val:
     return VConstr("Bool", "True" if b else "False")
@@ -195,6 +209,17 @@ def gen_trace_by_retries(
 
 def pretty_ty(ty: Ty, ctx: Sequence[str] = ()) -> str:
     return _pp_ty(ty, list(ctx), 0)
+
+
+def decl_to_json(d: InductiveDecl) -> dict:
+    return {
+        "name": d.name,
+        "numParams": d.num_params,
+        "constrs": [
+            {"name": c.name, "args": [ty_to_json(t) for t in c.arg_tys]}
+            for c in d.constrs
+        ],
+    }
 
 
 def module_to_json(env: GlobalEnv, own_inductives, defs) -> dict:

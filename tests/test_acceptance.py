@@ -35,7 +35,6 @@ from acorncore.programs import (
     constr_payload,
     contract,
     corpus_dir,
-    int_val,
     load_module,
     map_entries,
     nat_val,
@@ -48,7 +47,7 @@ from acorncore.programs import (
 from acorncore.soundness import corpus_files, gen_expr, minimal_fuel, run_corpus
 from acorncore.translate import decl_to_kernel, expr_to_term, translate_env
 
-from oracles import deep_foldr_int, foldr_concat_check
+from oracles import deep_foldr_int, foldr_concat_check, int_val
 
 FUEL = 10_000
 GEN_COUNT = 1_000

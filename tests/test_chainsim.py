@@ -44,7 +44,6 @@ from acorncore.interp import VConstr
 from acorncore.programs import (
     CONTRACTS,
     constr_payload,
-    int_val,
     map_entries,
     nat_val,
     val_to_int,
@@ -56,6 +55,7 @@ from oracles import (
     counter_scenario,
     funded_outcome,
     gen_trace_by_retries,
+    int_val,
     to_acorn_map,
 )
 

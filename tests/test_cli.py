@@ -55,6 +55,12 @@ def test_check_syntax_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, "check", str(p))
     assert code == 2
     assert "error" in err
+    # the same for a JSON module that is not JSON
+    p = tmp_path / "broken.json"
+    p.write_text('{"inductives": [')
+    code, _, err = run_cli(capsys, "check", str(p))
+    assert code == 2
+    assert "is not valid JSON" in err
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +298,39 @@ def test_chain_missing_scenario(capsys):
     code, _, err = run_cli(capsys, "chain", "--scenario", "nowhere")
     assert code == 2
     assert "no scenario at" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"actors": [[1, 100]', "is not valid JSON"),
+        (
+            '{"actors": [[1, 100]], "deploys": [{"contract": "nope", "deployer": 1}]}',
+            "unknown contract 'nope'",
+        ),
+        ('{"actors": 5, "deploys": []}', "scenario actors must be a list"),
+        ('{"actors": [[1, 100], [1, 50]], "deploys": []}', "actor 1 is listed twice"),
+        (
+            '{"actors": [[1, 100]], "deploys": [{"contract": "crowdfunding",'
+            ' "deployer": 1, "setup": {"goal": 60}}]}',
+            "setup of 'crowdfunding' lacks field 'deadline'",
+        ),
+        (
+            '{"actors": [[1, 100]], "deploys": [{"contract": "crowdfunding",'
+            ' "deployer": 1, "setup": {"deadline": -1, "goal": 60}}]}',
+            "natural literal must be non-negative",
+        ),
+    ],
+    ids=["malformed", "unknown-contract", "actors-not-a-list", "duplicate-actor",
+         "no-deadline", "negative-deadline"],
+)
+def test_chain_rejects_a_bad_scenario_file(capsys, tmp_path, text, message):
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    code, out, err = run_cli(capsys, "chain", "--scenario", str(p))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
 
 
 def test_chain_reports_a_violated_invariant(capsys, tmp_path):

@@ -14,9 +14,9 @@ from acorncore.interp import (
     apply_val,
     eval_expr,
     eval_type,
+    fits,
     from_val,
     subst_env_expr,
-    validate,
     wf_val,
 )
 from acorncore.lang import (
@@ -546,15 +546,15 @@ def test_negative_type_indices_are_refused():
     assert isinstance(ev(TyAsExpr(TVar(-1))), EvalError)
 
 
-# -- validate / wf_val --------------------------------------------------------
+# -- fits / wf_val ------------------------------------------------------------
 
 def test_validate_counts_extra_binders():
-    assert validate((), 1, Var(0))
-    assert not validate((), 1, Var(1))
-    assert validate((VPrim(PInt(1)),), 1, Var(1))
+    assert fits((), 1, Var(0))
+    assert not fits((), 1, Var(1))
+    assert fits((VPrim(PInt(1)),), 1, Var(1))
     # type positions must land on type entries
-    assert validate((VTy(INT),), 0, TyAsExpr(TVar(0)))
-    assert not validate((VPrim(PInt(1)),), 0, TyAsExpr(TVar(0)))
+    assert fits((VTy(INT),), 0, TyAsExpr(TVar(0)))
+    assert not fits((VPrim(PInt(1)),), 0, TyAsExpr(TVar(0)))
 
 
 def test_wf_val_closures():

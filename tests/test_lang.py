@@ -27,10 +27,9 @@ from acorncore.lang import (
     UnboundName,
     Var,
     app_spine,
-    expr_closed_under,
+    closed_under,
     mk_app,
     ty_app,
-    ty_closed_under,
     wf_global_errors,
 )
 from acorncore import kernel as k
@@ -97,23 +96,23 @@ def test_ctor_owner_map():
 # -- closedness ---------------------------------------------------------------
 
 def test_ty_closed_under():
-    assert ty_closed_under(1, TVar(0))
-    assert not ty_closed_under(0, TVar(0))
-    assert ty_closed_under(0, TForall("A", TVar(0)))
-    assert not ty_closed_under(0, TForall("A", TVar(1)))
-    assert ty_closed_under(0, TArr(TInd("Int"), TInd("Int")))
+    assert closed_under(1, TVar(0))
+    assert not closed_under(0, TVar(0))
+    assert closed_under(0, TForall("A", TVar(0)))
+    assert not closed_under(0, TForall("A", TVar(1)))
+    assert closed_under(0, TArr(TInd("Int"), TInd("Int")))
 
 
 def test_expr_closed_under_binders():
-    assert expr_closed_under(0, Lam("x", TInd("Int"), Var(0)))
-    assert not expr_closed_under(0, Lam("x", TInd("Int"), Var(1)))
+    assert closed_under(0, Lam("x", TInd("Int"), Var(0)))
+    assert not closed_under(0, Lam("x", TInd("Int"), Var(1)))
     # fix binds the function and its argument
     fx = Fix("f", "x", TInd("Int"), TInd("Int"), App(Var(1), Var(0)))
-    assert expr_closed_under(0, fx)
-    assert not expr_closed_under(0, Fix("f", "x", TInd("Int"), TInd("Int"), Var(2)))
+    assert closed_under(0, fx)
+    assert not closed_under(0, Fix("f", "x", TInd("Int"), TInd("Int"), Var(2)))
     # a let binds one
-    assert expr_closed_under(0, Let("v", TInd("Int"), Lit(PInt(1)), Var(0)))
-    assert not expr_closed_under(0, Let("v", TInd("Int"), Var(0), Var(0)))
+    assert closed_under(0, Let("v", TInd("Int"), Lit(PInt(1)), Var(0)))
+    assert not closed_under(0, Let("v", TInd("Int"), Var(0), Var(0)))
 
 
 def test_expr_closed_under_case():
@@ -124,14 +123,14 @@ def test_expr_closed_under_case():
         TInd("Int"),
         ((Pat("Nothing"), Lit(PInt(0))), (Pat("Just", ("v",)), Var(0))),
     )
-    assert expr_closed_under(1, c)
+    assert closed_under(1, c)
     # the return annotation binds nothing
     c2 = Case(Var(0), "Maybe", (), TVar(0), ((Pat("Nothing"), Lit(PInt(0))),))
-    assert not expr_closed_under(0, c2)
+    assert not closed_under(0, c2)
     # one pattern binder raises the branch cutoff by exactly one
     deep = Case(Lit(PInt(0)), "Maybe", (), TInd("Int"), ((Pat("Just", ("v",)), Var(1)),))
-    assert not expr_closed_under(0, deep)
-    assert expr_closed_under(1, deep)
+    assert not closed_under(0, deep)
+    assert closed_under(1, deep)
 
 
 # -- indexify: the parser turns names into de Bruijn indices ----------------

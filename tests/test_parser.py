@@ -154,7 +154,7 @@ def test_if_sugar_is_a_bool_case():
 
 
 def test_unknown_case_inductive_rejected():
-    with pytest.raises(ParseError):
+    with pytest.raises(UnboundName, match="1:11: unbound inductive 'Wat'"):
         parse("case 1z : Wat return Int of | C -> 1z")
 
 
@@ -173,14 +173,15 @@ def test_unbound_names_carry_the_token_position():
     assert (exc_info.value.line, exc_info.value.col) == (2, 3)
     assert str(exc_info.value) == "2:3: unbound variable 'missing'"
     # one error for an unknown type name, wherever the type is written
-    for text, col in [
-        ("def x = \\y : Foo -> y", 14),
-        ("type T = Foo", 10),
-        ("data D #0 = C [Foo]", 16),
+    for text, col, kind in [
+        ("def x = \\y : Foo -> y", 14, "type variable"),
+        ("type T = Foo", 10, "type variable"),
+        ("data D #0 = C [Foo]", 16, "type variable"),
+        ("def x = case 1z : Foo return Int of | C -> 1z", 19, "inductive"),
     ]:
         with pytest.raises(UnboundName) as exc_info:
             parse_module(text, stdlib_env())
-        assert str(exc_info.value) == f"1:{col}: unbound type variable 'Foo'"
+        assert str(exc_info.value) == f"1:{col}: unbound {kind} 'Foo'"
 
 
 def test_parse_error_carries_position():

@@ -16,7 +16,6 @@ from acorncore.programs import (
     corpus_dir,
     from_acorn_list,
     int_list_expr,
-    int_val,
     load_module,
     map_entries,
     native_foldr,
@@ -35,6 +34,7 @@ from oracles import (
     deep_foldr_int,
     deep_sum_map,
     foldr_concat_check,
+    int_val,
     to_acorn_list,
     to_acorn_map,
 )

@@ -28,7 +28,6 @@ from acorncore.lang import (
 from acorncore.serialize import (
     JsonError,
     decl_from_json,
-    decl_to_json,
     expr_from_json,
     expr_to_json,
     module_from_json,
@@ -38,7 +37,7 @@ from acorncore.serialize import (
     ty_to_json,
 )
 
-from oracles import module_to_json
+from oracles import decl_to_json, module_to_json
 
 
 def test_prim_round_trip():
@@ -116,6 +115,11 @@ def test_expr_bad_tag():
         expr_from_json({"no": "tag"})
     with pytest.raises(JsonError):
         expr_from_json(42)
+    case = expr_to_json(
+        Case(Var(0), "Bool", (), TInd("Int"), ((Pat("True"), Lit(PInt(1))),))
+    )
+    with pytest.raises(JsonError, match="case type parameters must be a list"):
+        expr_from_json({**case, "tyParams": 5})
 
 
 def test_decl_round_trip():
@@ -127,6 +131,10 @@ def test_decl_round_trip():
          ConstrDecl("Node", (TVar(0), ty_app(TInd("Tree"), TVar(0))))),
     )
     assert decl_from_json(decl_to_json(d)) == d
+    bad = decl_to_json(d)
+    bad["constrs"][1]["args"] = 5
+    with pytest.raises(JsonError, match="constructor arguments must be a list"):
+        decl_from_json(bad)
 
 
 def test_module_round_trip():

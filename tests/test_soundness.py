@@ -27,10 +27,10 @@ from acorncore.lang import (
     TyAsExpr,
     TyLam,
     Var,
-    expr_closed_under,
+    closed_under,
     mk_app,
 )
-from acorncore.programs import corpus_dir, int_list_expr, int_val, stdlib_env
+from acorncore.programs import corpus_dir, int_list_expr, stdlib_env
 from acorncore.soundness import (
     Agree,
     Disagree,
@@ -44,6 +44,8 @@ from acorncore.soundness import (
     subst_commutes,
 )
 from acorncore.translate import expr_to_term, translate_env
+
+from oracles import int_val
 
 GENV = stdlib_env()
 KENV = translate_env(GENV)
@@ -239,7 +241,7 @@ def test_generator_is_deterministic():
 def test_generated_expressions_are_closed():
     rng = random.Random(17)
     for _ in range(300):
-        assert expr_closed_under(0, gen_expr(rng, 12))
+        assert closed_under(0, gen_expr(rng, 12))
 
 
 def test_generated_expressions_never_split_the_evaluators():

@@ -1,6 +1,7 @@
-"""`validate` reads a cached free-index footprint; these tests hold it to the
-two full tree walks it replaced (closedness, then a type-position fit against
-the environment), kept here as the oracle."""
+"""`fits` reads a cached free-index footprint; these tests hold it to the two
+full tree walks it replaced (closedness, then a type-position fit against the
+environment), kept here as the oracle. One `footprint` and one `closed_under`
+serve types and expressions alike."""
 
 import dataclasses
 import random
@@ -8,7 +9,7 @@ import random
 import pytest
 
 from acorncore import interp, lang
-from acorncore.interp import Val, VPrim, VTy, validate
+from acorncore.interp import Val, VPrim, VTy, fits
 from acorncore.lang import (
     App,
     Case,
@@ -30,9 +31,8 @@ from acorncore.lang import (
     TyAsExpr,
     TyLam,
     Var,
-    expr_closed_under,
-    expr_footprint,
-    ty_closed_under,
+    closed_under,
+    footprint,
 )
 from acorncore.programs import corpus_dir, load_module
 from acorncore.soundness import corpus_files, gen_expr
@@ -44,7 +44,7 @@ GEN_SEED = 11
 GEN_COUNT = 200
 
 
-# -- the oracle: the walks `validate` used to make on every call --------------
+# -- the oracle: the walks `fits` used to make on every call ------------------
 
 def old_ty_closed(n, ty):
     match ty:
@@ -218,10 +218,10 @@ def check_agreement(bodies):
             for length in range(max(0, top - n_extra - 1), top - n_extra + 2):
                 for rho in environments(rng, length):
                     want = old_validate(rho, n_extra, body)
-                    assert validate(rho, n_extra, body) == want, (rho, n_extra, body)
+                    assert fits(rho, n_extra, body) == want, (rho, n_extra, body)
                     seen[want] += 1
         for n in range(max(0, top - 1), top + 2):
-            assert expr_closed_under(n, body) == old_expr_closed(n, body)
+            assert closed_under(n, body) == old_expr_closed(n, body)
     return seen
 
 
@@ -232,7 +232,7 @@ def test_validate_agrees_with_the_two_walks_on_corpus_bodies():
     assert len(bodies) > 200
     # the corpus reaches into the environment from type positions, so the
     # type-entry check is exercised and not just the length bound
-    assert any(expr_footprint(b)[1] for b in bodies)
+    assert any(footprint(b)[1] for b in bodies)
     seen = check_agreement(bodies)
     assert seen[True] and seen[False]
 
@@ -265,13 +265,13 @@ def test_validate_agrees_on_hand_built_edges():
     assert seen[True] and seen[False]
     for ty in (tv(0), tv(-2), tv(-1), TForall("A", tv(1)), TArr(INT, tv(2))):
         for n in range(4):
-            assert ty_closed_under(n, ty) == old_ty_closed(n, ty)
+            assert closed_under(n, ty) == old_ty_closed(n, ty)
 
 
 def test_cached_footprint_leaves_equality_hash_and_repr_alone():
     cached = corpus_definitions() + generated_programs()
     for e in cached:
-        expr_footprint(e)
+        footprint(e)
         for b in closure_bodies(e):
             assert hasattr(b, "_fp")
     fresh = corpus_definitions() + generated_programs()
