@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .chainsim import (
     DEFAULT_CALL_FUEL,
@@ -38,6 +38,18 @@ from .soundness import run_corpus
 from .translate import TranslateError, translate_env
 
 
+def _count(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer no smaller than `low`."""
+
+    def count(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+
+    return count
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="acorn", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -57,14 +69,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diff-eval", help="compare both evaluators over a corpus")
     p.add_argument("--corpus", default=None, help="directory of modules (default: packaged)")
-    p.add_argument("--gen", type=int, default=0, help="extra generated expressions")
+    p.add_argument("--gen", type=_count(0), default=0, help="extra generated expressions")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--size", type=int, default=12)
     p.add_argument("--fuel", type=int, default=10_000)
 
     p = sub.add_parser("chain", help="simulate random blocks against a scenario")
     p.add_argument("--scenario", default="crowdfunding")
-    p.add_argument("--blocks", type=int, default=12)
+    p.add_argument("--blocks", type=_count(1), default=12)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--fuel", type=int, default=DEFAULT_CALL_FUEL)
     p.add_argument(

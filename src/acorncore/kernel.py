@@ -112,12 +112,6 @@ class PrimLit(Term):
 SORT_SET = SortSet()
 
 
-def mk_app(fn: Term, *args: Term) -> Term:
-    for a in args:
-        fn = App(fn, a)
-    return fn
-
-
 def spine_view(t: Term) -> tuple[Term, tuple[Term, ...]]:
     args: list[Term] = []
     while isinstance(t, App):
@@ -177,10 +171,10 @@ def lift(n: int, k: int, t: Term) -> Term:
     return t if n == 0 else _subst((), n, k, t)
 
 
-def parallel_subst(ts: tuple[Term, ...], t: Term, k: int = 0) -> Term:
-    """Replace Rel(k+i) by ts[i] (lifted past the k local binders); indices
-    beyond the substituted block shift down by len(ts)."""
-    return _subst(ts, 0, k, t)
+def parallel_subst(ts: tuple[Term, ...], t: Term) -> Term:
+    """Replace Rel(i) by ts[i]; indices beyond the substituted block shift
+    down by len(ts)."""
+    return _subst(ts, 0, 0, t)
 
 
 def _subst(ts: tuple[Term, ...], shift: int, k: int, t: Term) -> Term:

@@ -30,8 +30,9 @@ globals. Otherwise constructor names build `Constr`, defined names build
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .lang import (
     App,
@@ -96,14 +97,14 @@ class Token:
     col: int
 
 
+_IDENT = r"[A-Za-z_][A-Za-z0-9_']*"
+
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
       (?P<skip>\s+|--[^\n]*)
-    | (?P<tylam>/\\)
-    | (?P<arrow>->)
     | (?P<num>-?[0-9]+z?)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_']*)
-    | (?P<punct>[()\[\],:=|\#^.\\])
+    | (?P<ident>{_IDENT})
+    | (?P<punct>/\\|->|[()\[\],:=|\#^.\\])
     """,
     re.VERBOSE,
 )
@@ -117,19 +118,9 @@ def tokenize(text: str) -> list[Token]:
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        lexeme = m.group(0)
-        if m.lastgroup == "skip":
-            pass
-        elif m.lastgroup == "tylam":
-            toks.append(Token("/\\", lexeme, line, col))
-        elif m.lastgroup == "arrow":
-            toks.append(Token("->", lexeme, line, col))
-        elif m.lastgroup == "num":
-            toks.append(Token("num", lexeme, line, col))
-        elif m.lastgroup == "ident":
-            toks.append(Token("ident", lexeme, line, col))
-        else:
-            toks.append(Token(lexeme, lexeme, line, col))
+        lexeme, kind = m.group(0), m.lastgroup
+        if kind != "skip":
+            toks.append(Token(lexeme if kind == "punct" else kind, lexeme, line, col))
         newlines = lexeme.count("\n")
         if newlines:
             line += newlines
@@ -184,6 +175,10 @@ class Parser:
             raise self.err(f"expected '{word}', found {self.peek().text!r}")
         self.bump()
 
+    def at_name(self) -> bool:
+        t = self.peek()
+        return t.kind == "ident" and t.text not in KEYWORDS
+
     def ident(self, what: str = "name") -> str:
         t = self.peek()
         if t.kind != "ident":
@@ -192,7 +187,16 @@ class Parser:
             raise self.err(f"keyword '{t.text}' cannot be used as {what}")
         return self.bump().text
 
-    # -- name classification -----------------------------------------------
+    # -- names ----------------------------------------------------------------
+
+    @contextmanager
+    def _bound(self, *names: str) -> Iterator[None]:
+        """Put `names` in scope for the block, the last one innermost (index
+        0). Not a call around the body parse, which would cost a frame per
+        binder. Nothing reads the scope after a parse error, so no restore."""
+        self.scope[:0] = reversed(names)
+        yield
+        del self.scope[: len(names)]
 
     def _expr_name(self, tok: Token) -> Expr:
         name = tok.text
@@ -226,12 +230,8 @@ class Parser:
             self.bump()
             hint = self.ident("type variable")
             self.expect(".")
-            self.scope.insert(0, hint)
-            try:
-                body = self.parse_ty()
-            finally:
-                self.scope.pop(0)
-            return TForall(hint, body)
+            with self._bound(hint):
+                return TForall(hint, self.parse_ty())
         left = self.parse_ty_app()
         if self.accept("->"):
             return TArr(left, self.parse_ty())
@@ -244,10 +244,7 @@ class Parser:
         return ty
 
     def _starts_ty_atom(self) -> bool:
-        t = self.peek()
-        if t.kind in ("(", "^"):
-            return True
-        return t.kind == "ident" and t.text not in KEYWORDS
+        return self.peek().kind in ("(", "^") or self.at_name()
 
     def parse_ty_atom(self) -> Ty:
         t = self.peek()
@@ -262,7 +259,7 @@ class Parser:
             if not num.text.isdigit():
                 raise ParseError("type parameter index must be a plain number", num.line, num.col)
             return TVar(int(num.text))
-        if t.kind == "ident" and t.text not in KEYWORDS:
+        if self.at_name():
             self.bump()
             return self._ty_name(t)
         raise self.err(f"expected a type, found {t.text!r}")
@@ -277,22 +274,14 @@ class Parser:
             self.expect(":")
             dom = self.parse_ty_app()  # arrows in a lambda domain need parens
             self.expect("->")
-            self.scope.insert(0, hint)
-            try:
-                body = self.parse_expr()
-            finally:
-                self.scope.pop(0)
-            return Lam(hint, dom, body)
+            with self._bound(hint):
+                return Lam(hint, dom, self.parse_expr())
         if t.kind == "/\\":
             self.bump()
             hint = self.ident("type binder")
             self.expect("->")
-            self.scope.insert(0, hint)
-            try:
-                body = self.parse_expr()
-            finally:
-                self.scope.pop(0)
-            return TyLam(hint, body)
+            with self._bound(hint):
+                return TyLam(hint, self.parse_expr())
         if self.at_keyword("let"):
             self.bump()
             hint = self.ident("binder")
@@ -301,12 +290,8 @@ class Parser:
             self.expect("=")
             bound = self.parse_expr()
             self.expect_keyword("in")
-            self.scope.insert(0, hint)
-            try:
-                body = self.parse_expr()
-            finally:
-                self.scope.pop(0)
-            return Let(hint, ty, bound, body)
+            with self._bound(hint):
+                return Let(hint, ty, bound, self.parse_expr())
         if self.at_keyword("fix"):
             self.bump()
             f_hint = self.ident("binder")
@@ -318,14 +303,8 @@ class Parser:
             self.expect(":")
             cod = self.parse_ty()
             self.expect("=")
-            self.scope.insert(0, f_hint)
-            self.scope.insert(0, x_hint)
-            try:
-                body = self.parse_expr()
-            finally:
-                self.scope.pop(0)
-                self.scope.pop(0)
-            return Fix(f_hint, x_hint, dom, cod, body)
+            with self._bound(f_hint, x_hint):
+                return Fix(f_hint, x_hint, dom, cod, self.parse_expr())
         if self.at_keyword("case"):
             self.bump()
             scrut = self.parse_app()
@@ -366,16 +345,11 @@ class Parser:
     def parse_branch(self) -> tuple[Pat, Expr]:
         ctor = self.ident("constructor")
         binders = []
-        while self.peek().kind == "ident" and self.peek().text not in KEYWORDS:
+        while self.at_name():
             binders.append(self.bump().text)
         self.expect("->")
-        # the last binder is innermost: index 0
-        self.scope[:0] = reversed(binders)
-        try:
-            body = self.parse_expr()
-        finally:
-            del self.scope[: len(binders)]
-        return Pat(ctor, tuple(binders)), body
+        with self._bound(*binders):
+            return Pat(ctor, tuple(binders)), self.parse_expr()
 
     def parse_app(self) -> Expr:
         e = self.parse_atom()
@@ -384,10 +358,7 @@ class Parser:
         return e
 
     def _starts_atom(self) -> bool:
-        t = self.peek()
-        if t.kind in ("(", "[", "num"):
-            return True
-        return t.kind == "ident" and t.text not in KEYWORDS
+        return self.peek().kind in ("(", "[", "num") or self.at_name()
 
     def parse_atom(self) -> Expr:
         t = self.peek()
@@ -409,7 +380,7 @@ class Parser:
             if body.startswith("-"):
                 raise ParseError("negative naturals do not exist; use a z suffix", t.line, t.col)
             return Lit(PNat(int(body)))
-        if t.kind == "ident" and t.text not in KEYWORDS:
+        if self.at_name():
             self.bump()
             return self._expr_name(t)
         raise self.err(f"expected an expression, found {t.text!r}")
@@ -425,12 +396,10 @@ class Parser:
             raise ParseError("parameter count must be a plain number", num.line, num.col)
         self.expect("=")
         self.pending_ind = name
-        try:
-            ctors = [self._parse_ctor()]
-            while self.accept("|"):
-                ctors.append(self._parse_ctor())
-        finally:
-            self.pending_ind = None
+        ctors = [self._parse_ctor()]
+        while self.accept("|"):
+            ctors.append(self._parse_ctor())
+        self.pending_ind = None
         return InductiveDecl(name, int(num.text), tuple(ctors))
 
     def _parse_ctor(self) -> ConstrDecl:
@@ -494,7 +463,7 @@ def parse_expr_text(text: str, env: GlobalEnv, names: Sequence[str] = ()) -> Exp
 # ---------------------------------------------------------------------------
 # pretty-printing (inverse of the parser on nameless input)
 
-_IDENT_OK = re.compile(r"[A-Za-z_][A-Za-z0-9_']*\Z")
+_IDENT_OK = re.compile(_IDENT)
 
 
 def _global_names(env: Optional[GlobalEnv]) -> frozenset[str]:
@@ -508,7 +477,7 @@ def _global_names(env: Optional[GlobalEnv]) -> frozenset[str]:
 
 
 def _fresh(hint: str, used: set[str], avoid: frozenset[str]) -> str:
-    base = hint if hint and _IDENT_OK.match(hint) and hint not in KEYWORDS else "x"
+    base = hint if hint and _IDENT_OK.fullmatch(hint) and hint not in KEYWORDS else "x"
     cand = base
     n = 0
     while cand in used or cand in avoid or cand in KEYWORDS:
@@ -551,10 +520,6 @@ def pretty_expr(e: Expr, ctx: Sequence[str] = (), env: Optional[GlobalEnv] = Non
     return _pp(e, list(ctx), 0, _global_names(env))
 
 
-def _binder(hint: str, ctx: list[str], avoid: frozenset[str]) -> str:
-    return _fresh(hint, set(ctx), avoid)
-
-
 def _lamdom(ty: Ty, ctx: list[str]) -> str:
     if isinstance(ty, (TArr, TForall)):
         return f"({_pp_ty(ty, ctx, 0)})"
@@ -589,15 +554,15 @@ def _pp(e: Expr, ctx: list[str], prec: int, avoid: frozenset[str]) -> str:
             s = " ".join(parts)
             return f"({s})" if prec >= 1 else s
         case Lam(hint, dom, body):
-            x = _binder(hint, ctx, avoid)
+            x = _fresh(hint, set(ctx), avoid)
             s = f"\\{x} : {_lamdom(dom, ctx)} -> {_pp(body, [x] + ctx, 0, avoid)}"
             return f"({s})" if prec >= 1 else s
         case TyLam(hint, body):
-            x = _binder(hint, ctx, avoid)
+            x = _fresh(hint, set(ctx), avoid)
             s = f"/\\{x} -> {_pp(body, [x] + ctx, 0, avoid)}"
             return f"({s})" if prec >= 1 else s
         case Let(hint, ty, bound, body):
-            x = _binder(hint, ctx, avoid)
+            x = _fresh(hint, set(ctx), avoid)
             bound_s = _pp(bound, ctx, 0, avoid)
             if not _is_spliceable(bound):
                 bound_s = f"({bound_s})"
@@ -607,8 +572,8 @@ def _pp(e: Expr, ctx: list[str], prec: int, avoid: frozenset[str]) -> str:
             )
             return f"({s})" if prec >= 1 else s
         case Fix(f_hint, x_hint, dom, cod, body):
-            f = _binder(f_hint, ctx, avoid)
-            x = _binder(x_hint, [f] + ctx, avoid)
+            f = _fresh(f_hint, set(ctx), avoid)
+            x = _fresh(x_hint, {f, *ctx}, avoid)
             s = (
                 f"fix {f} ({x} : {_pp_ty(dom, ctx, 0)}) : {_pp_ty(cod, ctx, 0)}"
                 f" = {_pp(body, [x, f] + ctx, 0, avoid)}"

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from . import kernel as k
 from .interp import VConstr, VPrim, VTy, Val
 from .lang import (
     App,
@@ -30,7 +29,6 @@ from .lang import (
 )
 from .parser import parse_module
 from .serialize import module_from_json, parse_json
-from .translate import translate_env
 
 
 class ConversionError(Exception):
@@ -109,7 +107,6 @@ class ContractProgram:
 class LoadedContract:
     program: ContractProgram
     env: GlobalEnv
-    kenv: k.KernelEnv
 
 
 def _cf_setup(args: dict) -> Val:
@@ -181,7 +178,7 @@ def contract(name: str) -> LoadedContract:
     if prog is None:
         raise ConversionError(f"unknown contract '{name}'")
     env, _ = load_module(prog.module)
-    return LoadedContract(prog, env, translate_env(env))
+    return LoadedContract(prog, env)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """JSON serialization for the surface AST: types, expressions, inductive
 declarations and modules.
 
-Every variant is encoded as an object with a `tag` field; `from_json` is the
-exact inverse of `to_json` on well-formed data and raises JsonError on
-anything else, including a variable given by name rather than by a
-non-negative de Bruijn index.
+Every variant is encoded as an object with a `tag` field. The library only
+reads this form: each `*_from_json` decodes well-formed data exactly and
+raises JsonError on anything else, including a variable given by name rather
+than by a non-negative de Bruijn index. The encoders it inverts live with the
+tests, in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -94,14 +95,6 @@ def parse_json(text: str, what: str) -> Any:
 # ---------------------------------------------------------------------------
 # primitive values
 
-def prim_to_json(p: PrimVal) -> dict:
-    if isinstance(p, PInt):
-        return {"tag": "PInt", "value": p.value}
-    if isinstance(p, PNat):
-        return {"tag": "PNat", "value": p.value}
-    raise JsonError(f"not a primitive value: {p!r}")
-
-
 def prim_from_json(obj: Any) -> PrimVal:
     t = _tag(obj)
     v = _int(_need(obj, "value"), "literal value")
@@ -116,21 +109,6 @@ def prim_from_json(obj: Any) -> PrimVal:
 
 # ---------------------------------------------------------------------------
 # types
-
-def ty_to_json(ty: Ty) -> dict:
-    match ty:
-        case TVar(ref):
-            return {"tag": "TVar", "index": ref}
-        case TInd(name):
-            return {"tag": "TInd", "name": name}
-        case TForall(hint, body):
-            return {"tag": "TForall", "hint": hint, "body": ty_to_json(body)}
-        case TApp(fn, arg):
-            return {"tag": "TApp", "fn": ty_to_json(fn), "arg": ty_to_json(arg)}
-        case TArr(dom, cod):
-            return {"tag": "TArr", "dom": ty_to_json(dom), "cod": ty_to_json(cod)}
-    raise JsonError(f"not a type: {ty!r}")
-
 
 def ty_from_json(obj: Any) -> Ty:
     t = _tag(obj)
@@ -152,69 +130,10 @@ def ty_from_json(obj: Any) -> Ty:
 # ---------------------------------------------------------------------------
 # expressions
 
-def pat_to_json(p: Pat) -> dict:
-    return {"ctor": p.ctor, "binders": list(p.binders)}
-
-
 def pat_from_json(obj: Any) -> Pat:
     ctor = _str(_need(obj, "ctor"), "pattern constructor")
     binders = _list(_need(obj, "binders"), "pattern binders")
     return Pat(ctor, tuple(_str(b, "pattern binder") for b in binders))
-
-
-def expr_to_json(e: Expr) -> dict:
-    match e:
-        case Var(ref):
-            return {"tag": "Var", "index": ref}
-        case Lam(hint, dom, body):
-            return {
-                "tag": "Lam",
-                "hint": hint,
-                "dom": ty_to_json(dom),
-                "body": expr_to_json(body),
-            }
-        case TyLam(hint, body):
-            return {"tag": "TyLam", "hint": hint, "body": expr_to_json(body)}
-        case Let(hint, ty, bound, body):
-            return {
-                "tag": "Let",
-                "hint": hint,
-                "ty": ty_to_json(ty),
-                "bound": expr_to_json(bound),
-                "body": expr_to_json(body),
-            }
-        case App(fn, arg):
-            return {"tag": "App", "fn": expr_to_json(fn), "arg": expr_to_json(arg)}
-        case Case(scrut, ind, ty_params, ret_ty, branches):
-            return {
-                "tag": "Case",
-                "scrut": expr_to_json(scrut),
-                "ind": ind,
-                "tyParams": [ty_to_json(t) for t in ty_params],
-                "retTy": ty_to_json(ret_ty),
-                "branches": [
-                    {"pat": pat_to_json(p), "body": expr_to_json(b)}
-                    for p, b in branches
-                ],
-            }
-        case Constr(ind, ctor):
-            return {"tag": "Constr", "ind": ind, "ctor": ctor}
-        case Fix(f_hint, x_hint, dom, cod, body):
-            return {
-                "tag": "Fix",
-                "fHint": f_hint,
-                "xHint": x_hint,
-                "dom": ty_to_json(dom),
-                "cod": ty_to_json(cod),
-                "body": expr_to_json(body),
-            }
-        case TyAsExpr(ty):
-            return {"tag": "TyAsExpr", "ty": ty_to_json(ty)}
-        case Const(name):
-            return {"tag": "Const", "name": name}
-        case Lit(value):
-            return {"tag": "Lit", "value": prim_to_json(value)}
-    raise JsonError(f"not an expression: {e!r}")
 
 
 def expr_from_json(obj: Any) -> Expr:

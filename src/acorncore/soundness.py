@@ -139,24 +139,6 @@ def subst_commutes(
     return lhs == rhs
 
 
-def minimal_fuel(genv: GlobalEnv, e: Expr, cap: int = 1_000_000) -> Optional[int]:
-    """Smallest fuel at which evaluation completes (with any result), found
-    by doubling then bisecting. None if `cap` does not suffice."""
-    hi = 1
-    while isinstance(eval_expr(genv, hi, (), e), NotEnoughFuel):
-        hi *= 2
-        if hi > cap:
-            return None
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if isinstance(eval_expr(genv, mid, (), e), NotEnoughFuel):
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
 # ---------------------------------------------------------------------------
 # expression generator
 

@@ -1,13 +1,14 @@
 """Helpers only the tests use: value builders, fold and map-sum checks run
-through the interpreter, a scenario for the counter contract, the trace
-generator that `chainsim.gen_trace` is checked against, the inverses of
-`serialize.module_from_json` and `serialize.decl_from_json`, and the
-structural closedness walk that `kernel.term_bound` is checked against."""
+through the interpreter, the minimal fuel search, a scenario for the counter
+contract, the trace generator that `chainsim.gen_trace` is checked against,
+the JSON encoders that `serialize`'s readers invert, the kernel application
+builder, and the structural closedness walk that `kernel.term_bound` is
+checked against."""
 
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from typing import Optional, Sequence
 
 from acorncore import kernel as k
 from acorncore.chainsim import (
@@ -31,13 +32,29 @@ from acorncore.chainsim import (
 from acorncore.interp import Ok, VConstr, VPrim, VTy, Val, eval_expr
 from acorncore.lang import (
     App,
+    Case,
     Const,
+    Constr,
+    Expr,
+    Fix,
     GlobalEnv,
     InductiveDecl,
+    Lam,
+    Let,
     Lit,
+    NotEnoughFuel,
     PInt,
+    PNat,
+    Pat,
+    PrimVal,
+    TApp,
+    TArr,
+    TForall,
+    TInd,
+    TVar,
     Ty,
     TyAsExpr,
+    TyLam,
     Var,
     mk_app,
 )
@@ -50,7 +67,7 @@ from acorncore.programs import (
     nat_val,
     val_to_int,
 )
-from acorncore.serialize import expr_to_json, ty_to_json
+from acorncore.serialize import JsonError
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +162,27 @@ def deep_sum_map(genv: GlobalEnv, v: Val, fuel: int = 10_000) -> int:
 
 
 # ---------------------------------------------------------------------------
+# fuel
+
+def minimal_fuel(genv: GlobalEnv, e: Expr, cap: int = 1_000_000) -> Optional[int]:
+    """Smallest fuel at which evaluation completes (with any result), found
+    by doubling then bisecting. None if `cap` does not suffice."""
+    hi = 1
+    while isinstance(eval_expr(genv, hi, (), e), NotEnoughFuel):
+        hi *= 2
+        if hi > cap:
+            return None
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if isinstance(eval_expr(genv, mid, (), e), NotEnoughFuel):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+# ---------------------------------------------------------------------------
 # chain scenarios
 
 def counter_scenario(start: int = 0) -> Scenario:
@@ -211,6 +249,88 @@ def pretty_ty(ty: Ty, ctx: Sequence[str] = ()) -> str:
     return _pp_ty(ty, list(ctx), 0)
 
 
+def prim_to_json(p: PrimVal) -> dict:
+    if isinstance(p, PInt):
+        return {"tag": "PInt", "value": p.value}
+    if isinstance(p, PNat):
+        return {"tag": "PNat", "value": p.value}
+    raise JsonError(f"not a primitive value: {p!r}")
+
+
+def ty_to_json(ty: Ty) -> dict:
+    match ty:
+        case TVar(ref):
+            return {"tag": "TVar", "index": ref}
+        case TInd(name):
+            return {"tag": "TInd", "name": name}
+        case TForall(hint, body):
+            return {"tag": "TForall", "hint": hint, "body": ty_to_json(body)}
+        case TApp(fn, arg):
+            return {"tag": "TApp", "fn": ty_to_json(fn), "arg": ty_to_json(arg)}
+        case TArr(dom, cod):
+            return {"tag": "TArr", "dom": ty_to_json(dom), "cod": ty_to_json(cod)}
+    raise JsonError(f"not a type: {ty!r}")
+
+
+def pat_to_json(p: Pat) -> dict:
+    return {"ctor": p.ctor, "binders": list(p.binders)}
+
+
+def expr_to_json(e: Expr) -> dict:
+    match e:
+        case Var(ref):
+            return {"tag": "Var", "index": ref}
+        case Lam(hint, dom, body):
+            return {
+                "tag": "Lam",
+                "hint": hint,
+                "dom": ty_to_json(dom),
+                "body": expr_to_json(body),
+            }
+        case TyLam(hint, body):
+            return {"tag": "TyLam", "hint": hint, "body": expr_to_json(body)}
+        case Let(hint, ty, bound, body):
+            return {
+                "tag": "Let",
+                "hint": hint,
+                "ty": ty_to_json(ty),
+                "bound": expr_to_json(bound),
+                "body": expr_to_json(body),
+            }
+        case App(fn, arg):
+            return {"tag": "App", "fn": expr_to_json(fn), "arg": expr_to_json(arg)}
+        case Case(scrut, ind, ty_params, ret_ty, branches):
+            return {
+                "tag": "Case",
+                "scrut": expr_to_json(scrut),
+                "ind": ind,
+                "tyParams": [ty_to_json(t) for t in ty_params],
+                "retTy": ty_to_json(ret_ty),
+                "branches": [
+                    {"pat": pat_to_json(p), "body": expr_to_json(b)}
+                    for p, b in branches
+                ],
+            }
+        case Constr(ind, ctor):
+            return {"tag": "Constr", "ind": ind, "ctor": ctor}
+        case Fix(f_hint, x_hint, dom, cod, body):
+            return {
+                "tag": "Fix",
+                "fHint": f_hint,
+                "xHint": x_hint,
+                "dom": ty_to_json(dom),
+                "cod": ty_to_json(cod),
+                "body": expr_to_json(body),
+            }
+        case TyAsExpr(ty):
+            return {"tag": "TyAsExpr", "ty": ty_to_json(ty)}
+        case Const(name):
+            return {"tag": "Const", "name": name}
+        case Lit(value):
+            return {"tag": "Lit", "value": prim_to_json(value)}
+    raise JsonError(f"not an expression: {e!r}")
+
+
 def decl_to_json(d: InductiveDecl) -> dict:
     return {
         "name": d.name,
@@ -238,7 +358,13 @@ def module_to_json(env: GlobalEnv, own_inductives, defs) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# kernel closedness
+# kernel terms
+
+def kernel_app(fn: k.Term, *args: k.Term) -> k.Term:
+    for a in args:
+        fn = k.App(fn, a)
+    return fn
+
 
 def term_closed_under(n: int, t: k.Term) -> bool:
     """Every free index of `t` is below `n`, by a full walk."""

@@ -44,10 +44,10 @@ from acorncore.programs import (
     val_to_int,
     val_to_nat,
 )
-from acorncore.soundness import corpus_files, gen_expr, minimal_fuel, run_corpus
+from acorncore.soundness import corpus_files, gen_expr, run_corpus
 from acorncore.translate import decl_to_kernel, expr_to_term, translate_env
 
-from oracles import deep_foldr_int, foldr_concat_check, int_val
+from oracles import deep_foldr_int, foldr_concat_check, int_val, minimal_fuel
 
 FUEL = 10_000
 GEN_COUNT = 1_000
@@ -323,7 +323,8 @@ def test_a10_refund_donation_record_and_post_collection_claim_scenarios():
 
 def test_a11_counter_messages_shift_the_balance_in_both_evaluators():
     loaded = contract("counter")
-    genv, kenv = loaded.env, loaded.kenv
+    genv = loaded.env
+    kenv = translate_env(genv)
     rng = random.Random(1101)
     for _ in range(30):
         n = rng.randint(-200, 200)

@@ -301,6 +301,21 @@ def test_chain_missing_scenario(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["chain", "--blocks", "0"], "argument --blocks: must be at least 1, got 0"),
+        (["chain", "--blocks", "-3"], "argument --blocks: must be at least 1, got -3"),
+        (["diff-eval", "--gen", "-5"], "argument --gen: must be at least 0, got -5"),
+    ],
+)
+def test_counts_below_their_minimum_are_usage_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize(
     "text, message",
     [
         ('{"actors": [[1, 100]', "is not valid JSON"),

@@ -47,8 +47,9 @@ from acorncore.lang import (
     ty_app,
 )
 from acorncore.programs import corpus_dir, int_list_expr, load_module, stdlib_env
-from acorncore.soundness import corpus_files, minimal_fuel
+from acorncore.soundness import corpus_files
 
+from oracles import minimal_fuel
 from test_validate import (
     corpus_definitions,
     environments,

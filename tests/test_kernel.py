@@ -22,7 +22,6 @@ from acorncore.kernel import (
     Term,
     cbv_eval,
     lift,
-    mk_app,
     parallel_subst,
     pretty_term,
     spine_view,
@@ -35,7 +34,7 @@ from acorncore.programs import corpus_dir, load_module, stdlib_env
 from acorncore.soundness import corpus_files, gen_expr
 from acorncore.translate import expr_to_term, translate_env
 
-from oracles import term_closed_under
+from oracles import kernel_app as mk_app, term_closed_under
 
 GENV = stdlib_env()
 KENV = translate_env(GENV)

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from acorncore.lang import (
@@ -198,6 +200,18 @@ def test_input_nested_past_the_recursion_limit_is_a_parse_error():
         parse_module(f"def x = {deep}\n", stdlib_env())
     with pytest.raises(ParseError, match="input nested too deeply"):
         parse_module("type T = " + "(" * 3000 + "Int" + ")" * 3000 + "\n", stdlib_env())
+
+
+@pytest.mark.parametrize("binder", ["let x : Int = 1z in ", r"\x : Int -> "])
+def test_binder_chains_800_deep_parse_at_the_default_recursion_limit(binder):
+    # Under pytest the deepest chain that parses is about 950. A binder
+    # that cost the parser a second frame would halve that.
+    assert sys.getrecursionlimit() == 1000
+    e = parse(binder * 800 + "x")
+    for _ in range(800):
+        assert isinstance(e, (Let, Lam))
+        e = e.body
+    assert e == Var(0)
 
 
 def test_keywords_not_usable_as_binders():

@@ -28,6 +28,7 @@ from acorncore.programs import (
     val_to_int,
     val_to_nat,
 )
+from acorncore.translate import translate_env
 
 from oracles import (
     bool_val,
@@ -108,7 +109,7 @@ def test_registry_entries_load_and_expose_entry_points():
         assert lc.program is prog
         assert prog.init_name in lc.env.constants
         assert prog.receive_name in lc.env.constants
-        assert prog.init_name in lc.kenv.constants
+        assert prog.init_name in translate_env(lc.env).constants
 
 
 def test_contract_is_cached():

@@ -29,15 +29,12 @@ from acorncore.serialize import (
     JsonError,
     decl_from_json,
     expr_from_json,
-    expr_to_json,
     module_from_json,
     prim_from_json,
-    prim_to_json,
     ty_from_json,
-    ty_to_json,
 )
 
-from oracles import decl_to_json, module_to_json
+from oracles import decl_to_json, expr_to_json, module_to_json, prim_to_json, ty_to_json
 
 
 def test_prim_round_trip():

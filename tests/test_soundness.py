@@ -39,13 +39,12 @@ from acorncore.soundness import (
     corpus_files,
     diff_check,
     gen_expr,
-    minimal_fuel,
     run_corpus,
     subst_commutes,
 )
 from acorncore.translate import expr_to_term, translate_env
 
-from oracles import int_val
+from oracles import int_val, minimal_fuel
 
 GENV = stdlib_env()
 KENV = translate_env(GENV)

@@ -47,6 +47,8 @@ from acorncore.translate import (
     ty_to_term,
 )
 
+from oracles import kernel_app
+
 GENV = stdlib_env()
 
 INT = TInd("Int")
@@ -290,7 +292,7 @@ def test_translate_env_names_the_offending_constant():
 def test_translated_fold_runs_in_the_kernel():
     kenv = translate_env(GENV)
     xs = expr_to_term(GENV, int_list_expr([1, 2, 3, 4]))
-    t = k.mk_app(
+    t = kernel_app(
         k.Const("foldr"), K_INT, K_INT, k.Const("addInt"), k.PrimLit(PInt(0)), xs
     )
     assert k.cbv_eval(kenv, 10_000, t) == Ok(k.PrimLit(PInt(10)))
