@@ -17,7 +17,8 @@ types and expressions alike, as `lang.footprint` does. Constructors resolve
 through the one table `GlobalEnv.constrs`. A constant whose body is a value
 form (`_VALUE_FORMS`) is evaluated once per `GlobalEnv` and its result kept
 in `GlobalEnv.const_values`; a later reference returns it whenever the body
-would have had fuel to run.
+would have had fuel to run. A `VConstr` keeps its hash once computed, for the
+call memo in `chainsim`.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from .lang import (
 # values
 
 class Val:
-    __slots__ = ("_expr",)  # the read-back; see `lang.Ty`
+    __slots__ = ("_expr", "_hash")  # the read-back and the hash; see `lang.Ty`
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,6 +71,15 @@ class VConstr(Val):
     ind: str
     ctor: str
     args: tuple[Val, ...] = ()
+
+    def __hash__(self) -> int:
+        # `chainsim` hashes every contract call's arguments; a new state
+        # mostly reuses the nodes of the one before, whose hashes are kept
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash((self.ind, self.ctor, self.args))
+            object.__setattr__(self, "_hash", h)
+        return h
 
 
 @dataclass(frozen=True, slots=True)

@@ -9,7 +9,7 @@ evaluation results with.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -17,7 +17,9 @@ from .interp import VConstr, VPrim, VTy, Val
 from .lang import (
     App,
     BUILTINS,
+    Const,
     Constr,
+    EvalResult,
     Expr,
     GlobalEnv,
     Lit,
@@ -25,6 +27,7 @@ from .lang import (
     PNat,
     TInd,
     TyAsExpr,
+    Var,
     mk_app,
 )
 from .parser import parse_module
@@ -105,8 +108,15 @@ class ContractProgram:
 
 @dataclass
 class LoadedContract:
+    """A contract program on its loaded module. `entries` maps each entry
+    point's name to its application to the first indices of the environment
+    it is called in (`init #0 #1 #2`, `receive #0 #1 #2 #3`); `calls` keeps
+    results of such calls, for `chainsim` to read and fill."""
+
     program: ContractProgram
     env: GlobalEnv
+    entries: dict[str, Expr]
+    calls: dict[tuple, EvalResult] = field(default_factory=dict, repr=False, compare=False)
 
 
 def _cf_setup(args: dict) -> Val:
@@ -178,7 +188,11 @@ def contract(name: str) -> LoadedContract:
     if prog is None:
         raise ConversionError(f"unknown contract '{name}'")
     env, _ = load_module(prog.module)
-    return LoadedContract(prog, env)
+    entries = {
+        entry: mk_app(Const(entry), *map(Var, range(arity)))
+        for entry, arity in ((prog.init_name, 3), (prog.receive_name, 4))
+    }
+    return LoadedContract(prog, env, entries)
 
 
 # ---------------------------------------------------------------------------

@@ -40,10 +40,12 @@ from acorncore.chainsim import (
     replay,
     scenario_from_json,
 )
-from acorncore.interp import VConstr
+from acorncore.interp import VConstr, eval_expr
+from acorncore.lang import Const, EvalError, NotEnoughFuel, Ok, Var, mk_app
 from acorncore.programs import (
     CONTRACTS,
     constr_payload,
+    contract,
     map_entries,
     nat_val,
     val_to_int,
@@ -52,6 +54,7 @@ from acorncore.programs import (
 
 from oracles import (
     bool_val,
+    clear_call_memos,
     counter_scenario,
     funded_outcome,
     gen_trace_by_retries,
@@ -367,6 +370,12 @@ def test_gen_trace_runs_each_generated_action_once(monkeypatch):
         assert counts == {"actions": generated, "blocks": 1}, seed
 
 
+@pytest.mark.parametrize("blocks", [0, -3])
+def test_gen_trace_needs_at_least_one_block(blocks):
+    with pytest.raises(ValueError, match=f"at least 1 block, got {blocks}"):
+        gen_trace(7, blocks, crowdfunding_scenario())
+
+
 def test_gen_trace_slots_advance_across_accepted_steps():
     # rejected headers never enter the chain, so only the accepted ones
     # have to climb
@@ -439,6 +448,88 @@ def test_check_invariants_replays_once_for_all_invariants(monkeypatch):
         assert check_invariants(t, invs) == vs
         assert check_invariants(t, invs, states=replay(t)) == vs
     assert len(replays) == len(traces)
+
+
+# ---------------------------------------------------------------------------
+# kept entry-point calls
+
+def test_a_kept_call_result_equals_a_cold_evaluation(monkeypatch):
+    call_entry = chainsim._call_entry
+    kinds = {"calls": 0, "hits": 0}
+
+    def checked(loaded, entry, fuel, rho):
+        kinds["hits"] += (entry, fuel, rho) in loaded.calls
+        kinds["calls"] += 1
+        r = call_entry(loaded, entry, fuel, rho)
+        # the entry point applied to the environment, built here afresh
+        cold = eval_expr(loaded.env, fuel, rho, mk_app(Const(entry), *map(Var, range(len(rho)))))
+        assert r == cold, (loaded.program.name, entry, rho)
+        return r
+
+    clear_call_memos()
+    monkeypatch.setattr(chainsim, "_call_entry", checked)
+    for scenario in GEN_SCENARIOS:
+        for seed in range(10):
+            replay(gen_trace(seed, 20, scenario))
+    # generation misses and replay hits, so both sides were compared
+    assert 0 < kinds["hits"] < kinds["calls"]
+
+
+def test_replay_after_gen_trace_evaluates_no_call(monkeypatch):
+    evaluated = []
+    evaluate = chainsim.eval_expr
+
+    def counting(*args):
+        evaluated.append(args[2])
+        return evaluate(*args)
+
+    clear_call_memos()
+    monkeypatch.setattr(chainsim, "eval_expr", counting)
+    for scenario in GEN_SCENARIOS:
+        for seed in (0, 3, 7):
+            t = gen_trace(seed, 20, scenario)
+            assert evaluated, "generation meets calls it has not made before"
+            evaluated.clear()
+            replay(t)
+            assert evaluated == [], (scenario.deploys[0].contract, seed)
+
+
+def test_errors_are_kept_and_logged_as_evaluated(monkeypatch):
+    # 5 units of fuel cannot run init; the shortfall is kept like a value
+    clear_call_memos()
+    st = genesis({1: 0})
+    new, log = add_block(st, BlockHeader(1), [Deploy(1, "counter", int_val(0), 0)], fuel=5)
+    assert new is None and log == ["init of 'counter' failed: NotEnoughFuel()"]
+    (kept,) = contract("counter").calls.values()
+    assert isinstance(kept, NotEnoughFuel)
+    monkeypatch.setattr(chainsim, "eval_expr", lambda *a: EvalError("evaluated again"))
+    assert add_block(st, BlockHeader(1), [Deploy(1, "counter", int_val(0), 0)], fuel=5) == (None, log)
+    # another fuel is another call
+    new, log = add_block(st, BlockHeader(1), [Deploy(1, "counter", int_val(0), 0)], fuel=6)
+    assert log == ["init of 'counter' failed: EvalError(reason='evaluated again')"]
+
+
+def test_arguments_too_deep_to_hash_are_evaluated_and_not_kept():
+    # a ledger of 3,000 donations nests deeper than hashing it can recurse
+    clear_call_memos()
+    ledger = _cf_state(3000, [(1 + i % 3, 1) for i in range(3000)])
+    st = ChainState(5, {2: 10, CF: 3000}, {CF: DeployedContract("crowdfunding", ledger)}, CF + 1)
+    new, log = add_block(st, BlockHeader(6), [Call(2, CF, VConstr("Msg", "Donate"), 7)])
+    assert new is not None, log
+    assert cf_state_fields(new.contracts[CF].state)[0] == 3007
+    assert not contract("crowdfunding").calls
+
+
+def test_the_call_memo_keeps_at_most_its_cap_and_drops_the_oldest(monkeypatch):
+    monkeypatch.setattr(chainsim, "CALL_MEMO_CAP", 3)
+    clear_call_memos()
+    st = genesis({1: 0})
+    for start in range(5):
+        new, _ = add_block(st, BlockHeader(1), [Deploy(1, "counter", int_val(start), 0)])
+        assert new is not None
+    kept = contract("counter").calls
+    assert [rho[2] for _, _, rho in kept] == [int_val(2), int_val(3), int_val(4)]
+    assert all(type(r) is Ok for r in kept.values())
 
 
 def _cf_state(balance, pairs, done=False, goal=60):
