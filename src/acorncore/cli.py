@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success; 1 for failures in the checked artifact (ill-formed
-module, evaluation error, evaluator disagreement, violated invariant);
+module, evaluation error, evaluator disagreement, violated invariant, a
+program or value nested past Python's recursion limit);
 2 for unusable input (unreadable file, syntax error, bad JSON, bad usage).
 """
 
@@ -228,6 +229,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except (LangError, TranslateError, ChainError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        # the evaluators and walkers recurse once per level of the program
+        # or value; a deeper one cannot be handled at this limit
+        print(
+            "error: nesting too deep for Python's recursion limit"
+            f" ({sys.getrecursionlimit()})",
+            file=sys.stderr,
+        )
         return 1
 
 

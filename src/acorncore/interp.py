@@ -428,51 +428,61 @@ def subst_env_expr(rho: Sequence[Expr], e: Expr) -> Optional[Expr]:
 # `_subst` never fails: its callers have checked with the footprint that every
 # free index is non-negative and that each one in a type position lands on a
 # type entry, a `TyAsExpr` (`subst_env_expr`) or a `VTy` (`eval_type`), whose
-# payload is closed.
+# payload is closed. The footprint is read inline, as `kernel._subst` reads
+# the bound, and computed only when missing.
 
 def _subst(
     rho: Sequence[Union[Expr, Val]], depth: int, node: Union[Ty, Expr]
 ) -> Union[Ty, Expr]:
-    if footprint(node)[0] <= depth:
+    fp = getattr(node, "_fp", None)
+    if fp is None:
+        fp = footprint(node)
+    if fp[0] <= depth:
         return node
-    match node:
-        case Var(ref):
-            j = ref - depth
-            return rho[j] if j < len(rho) else Var(ref - len(rho))
-        case Lam(hint, dom, body):
-            return Lam(hint, _subst(rho, depth, dom), _subst(rho, depth + 1, body))
-        case TyLam(hint, body) | TForall(hint, body):
-            return type(node)(hint, _subst(rho, depth + 1, body))
-        case Let(hint, ty, bound, body):
-            return Let(
-                hint,
-                _subst(rho, depth, ty),
-                _subst(rho, depth, bound),
-                _subst(rho, depth + 1, body),
-            )
-        case App(fn, arg) | TApp(fn, arg) | TArr(fn, arg):
-            return type(node)(_subst(rho, depth, fn), _subst(rho, depth, arg))
-        case Case(scrut, ind, ty_params, ret_ty, branches):
-            return Case(
-                _subst(rho, depth, scrut),
-                ind,
-                tuple(_subst(rho, depth, tp) for tp in ty_params),
-                _subst(rho, depth, ret_ty),
-                tuple((p, _subst(rho, depth + len(p.binders), b)) for p, b in branches),
-            )
-        case Fix(f_hint, x_hint, dom, cod, body):
-            return Fix(
-                f_hint,
-                x_hint,
-                _subst(rho, depth, dom),
-                _subst(rho, depth, cod),
-                _subst(rho, depth + 2, body),
-            )
-        case TyAsExpr(ty):
-            return TyAsExpr(_subst(rho, depth, ty))
-        case TVar(ref):
-            j = ref - depth
-            return rho[j].ty if j < len(rho) else TVar(ref - len(rho))
+    c = type(node)
+    if c is App or c is TApp:
+        return c(_subst(rho, depth, node.fn), _subst(rho, depth, node.arg))
+    if c is Var:
+        j = node.ref - depth
+        return rho[j] if j < len(rho) else Var(node.ref - len(rho))
+    if c is TVar:
+        j = node.ref - depth
+        return rho[j].ty if j < len(rho) else TVar(node.ref - len(rho))
+    if c is Case:
+        return Case(
+            _subst(rho, depth, node.scrut),
+            node.ind,
+            tuple(_subst(rho, depth, tp) for tp in node.ty_params),
+            _subst(rho, depth, node.ret_ty),
+            tuple(
+                (p, _subst(rho, depth + len(p.binders), b)) for p, b in node.branches
+            ),
+        )
+    if c is Lam:
+        return Lam(
+            node.hint, _subst(rho, depth, node.dom), _subst(rho, depth + 1, node.body)
+        )
+    if c is TArr:
+        return TArr(_subst(rho, depth, node.dom), _subst(rho, depth, node.cod))
+    if c is Fix:
+        return Fix(
+            node.f_hint,
+            node.x_hint,
+            _subst(rho, depth, node.dom),
+            _subst(rho, depth, node.cod),
+            _subst(rho, depth + 2, node.body),
+        )
+    if c is Let:
+        return Let(
+            node.hint,
+            _subst(rho, depth, node.ty),
+            _subst(rho, depth, node.bound),
+            _subst(rho, depth + 1, node.body),
+        )
+    if c is TyAsExpr:
+        return TyAsExpr(_subst(rho, depth, node.ty))
+    if c is TyLam or c is TForall:
+        return c(node.hint, _subst(rho, depth + 1, node.body))
     raise TypeError(f"not a type or expression: {node!r}")
 
 
@@ -490,35 +500,27 @@ def from_val(v: Val) -> Optional[Expr]:
     if hit is not None:
         return None if hit is _NO_READBACK else hit
     e: Optional[Expr]
-    match v:
-        case VConstr(ind, ctor, args):
-            e = Constr(ind, ctor)
-            for a in args:
-                fa = from_val(a)
-                if fa is None:
-                    e = None
-                    break
-                e = App(e, fa)
-        case VClosLam(env, hint, dom, body):
-            e = close_env(env, Lam(hint, dom, body))
-        case VClosFix(env, f_hint, x_hint, dom, cod, body):
-            e = close_env(env, Fix(f_hint, x_hint, dom, cod, body))
-        case VTyClos(env, hint, body):
-            e = close_env(env, TyLam(hint, body))
-        case VTy(ty):
-            e = TyAsExpr(ty)
-        case VPrim(p):
-            e = Lit(p)
-        case VBuiltin(name, args):
-            e = Const(name)
-            for a in args:
-                fa = from_val(a)
-                if fa is None:
-                    e = None
-                    break
-                e = App(e, fa)
-        case _:
-            raise TypeError(f"not a value: {v!r}")
+    c = type(v)
+    if c is VConstr or c is VBuiltin:
+        e = Constr(v.ind, v.ctor) if c is VConstr else Const(v.name)
+        for a in v.args:
+            fa = from_val(a)
+            if fa is None:
+                e = None
+                break
+            e = App(e, fa)
+    elif c is VPrim:
+        e = Lit(v.prim)
+    elif c is VTy:
+        e = TyAsExpr(v.ty)
+    elif c is VClosFix:
+        e = close_env(v.env, Fix(v.f_hint, v.x_hint, v.dom, v.cod, v.body))
+    elif c is VClosLam:
+        e = close_env(v.env, Lam(v.hint, v.dom, v.body))
+    elif c is VTyClos:
+        e = close_env(v.env, TyLam(v.hint, v.body))
+    else:
+        raise TypeError(f"not a value: {v!r}")
     object.__setattr__(v, "_expr", _NO_READBACK if e is None else e)
     return e
 

@@ -3,7 +3,9 @@ parallel substitution and a fuel-limited call-by-value normalizer.
 
 This side of the pipeline is substitution-based and nameless throughout; it
 serves as the independent second semantics the differential harness compares
-the environment-passing interpreter against.
+the environment-passing interpreter against. `term_bound`, `_subst` and
+`cbv_eval` dispatch on the exact node class with an `is` chain ordered by how
+often each class is met, as `interp.py`'s evaluator does.
 """
 
 from __future__ import annotations
@@ -138,30 +140,30 @@ def term_bound(t: Term) -> int:
     b = getattr(t, "_bound", None)
     if b is not None:
         return b
-    match t:
-        case Rel(i):
-            b = max(i + 1, 0)
-        case Lambda(_, dom, body):
-            b = max(term_bound(dom), term_bound(body) - 1)
-        case App(fn, arg):
-            b = max(term_bound(fn), term_bound(arg))
-        case LetIn(_, ty, bound, body):
-            b = max(term_bound(ty), term_bound(bound), term_bound(body) - 1)
-        case Match(_, _, tps, ret, scrut, branches):
-            b = max(
-                term_bound(ret) - 1,
-                term_bound(scrut),
-                *map(term_bound, tps),
-                *(term_bound(br) for _, br in branches),
-            )
-        case Fix(_, fty, body):
-            b = max(term_bound(fty), term_bound(body) - 1)
-        case Prod(_, dom, cod):
-            b = max(term_bound(dom), term_bound(cod) - 1)
-        case Const() | Ind() | Construct() | SortSet() | PrimLit():
-            b = 0
-        case _:
-            raise TypeError(f"not a kernel term: {t!r}")
+    c = type(t)
+    if c is App:
+        b = max(term_bound(t.fn), term_bound(t.arg))
+    elif c is Lambda:
+        b = max(term_bound(t.dom), term_bound(t.body) - 1)
+    elif c is PrimLit or c is Construct or c is Const or c is Ind or c is SortSet:
+        b = 0
+    elif c is Match:
+        b = max(
+            term_bound(t.ret_ty) - 1,
+            term_bound(t.scrut),
+            *map(term_bound, t.ty_params),
+            *(term_bound(br) for _, br in t.branches),
+        )
+    elif c is Prod:
+        b = max(term_bound(t.dom), term_bound(t.cod) - 1)
+    elif c is Rel:
+        b = max(t.index + 1, 0)
+    elif c is Fix:
+        b = max(term_bound(t.fty), term_bound(t.body) - 1)
+    elif c is LetIn:
+        b = max(term_bound(t.ty), term_bound(t.bound), term_bound(t.body) - 1)
+    else:
+        raise TypeError(f"not a kernel term: {t!r}")
     object.__setattr__(t, "_bound", b)
     return b
 
@@ -186,34 +188,40 @@ def _subst(ts: tuple[Term, ...], shift: int, k: int, t: Term) -> Term:
         b = term_bound(t)
     if b <= k:
         return t
-    match t:
-        case Rel(i):
-            j = i - k
-            return lift(k, 0, ts[j]) if j < len(ts) else Rel(i - len(ts) + shift)
-        case Lambda(h, dom, body):
-            return Lambda(h, _subst(ts, shift, k, dom), _subst(ts, shift, k + 1, body))
-        case App(fn, arg):
-            return App(_subst(ts, shift, k, fn), _subst(ts, shift, k, arg))
-        case LetIn(h, ty, bound, body):
-            return LetIn(
-                h,
-                _subst(ts, shift, k, ty),
-                _subst(ts, shift, k, bound),
-                _subst(ts, shift, k + 1, body),
-            )
-        case Match(ind, p, tps, ret, scrut, branches):
-            return Match(
-                ind,
-                p,
-                tuple(_subst(ts, shift, k, x) for x in tps),
-                _subst(ts, shift, k + 1, ret),
-                _subst(ts, shift, k, scrut),
-                tuple((a, _subst(ts, shift, k, b)) for a, b in branches),
-            )
-        case Fix(h, fty, body):
-            return Fix(h, _subst(ts, shift, k, fty), _subst(ts, shift, k + 1, body))
-        case Prod(h, dom, cod):
-            return Prod(h, _subst(ts, shift, k, dom), _subst(ts, shift, k + 1, cod))
+    c = type(t)
+    if c is Rel:
+        i = t.index
+        j = i - k
+        if j < len(ts):
+            # the lift, inline: `lift(k, 0, ts[j])` costs a frame more
+            return ts[j] if k == 0 else _subst((), k, 0, ts[j])
+        return Rel(i - len(ts) + shift)
+    if c is App:
+        return App(_subst(ts, shift, k, t.fn), _subst(ts, shift, k, t.arg))
+    if c is Lambda:
+        return Lambda(
+            t.hint, _subst(ts, shift, k, t.dom), _subst(ts, shift, k + 1, t.body)
+        )
+    if c is Match:
+        return Match(
+            t.ind,
+            t.n_params,
+            tuple(_subst(ts, shift, k, x) for x in t.ty_params),
+            _subst(ts, shift, k + 1, t.ret_ty),
+            _subst(ts, shift, k, t.scrut),
+            tuple((a, _subst(ts, shift, k, br)) for a, br in t.branches),
+        )
+    if c is Prod:
+        return Prod(t.hint, _subst(ts, shift, k, t.dom), _subst(ts, shift, k + 1, t.cod))
+    if c is LetIn:
+        return LetIn(
+            t.hint,
+            _subst(ts, shift, k, t.ty),
+            _subst(ts, shift, k, t.bound),
+            _subst(ts, shift, k + 1, t.body),
+        )
+    if c is Fix:
+        return Fix(t.hint, _subst(ts, shift, k, t.fty), _subst(ts, shift, k + 1, t.body))
     raise TypeError(f"not a kernel term: {t!r}")
 
 
@@ -292,59 +300,64 @@ def cbv_eval(kenv: KernelEnv, fuel: int, t: Term) -> EvalResult:
     if fuel <= 0:
         return NOT_ENOUGH_FUEL
     n = fuel - 1
-    match t:
-        case Rel(i):
-            return EvalError(f"unbound index {i} in kernel evaluation")
-        case Lambda() | Prod() | SortSet() | PrimLit() | Ind() | Construct() | Fix():
+    c = type(t)
+    if c is App:
+        mark = getattr(t, "_mark", None)
+        if mark is not None and mark[0] is kenv:
+            return Ok(t) if fuel >= mark[1] else NOT_ENOUGH_FUEL
+        ra = cbv_eval(kenv, n, t.arg)
+        if not isinstance(ra, Ok):
+            return ra
+        rf = cbv_eval(kenv, n, t.fn)
+        if not isinstance(rf, Ok):
+            return rf
+        return _apply(kenv, n, rf.value, ra.value)
+    if c is PrimLit or c is Construct:
+        return Ok(t)
+    if c is Const:
+        name = t.name
+        if name in kenv.builtins:
             return Ok(t)
-        case Const(name):
-            if name in kenv.builtins:
-                return Ok(t)
-            body = kenv.constants.get(name)
-            if body is None:
-                return EvalError(f"unknown constant '{name}'")
-            return cbv_eval(kenv, n, body)
-        case LetIn(_, _, bound, body):
-            r = cbv_eval(kenv, n, bound)
-            if not isinstance(r, Ok):
-                return r
-            return cbv_eval(kenv, n, subst1(r.value, body))
-        case App(fn, arg):
-            mark = getattr(t, "_mark", None)
-            if mark is not None and mark[0] is kenv:
-                return Ok(t) if fuel >= mark[1] else NOT_ENOUGH_FUEL
-            ra = cbv_eval(kenv, n, arg)
-            if not isinstance(ra, Ok):
-                return ra
-            rf = cbv_eval(kenv, n, fn)
-            if not isinstance(rf, Ok):
-                return rf
-            return _apply(kenv, n, rf.value, ra.value)
-        case Match(ind, n_params, _, _, scrut, branches):
-            r = cbv_eval(kenv, n, scrut)
-            if not isinstance(r, Ok):
-                return r
-            head, spine = spine_view(r.value)
-            if not isinstance(head, Construct):
-                return EvalError("match on a non-constructor value")
-            if head.ind != ind:
-                return EvalError(
-                    f"scrutinee of '{head.ind}' matched against '{ind}'"
-                )
-            if head.ctor_idx >= len(branches):
-                return EvalError(f"no branch for constructor {head.ctor_idx} of '{ind}'")
-            arity, body = branches[head.ctor_idx]
-            drop = len(spine) - arity
-            if drop < 0 or drop > n_params:
-                return EvalError("constructor argument count does not fit the branch")
-            if not all(_type_like(a) for a in spine[:drop]):
-                return EvalError("non-type argument in the parameter prefix")
-            cur = body
-            for a in spine[drop:]:
-                if not isinstance(cur, Lambda):
-                    return EvalError("branch shape does not match its arity")
-                cur = subst1(a, cur.body)
-            return cbv_eval(kenv, n, cur)
+        body = kenv.constants.get(name)
+        if body is None:
+            return EvalError(f"unknown constant '{name}'")
+        return cbv_eval(kenv, n, body)
+    if c is Match:
+        r = cbv_eval(kenv, n, t.scrut)
+        if not isinstance(r, Ok):
+            return r
+        head, spine = spine_view(r.value)
+        ind = t.ind
+        if not isinstance(head, Construct):
+            return EvalError("match on a non-constructor value")
+        if head.ind != ind:
+            return EvalError(
+                f"scrutinee of '{head.ind}' matched against '{ind}'"
+            )
+        branches = t.branches
+        if head.ctor_idx >= len(branches):
+            return EvalError(f"no branch for constructor {head.ctor_idx} of '{ind}'")
+        arity, body = branches[head.ctor_idx]
+        drop = len(spine) - arity
+        if drop < 0 or drop > t.n_params:
+            return EvalError("constructor argument count does not fit the branch")
+        if not all(_type_like(a) for a in spine[:drop]):
+            return EvalError("non-type argument in the parameter prefix")
+        cur = body
+        for a in spine[drop:]:
+            if not isinstance(cur, Lambda):
+                return EvalError("branch shape does not match its arity")
+            cur = subst1(a, cur.body)
+        return cbv_eval(kenv, n, cur)
+    if c is Lambda or c is Ind or c is Fix or c is Prod or c is SortSet:
+        return Ok(t)
+    if c is LetIn:
+        r = cbv_eval(kenv, n, t.bound)
+        if not isinstance(r, Ok):
+            return r
+        return cbv_eval(kenv, n, subst1(r.value, t.body))
+    if c is Rel:
+        return EvalError(f"unbound index {t.index} in kernel evaluation")
     raise TypeError(f"not a kernel term: {t!r}")
 
 

@@ -349,37 +349,46 @@ def _join(*fps: Footprint) -> Footprint:
 def footprint(node: Union[Ty, Expr]) -> Footprint:
     """Free-index footprint of a type or expression (see `Footprint`). The
     node's class tells the position: a `TVar` is a type position and a `Var`
-    is not."""
+    is not. Dispatch is on the exact class, with an `is` chain ordered by how
+    often each class is met, as in `interp.eval_expr`."""
     hit = getattr(node, "_fp", None)
     if hit is not None:
         return hit
-    match node:
-        case Var(ref):
-            fp = (ref + 1, _NO_REFS) if ref >= 0 else _OPEN
-        case Lam(_, dom, body):
-            fp = _join(footprint(dom), _shift(footprint(body), 1))
-        case TyLam(_, body) | TForall(_, body):
-            fp = _shift(footprint(body), 1)
-        case Let(_, ty, bound, body):
-            fp = _join(footprint(ty), footprint(bound), _shift(footprint(body), 1))
-        case App(fn, arg) | TApp(fn, arg) | TArr(fn, arg):
-            fp = _join(footprint(fn), footprint(arg))
-        case Case(scrut, _, ty_params, ret_ty, branches):
-            parts = [footprint(scrut), footprint(ret_ty)]
-            parts += map(footprint, ty_params)
-            for p, b in branches:
-                parts.append(_shift(footprint(b), len(p.binders)))
-            fp = _join(*parts)
-        case Fix(_, _, dom, cod, body):
-            fp = _join(footprint(dom), footprint(cod), _shift(footprint(body), 2))
-        case TyAsExpr(ty):
-            fp = footprint(ty)
-        case TVar(ref):
-            fp = (ref + 1, frozenset((ref,))) if ref >= 0 else _OPEN
-        case Constr() | Const() | Lit() | TInd():
-            fp = _NO_FREE
-        case _:
-            raise TypeError(f"not a type or expression: {node!r}")
+    c = type(node)
+    if c is App or c is TApp:
+        fp = _join(footprint(node.fn), footprint(node.arg))
+    elif c is Lit or c is Const or c is Constr or c is TInd:
+        fp = _NO_FREE
+    elif c is Var:
+        ref = node.ref
+        fp = (ref + 1, _NO_REFS) if ref >= 0 else _OPEN
+    elif c is Case:
+        parts = [footprint(node.scrut), footprint(node.ret_ty)]
+        parts += map(footprint, node.ty_params)
+        for p, b in node.branches:
+            parts.append(_shift(footprint(b), len(p.binders)))
+        fp = _join(*parts)
+    elif c is Fix:
+        fp = _join(
+            footprint(node.dom), footprint(node.cod), _shift(footprint(node.body), 2)
+        )
+    elif c is TyAsExpr:
+        fp = footprint(node.ty)
+    elif c is Lam:
+        fp = _join(footprint(node.dom), _shift(footprint(node.body), 1))
+    elif c is Let:
+        fp = _join(
+            footprint(node.ty), footprint(node.bound), _shift(footprint(node.body), 1)
+        )
+    elif c is TVar:
+        ref = node.ref
+        fp = (ref + 1, frozenset((ref,))) if ref >= 0 else _OPEN
+    elif c is TyLam or c is TForall:
+        fp = _shift(footprint(node.body), 1)
+    elif c is TArr:
+        fp = _join(footprint(node.dom), footprint(node.cod))
+    else:
+        raise TypeError(f"not a type or expression: {node!r}")
     object.__setattr__(node, "_fp", fp)
     return fp
 

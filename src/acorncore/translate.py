@@ -5,6 +5,9 @@ map index-for-index; type abstraction becomes an ordinary lambda over Set,
 and the arrow's codomain is lifted under the unnamed binder a dependent
 product introduces. Case branches, stored by name on the surface side, are
 reordered into declaration order to fit the kernel's positional match.
+`ty_to_term` and `expr_to_term` dispatch on the exact node class with an `is`
+chain ordered by how often each class is met, as `interp.py`'s evaluator
+does.
 """
 
 from __future__ import annotations
@@ -71,20 +74,20 @@ def ty_to_term(ty: Ty) -> k.Term:
     t = getattr(ty, "_term", None)
     if t is not None:
         return t
-    match ty:
-        case TVar(ref):
-            t = k.Rel(ref)
-        case TInd(name):
-            t = k.Ind(name)
-        case TForall(hint, body):
-            t = k.Prod(hint, k.SORT_SET, ty_to_term(body))
-        case TApp(fn, arg):
-            t = k.App(ty_to_term(fn), ty_to_term(arg))
-        case TArr(dom, cod):
-            # the product binds an anonymous variable the codomain never uses
-            t = k.Prod(None, ty_to_term(dom), k.lift(1, 0, ty_to_term(cod)))
-        case _:
-            raise TypeError(f"not a type: {ty!r}")
+    c = type(ty)
+    if c is TApp:
+        t = k.App(ty_to_term(ty.fn), ty_to_term(ty.arg))
+    elif c is TArr:
+        # the product binds an anonymous variable the codomain never uses
+        t = k.Prod(None, ty_to_term(ty.dom), k.lift(1, 0, ty_to_term(ty.cod)))
+    elif c is TInd:
+        t = k.Ind(ty.name)
+    elif c is TVar:
+        t = k.Rel(ty.ref)
+    elif c is TForall:
+        t = k.Prod(ty.hint, k.SORT_SET, ty_to_term(ty.body))
+    else:
+        raise TypeError(f"not a type: {ty!r}")
     object.__setattr__(ty, "_term", t)
     return t
 
@@ -107,53 +110,55 @@ def expr_to_term(genv: GlobalEnv, e: Expr) -> k.Term:
     hit = getattr(e, "_term", None)
     if hit is not None and hit[0] is decls:
         return hit[1]
-    match e:
-        case Var(ref):
-            t: k.Term = k.Rel(ref)
-        case Lam(hint, dom, body):
-            t = k.Lambda(hint, ty_to_term(dom), expr_to_term(genv, body))
-        case TyLam(hint, body):
-            t = k.Lambda(hint, k.SORT_SET, expr_to_term(genv, body))
-        case Let(hint, ty, bound, body):
-            t = k.LetIn(
-                hint,
-                ty_to_term(ty),
-                expr_to_term(genv, bound),
-                expr_to_term(genv, body),
-            )
-        case App(fn, arg):
-            t = k.App(expr_to_term(genv, fn), expr_to_term(genv, arg))
-        case Constr(ind, ctor):
-            hit = genv.constrs.get((ind, ctor))
-            if hit is None:
-                if not genv.has_inductive(ind):
-                    raise MissingInductive(ind)
-                raise MissingConstructor(ind, ctor)
-            t = k.Construct(ind, hit[0])
-        case Case(scrut, ind, ty_params, ret_ty, branches):
-            decl = genv.find_inductive(ind)
-            if decl is None:
-                raise MissingInductive(ind)
-            t = k.Match(
-                ind,
-                decl.num_params,
-                tuple(ty_to_term(tp) for tp in ty_params),
-                k.lift(1, 0, ty_to_term(ret_ty)),
-                expr_to_term(genv, scrut),
-                tuple(branch(ty_params, branches, c, genv) for c in decl.constrs),
-            )
-        case Fix(f_hint, x_hint, dom, cod, body):
-            fty = k.Prod(None, ty_to_term(dom), k.lift(1, 0, ty_to_term(cod)))
-            inner = k.Lambda(x_hint, k.lift(1, 0, ty_to_term(dom)), expr_to_term(genv, body))
-            t = k.Fix(f_hint, fty, inner)
-        case TyAsExpr(ty):
-            t = ty_to_term(ty)
-        case Const(name):
-            t = k.Const(name)
-        case Lit(p):
-            t = k.PrimLit(p)
-        case _:
-            raise TypeError(f"not an expression: {e!r}")
+    c = type(e)
+    if c is App:
+        t: k.Term = k.App(expr_to_term(genv, e.fn), expr_to_term(genv, e.arg))
+    elif c is Lit:
+        t = k.PrimLit(e.value)
+    elif c is Constr:
+        hit = genv.constrs.get((e.ind, e.ctor))
+        if hit is None:
+            if not genv.has_inductive(e.ind):
+                raise MissingInductive(e.ind)
+            raise MissingConstructor(e.ind, e.ctor)
+        t = k.Construct(e.ind, hit[0])
+    elif c is Case:
+        ind = e.ind
+        decl = genv.find_inductive(ind)
+        if decl is None:
+            raise MissingInductive(ind)
+        t = k.Match(
+            ind,
+            decl.num_params,
+            tuple(ty_to_term(tp) for tp in e.ty_params),
+            k.lift(1, 0, ty_to_term(e.ret_ty)),
+            expr_to_term(genv, e.scrut),
+            tuple(branch(e.ty_params, e.branches, con, genv) for con in decl.constrs),
+        )
+    elif c is TyAsExpr:
+        t = ty_to_term(e.ty)
+    elif c is Const:
+        t = k.Const(e.name)
+    elif c is Lam:
+        t = k.Lambda(e.hint, ty_to_term(e.dom), expr_to_term(genv, e.body))
+    elif c is Var:
+        t = k.Rel(e.ref)
+    elif c is Fix:
+        dom = ty_to_term(e.dom)
+        fty = k.Prod(None, dom, k.lift(1, 0, ty_to_term(e.cod)))
+        inner = k.Lambda(e.x_hint, k.lift(1, 0, dom), expr_to_term(genv, e.body))
+        t = k.Fix(e.f_hint, fty, inner)
+    elif c is Let:
+        t = k.LetIn(
+            e.hint,
+            ty_to_term(e.ty),
+            expr_to_term(genv, e.bound),
+            expr_to_term(genv, e.body),
+        )
+    elif c is TyLam:
+        t = k.Lambda(e.hint, k.SORT_SET, expr_to_term(genv, e.body))
+    else:
+        raise TypeError(f"not an expression: {e!r}")
     object.__setattr__(e, "_term", (decls, t))
     return t
 

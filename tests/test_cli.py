@@ -250,6 +250,21 @@ def test_diff_eval_source_line_does_not_depend_on_the_checkout(capsys, tmp_path)
     assert out.splitlines()[1] == f"source: {given}"
 
 
+def test_diff_eval_too_deep_for_the_recursion_limit_is_one_error_line():
+    # generated programs of this size nest past Python's default recursion
+    # limit; the run ends in one error line, not a traceback
+    out = subprocess.run(
+        [sys.executable, "-m", "acorncore.cli", "diff-eval", "--gen", "30", "--size", "2000"],
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    assert out.stderr.splitlines() == [
+        f"error: nesting too deep for Python's recursion limit ({sys.getrecursionlimit()})"
+    ]
+
+
 # ---------------------------------------------------------------------------
 # chain
 
