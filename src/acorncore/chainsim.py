@@ -452,6 +452,9 @@ def scenario_from_json(data: Any) -> Scenario:
         if any(addr == b for b, _ in actors):
             raise JsonError(f"actor {addr} is listed twice")
         actors.append((addr, _index(a[1], "actor funds")))
+    if not actors:
+        # every generated action draws its sender from the actors
+        raise JsonError("scenario actors must not be empty")
     deploys = []
     for d in _list(_need(data, "deploys"), "scenario deploys"):
         name = _str(_need(d, "contract"), "contract name")

@@ -7,16 +7,19 @@ bodies against the captured environment when they are built, which keeps
 every value well-formed and makes the syntactic read-back `from_val` total
 on reachable values.
 
-`eval_expr` and `apply_val` dispatch on the exact node class with an `is`
-chain ordered by how often each class is met (variables, applications,
-lambdas, constants, case), not through a table of handlers, so the recursion
-passes through no frame besides these two. `Case`, `Lam` and `Fix` check the
-whole node with `fits` once; only on a miss do they check each part in turn,
-which names the first part that does not fit. `fits` and `_subst` each serve
-types and expressions alike, as `lang.footprint` does. Constructors resolve
-through the one table `GlobalEnv.constrs`. A constant whose body is a value
-form (`_VALUE_FORMS`) is evaluated once per `GlobalEnv` and its result kept
-in `GlobalEnv.const_values`; a later reference returns it whenever the body
+The recursion, `_eval` and `apply_val`, passes bare values: each call
+returns a `Val`, or the failure itself (an `EvalError` or `NOT_ENOUGH_FUEL`),
+and `eval_expr` builds the one `Ok` of a call from outside. Both dispatch on
+the exact node class with an `is` chain ordered by how often each class is
+met (variables, applications, lambdas, constants, case), not through a table
+of handlers, so the recursion passes through no frame besides these two.
+`Case`, `Lam` and `Fix` check the whole node with `fits` once; only on a miss
+do they check each part in turn, which names the first part that does not
+fit. `fits` and `_subst` each serve types and expressions alike, as
+`lang.footprint` does. Constructors resolve through the one table
+`GlobalEnv.constrs`. A constant whose body is a value form (`_VALUE_FORMS`)
+is evaluated once per `GlobalEnv` and its value kept in
+`GlobalEnv.const_values`; a later reference returns it whenever the body
 would have had fuel to run. A `VConstr` keeps its hash once computed, for the
 call memo in `chainsim`.
 """
@@ -42,6 +45,7 @@ from .lang import (
     Let,
     Lit,
     NOT_ENOUGH_FUEL,
+    NotEnoughFuel,
     Ok,
     Pat,
     PrimVal,
@@ -193,8 +197,8 @@ def _select_branch(
 # evaluation
 
 # Constant bodies that evaluate in the empty environment to one value at any
-# fuel of at least one, without a recursive call; `eval_expr` keeps that value
-# in `GlobalEnv.const_values`.
+# fuel of at least one, without a recursive call; `_eval` keeps that value in
+# `GlobalEnv.const_values`.
 _VALUE_FORMS = (Lam, TyLam, Fix, Lit)
 
 
@@ -205,6 +209,22 @@ def eval_expr(
     e: Expr,
     trace: Optional[EnvTrace] = None,
 ) -> EvalResult:
+    r = _eval(genv, fuel, rho, e, trace)
+    if type(r) is EvalError or r is NOT_ENOUGH_FUEL:
+        return r
+    return Ok(r)
+
+
+# `_eval` and `apply_val` return a bare `Val` or the failure itself, which a
+# caller tells apart by `type(r) is EvalError or r is NOT_ENOUGH_FUEL`.
+
+def _eval(
+    genv: GlobalEnv,
+    fuel: int,
+    rho: Sequence[Val],
+    e: Expr,
+    trace: Optional[EnvTrace],
+) -> Union[Val, EvalError, NotEnoughFuel]:
     if fuel <= 0:
         return NOT_ENOUGH_FUEL
     n = fuel - 1
@@ -213,16 +233,16 @@ def eval_expr(
         ref = e.ref
         if not 0 <= ref < len(rho):
             return EvalError(f"unbound variable index {ref}")
-        return Ok(rho[ref])
+        return rho[ref]
     if t is App:
         # the argument evaluates first
-        r2 = eval_expr(genv, n, rho, e.arg, trace)
-        if type(r2) is not Ok:
-            return r2
-        r1 = eval_expr(genv, n, rho, e.fn, trace)
-        if type(r1) is not Ok:
-            return r1
-        return apply_val(genv, n, r1.value, r2.value, trace)
+        va = _eval(genv, n, rho, e.arg, trace)
+        if type(va) is EvalError or va is NOT_ENOUGH_FUEL:
+            return va
+        vf = _eval(genv, n, rho, e.fn, trace)
+        if type(vf) is EvalError or vf is NOT_ENOUGH_FUEL:
+            return vf
+        return apply_val(genv, n, vf, va, trace)
     if t is Lam:
         if fits(rho, 0, e):
             dom_v = _subst(rho, 0, e.dom)
@@ -232,7 +252,7 @@ def eval_expr(
             dom_v = eval_type(rho, e.dom)
             if dom_v is None:
                 return EvalError("lambda domain refers to a term-level binding")
-        return Ok(VClosLam(tuple(rho), e.hint, dom_v, e.body))
+        return VClosLam(tuple(rho), e.hint, dom_v, e.body)
     if t is Const:
         kept = genv.const_values.get(e.name)
         if kept is not None:
@@ -241,12 +261,14 @@ def eval_expr(
         if defn is None:
             return EvalError(f"unknown constant '{e.name}'")
         if isinstance(defn, Builtin):
-            return Ok(VBuiltin(e.name, ()))
+            return VBuiltin(e.name, ())
         # constant bodies are closed, so they run in the empty environment
-        r = eval_expr(genv, n, (), defn, trace)
-        if type(r) is Ok and type(defn) in _VALUE_FORMS:
-            genv.const_values[e.name] = r
-        return r
+        v = _eval(genv, n, (), defn, trace)
+        if type(v) is EvalError or v is NOT_ENOUGH_FUEL:
+            return v
+        if type(defn) in _VALUE_FORMS:
+            genv.const_values[e.name] = v
+        return v
     if t is Case:
         if not fits(rho, 0, e):
             # some part misfits: report the first, in this order; when every
@@ -258,11 +280,10 @@ def eval_expr(
             for tp in e.ty_params:
                 if not fits(rho, 0, tp):
                     return EvalError("case type parameter refers to a term-level binding")
-        r = eval_expr(genv, n, rho, e.scrut, trace)
-        if type(r) is not Ok:
-            return r
-        v = r.value
+        v = _eval(genv, n, rho, e.scrut, trace)
         if type(v) is not VConstr:
+            if type(v) is EvalError or v is NOT_ENOUGH_FUEL:
+                return v
             return EvalError("case on a non-constructor value")
         hit = genv.constrs.get((v.ind, v.ctor))
         if hit is None:
@@ -276,21 +297,21 @@ def eval_expr(
         rho2 = tuple(reversed(value_args)) + tuple(rho)
         if trace is not None:
             trace.record(rho2, body)
-        return eval_expr(genv, n, rho2, body, trace)
+        return _eval(genv, n, rho2, body, trace)
     if t is Let:
-        r = eval_expr(genv, n, rho, e.bound, trace)
-        if type(r) is not Ok:
-            return r
-        rho2 = (r.value,) + tuple(rho)
+        v = _eval(genv, n, rho, e.bound, trace)
+        if type(v) is EvalError or v is NOT_ENOUGH_FUEL:
+            return v
+        rho2 = (v,) + tuple(rho)
         if trace is not None:
             trace.record(rho2, e.body)
-        return eval_expr(genv, n, rho2, e.body, trace)
+        return _eval(genv, n, rho2, e.body, trace)
     if t is Constr:
         if (e.ind, e.ctor) not in genv.constrs:
             return EvalError(f"unknown constructor '{e.ctor}' of '{e.ind}'")
-        return Ok(VConstr(e.ind, e.ctor, ()))
+        return VConstr(e.ind, e.ctor, ())
     if t is Lit:
-        return Ok(VPrim(e.value))
+        return VPrim(e.value)
     if t is Fix:
         if fits(rho, 0, e):
             dom_v = _subst(rho, 0, e.dom)
@@ -304,14 +325,14 @@ def eval_expr(
                 return EvalError("fixpoint codomain refers to a term-level binding")
             if not fits(rho, 2, e.body):
                 return EvalError("fixpoint body does not fit its environment")
-        return Ok(VClosFix(tuple(rho), e.f_hint, e.x_hint, dom_v, cod_v, e.body))
+        return VClosFix(tuple(rho), e.f_hint, e.x_hint, dom_v, cod_v, e.body)
     if t is TyLam:
-        return Ok(VTyClos(tuple(rho), e.hint, e.body))
+        return VTyClos(tuple(rho), e.hint, e.body)
     if t is TyAsExpr:
         ty_v = eval_type(rho, e.ty)
         if ty_v is None:
             return EvalError("type argument refers to a term-level binding")
-        return Ok(VTy(ty_v))
+        return VTy(ty_v)
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -321,7 +342,7 @@ def apply_val(
     v1: Val,
     v2: Val,
     trace: Optional[EnvTrace] = None,
-) -> EvalResult:
+) -> Union[Val, EvalError, NotEnoughFuel]:
     """Apply an evaluated function to an evaluated argument at the same fuel
     the surrounding application step runs at."""
     t = type(v1)
@@ -329,27 +350,27 @@ def apply_val(
         rho2 = (v2,) + v1.env
         if trace is not None:
             trace.record(rho2, v1.body)
-        return eval_expr(genv, fuel, rho2, v1.body, trace)
+        return _eval(genv, fuel, rho2, v1.body, trace)
     if t is VConstr:
         hit = genv.constrs.get((v1.ind, v1.ctor))
         if hit is None:
             return EvalError(f"unknown constructor '{v1.ctor}' of '{v1.ind}'")
         if len(v1.args) >= hit[2].num_params + len(hit[1].arg_tys):
             return EvalError(f"constructor '{v1.ctor}' applied to too many arguments")
-        return Ok(VConstr(v1.ind, v1.ctor, v1.args + (v2,)))
+        return VConstr(v1.ind, v1.ctor, v1.args + (v2,))
     if t is VBuiltin:
         b = genv.constants.get(v1.name)
         if not isinstance(b, Builtin):
             return EvalError(f"unknown primitive '{v1.name}'")
         args2 = v1.args + (v2,)
         if len(args2) < len(b.arg_kinds):
-            return Ok(VBuiltin(v1.name, args2))
+            return VBuiltin(v1.name, args2)
         out = delta(b, [a.prim if isinstance(a, VPrim) else None for a in args2])
         if isinstance(out, EvalError):
             return out
         if isinstance(out, bool):
-            return Ok(VConstr("Bool", "True" if out else "False"))
-        return Ok(VPrim(out))
+            return VConstr("Bool", "True" if out else "False")
+        return VPrim(out)
     if t is VClosFix:
         # primitive literals act as constructor forms for the fix guard
         if not isinstance(v2, (VConstr, VPrim)):
@@ -357,14 +378,14 @@ def apply_val(
         rho2 = (v2, v1) + v1.env
         if trace is not None:
             trace.record(rho2, v1.body)
-        return eval_expr(genv, fuel, rho2, v1.body, trace)
+        return _eval(genv, fuel, rho2, v1.body, trace)
     if t is VTyClos:
         if not isinstance(v2, VTy):
             return EvalError("type abstraction applied to a term value")
         rho2 = (v2,) + v1.env
         if trace is not None:
             trace.record(rho2, v1.body)
-        return eval_expr(genv, fuel, rho2, v1.body, trace)
+        return _eval(genv, fuel, rho2, v1.body, trace)
     return EvalError("application of a non-function value")
 
 

@@ -4,8 +4,11 @@ parallel substitution and a fuel-limited call-by-value normalizer.
 This side of the pipeline is substitution-based and nameless throughout; it
 serves as the independent second semantics the differential harness compares
 the environment-passing interpreter against. `term_bound`, `_subst` and
-`cbv_eval` dispatch on the exact node class with an `is` chain ordered by how
-often each class is met, as `interp.py`'s evaluator does.
+`_cbv` dispatch on the exact node class with an `is` chain ordered by how
+often each class is met, as `interp.py`'s evaluator does. As there, the
+recursion (`_cbv` and `_apply`) passes bare values: each call returns a
+`Term`, or the failure itself (an `EvalError` or `NOT_ENOUGH_FUEL`), and
+`cbv_eval` builds the one `Ok` of a call from outside.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .lang import (
     EvalError,
     EvalResult,
     NOT_ENOUGH_FUEL,
+    NotEnoughFuel,
     Ok,
     PInt,
     PrimVal,
@@ -273,9 +277,9 @@ def _type_like(t: Term) -> bool:
 # inductive, constructor or builtin name) takes fuel 1; re-evaluating an inert
 # application, a constructor, inductive or partial builtin applied to values,
 # takes 1 more than its function or its argument does. `_inert` records that
-# fuel on each application it builds, as its mark, and `cbv_eval` answers a
-# marked term from the mark alone: Ok at that fuel or more, out of fuel below
-# it, which is what the walk would return. Which applications are inert
+# fuel on each application it builds, as its mark, and `_cbv` answers a
+# marked term from the mark alone: the term itself at that fuel or more, out
+# of fuel below it, which is what the walk would return. Which applications are inert
 # depends on the environment's inductives and builtins, so a mark holds only
 # under the `KernelEnv` it was made under; under any other the term is walked.
 
@@ -287,16 +291,28 @@ def _mark_of(kenv: KernelEnv, v: Term) -> Optional[int]:
     return mark[1] if mark is not None and mark[0] is kenv else None
 
 
-def _inert(kenv: KernelEnv, vf: Term, va: Term) -> EvalResult:
+def _inert(kenv: KernelEnv, vf: Term, va: Term) -> Term:
     t = App(vf, va)
     mf, ma = _mark_of(kenv, vf), _mark_of(kenv, va)
     if mf is not None and ma is not None:
         object.__setattr__(t, "_mark", (kenv, 1 + max(mf, ma)))
-    return Ok(t)
+    return t
 
 
 def cbv_eval(kenv: KernelEnv, fuel: int, t: Term) -> EvalResult:
     """Weak call-by-value normalization; fuel bounds the call depth."""
+    r = _cbv(kenv, fuel, t)
+    if type(r) is EvalError or r is NOT_ENOUGH_FUEL:
+        return r
+    return Ok(r)
+
+
+# `_cbv` and `_apply` return a bare `Term` or the failure itself, which a
+# caller tells apart by `type(r) is EvalError or r is NOT_ENOUGH_FUEL`.
+
+def _cbv(
+    kenv: KernelEnv, fuel: int, t: Term
+) -> Union[Term, EvalError, NotEnoughFuel]:
     if fuel <= 0:
         return NOT_ENOUGH_FUEL
     n = fuel - 1
@@ -304,29 +320,29 @@ def cbv_eval(kenv: KernelEnv, fuel: int, t: Term) -> EvalResult:
     if c is App:
         mark = getattr(t, "_mark", None)
         if mark is not None and mark[0] is kenv:
-            return Ok(t) if fuel >= mark[1] else NOT_ENOUGH_FUEL
-        ra = cbv_eval(kenv, n, t.arg)
-        if not isinstance(ra, Ok):
-            return ra
-        rf = cbv_eval(kenv, n, t.fn)
-        if not isinstance(rf, Ok):
-            return rf
-        return _apply(kenv, n, rf.value, ra.value)
+            return t if fuel >= mark[1] else NOT_ENOUGH_FUEL
+        va = _cbv(kenv, n, t.arg)
+        if type(va) is EvalError or va is NOT_ENOUGH_FUEL:
+            return va
+        vf = _cbv(kenv, n, t.fn)
+        if type(vf) is EvalError or vf is NOT_ENOUGH_FUEL:
+            return vf
+        return _apply(kenv, n, vf, va)
     if c is PrimLit or c is Construct:
-        return Ok(t)
+        return t
     if c is Const:
         name = t.name
         if name in kenv.builtins:
-            return Ok(t)
+            return t
         body = kenv.constants.get(name)
         if body is None:
             return EvalError(f"unknown constant '{name}'")
-        return cbv_eval(kenv, n, body)
+        return _cbv(kenv, n, body)
     if c is Match:
-        r = cbv_eval(kenv, n, t.scrut)
-        if not isinstance(r, Ok):
-            return r
-        head, spine = spine_view(r.value)
+        v = _cbv(kenv, n, t.scrut)
+        if type(v) is EvalError or v is NOT_ENOUGH_FUEL:
+            return v
+        head, spine = spine_view(v)
         ind = t.ind
         if not isinstance(head, Construct):
             return EvalError("match on a non-constructor value")
@@ -348,29 +364,31 @@ def cbv_eval(kenv: KernelEnv, fuel: int, t: Term) -> EvalResult:
             if not isinstance(cur, Lambda):
                 return EvalError("branch shape does not match its arity")
             cur = subst1(a, cur.body)
-        return cbv_eval(kenv, n, cur)
+        return _cbv(kenv, n, cur)
     if c is Lambda or c is Ind or c is Fix or c is Prod or c is SortSet:
-        return Ok(t)
+        return t
     if c is LetIn:
-        r = cbv_eval(kenv, n, t.bound)
-        if not isinstance(r, Ok):
-            return r
-        return cbv_eval(kenv, n, subst1(r.value, t.body))
+        v = _cbv(kenv, n, t.bound)
+        if type(v) is EvalError or v is NOT_ENOUGH_FUEL:
+            return v
+        return _cbv(kenv, n, subst1(v, t.body))
     if c is Rel:
         return EvalError(f"unbound index {t.index} in kernel evaluation")
     raise TypeError(f"not a kernel term: {t!r}")
 
 
-def _apply(kenv: KernelEnv, fuel: int, vf: Term, va: Term) -> EvalResult:
+def _apply(
+    kenv: KernelEnv, fuel: int, vf: Term, va: Term
+) -> Union[Term, EvalError, NotEnoughFuel]:
     if isinstance(vf, Lambda):
-        return cbv_eval(kenv, fuel, subst1(va, vf.body))
+        return _cbv(kenv, fuel, subst1(va, vf.body))
     if isinstance(vf, Fix):
         if not _constr_headed(va):
             return EvalError("fixpoint applied to a non-constructor value")
         if not isinstance(vf.body, Lambda):
             return EvalError("fixpoint body is not a lambda")
         # argument for index 0, the fixpoint itself for index 1, in one walk
-        return cbv_eval(kenv, fuel, parallel_subst((va, vf), vf.body.body))
+        return _cbv(kenv, fuel, parallel_subst((va, vf), vf.body.body))
     head, spine = spine_view(vf)
     if isinstance(head, Construct):
         ki = kenv.inductives.get(head.ind)
@@ -393,8 +411,8 @@ def _apply(kenv: KernelEnv, fuel: int, vf: Term, va: Term) -> EvalResult:
         if isinstance(out, EvalError):
             return out
         if isinstance(out, bool):
-            return Ok(Construct("Bool", 0 if out else 1))
-        return Ok(PrimLit(out))
+            return Construct("Bool", 0 if out else 1)
+        return PrimLit(out)
     if isinstance(head, Ind):
         # a type applied to arguments is an inert value
         return _inert(kenv, vf, va)

@@ -269,7 +269,7 @@ class GlobalEnv:
     `constrs` maps (inductive, constructor) to the constructor's zero-based
     position, its declaration and its inductive; the first of two
     same-named constructors wins. `const_values` is the interpreter's store
-    of constant values (see `interp.eval_expr`); `define` drops an entry
+    of constant values (see `interp.py`); `define` drops an entry
     it makes stale."""
 
     def __init__(

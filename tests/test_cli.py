@@ -363,6 +363,18 @@ def test_chain_rejects_a_bad_scenario_file(capsys, tmp_path, text, message):
     assert err.startswith("error: ") and message in err
 
 
+def test_chain_rejects_a_scenario_without_actors(capsys, tmp_path):
+    # generation draws each action's sender from the actors
+    p = tmp_path / "no_actors.json"
+    p.write_text(
+        '{"actors": [], "deploys": [{"contract": "counter", "deployer": 1, "setup": {}}]}'
+    )
+    code, out, err = run_cli(capsys, "chain", "--scenario", str(p))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: scenario actors must not be empty"]
+
+
 def test_chain_reports_a_violated_invariant(capsys, tmp_path):
     p = tmp_path / "mutant.json"
     p.write_text(

@@ -652,7 +652,7 @@ def test_subst_env_ty_needs_type_entries():
 
 def test_apply_val_direct():
     f = ok(Lam("x", INT, Var(0)))
-    assert apply_val(ENV, 10, f, VPrim(PInt(8))) == Ok(VPrim(PInt(8)))
+    assert apply_val(ENV, 10, f, VPrim(PInt(8))) == VPrim(PInt(8))
 
 
 def test_subst_env_expr_keeps_closed_subtrees():

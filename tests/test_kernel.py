@@ -443,7 +443,9 @@ def test_fix_unfolds_in_one_walk_as_in_two():
             two = subst1(va, subst1(vf, vf.body).body)
             assert parallel_subst((va, vf), vf.body.body) == two
             if term_bound(vf) == 0:
-                assert _apply(kenv, 200, vf, va) == cbv_eval(kenv, 200, two)
+                r = cbv_eval(kenv, 200, two)
+                bare = r.value if isinstance(r, Ok) else r
+                assert _apply(kenv, 200, vf, va) == bare
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,16 @@ import threading
 import pytest
 
 from acorncore import kernel as k
-from acorncore.interp import EnvTrace, VClosLam, VPrim, VTy, eval_expr
+from acorncore.interp import EnvTrace, Val, VClosLam, VPrim, VTy, eval_expr
 from acorncore.lang import (
     App,
     Const,
+    EvalError,
     Fix,
     Lam,
     Let,
     Lit,
+    NOT_ENOUGH_FUEL,
     NotEnoughFuel,
     Ok,
     PInt,
@@ -30,7 +32,7 @@ from acorncore.lang import (
     closed_under,
     mk_app,
 )
-from acorncore.programs import corpus_dir, int_list_expr, stdlib_env
+from acorncore.programs import corpus_dir, int_list_expr, load_module, stdlib_env
 from acorncore.soundness import (
     Agree,
     Disagree,
@@ -116,6 +118,50 @@ def test_differing_results_are_a_disagreement():
     out = diff_check(genv, 1000, Const("answer"), kenv)
     assert isinstance(out, Disagree)
     assert out.detail.startswith("result terms differ")
+
+
+def test_evaluators_answer_ok_an_error_or_out_of_fuel_and_keep_constants_bare():
+    # both evaluators recurse on bare values; only `eval_expr` and `cbv_eval`
+    # wrap the final one in `Ok`
+    programs = []
+    stores = []
+    for path in corpus_files(corpus_dir()):
+        genv, defs = load_module(str(path))
+        kenv = translate_env(genv)
+        programs += [(genv, kenv, body) for _, body in defs]
+        stores.append((genv, [name for name, _ in defs]))
+    rng = random.Random(16)
+    programs += [(GENV, KENV, gen_expr(rng, 12)) for _ in range(200)]
+    # neither source fails to evaluate, so two programs that do
+    lit = Lit(PInt(1))
+    for e in (App(lit, lit), mk_app(Const("addInt"), lit, lit, lit)):
+        programs.append((GENV, KENV, e))
+    seen = set()
+    for genv, kenv, e in programs:
+        t = expr_to_term(genv, e)
+        for fuel in (1, 2, 5, 10_000):
+            for r, bare in (
+                (eval_expr(genv, fuel, (), e), Val),
+                (k.cbv_eval(kenv, fuel, t), k.Term),
+            ):
+                if type(r) is Ok:
+                    assert isinstance(r.value, bare), r
+                else:
+                    assert type(r) is EvalError or r is NOT_ENOUGH_FUEL, r
+                seen.add(type(r))
+    assert seen == {Ok, EvalError, NotEnoughFuel}
+    # the constant store keeps bare values and answers with a fresh `Ok`
+    kept = 0
+    for genv, names in stores:
+        for name in names:
+            eval_expr(genv, 10_000, (), Const(name))
+        for name, v in genv.const_values.items():
+            assert isinstance(v, Val), name
+            assert eval_expr(genv, 1, (), Const(name)) is NOT_ENOUGH_FUEL
+            again = eval_expr(genv, 2, (), Const(name))
+            assert type(again) is Ok and again.value is v, name
+            kept += 1
+    assert kept > 50
 
 
 def test_diff_check_translates_the_environment_when_not_given_one():
