@@ -3,13 +3,15 @@
 For each of `python3.10` to `python3.13` that runs from `PATH`, one after
 another, this script
 
-- runs the seven golden commands (`CASES` in `tests/test_golden.py`) as
-  `python -m acorncore.cli` with this checkout's `src` on `PYTHONPATH`, and
-  compares each output with its file in `tests/golden/` byte for byte;
+- runs the seven golden commands (`CASES` in `tests/pinned.py`, which
+  `tests/test_golden.py` runs too) as `python -m acorncore.cli` with this
+  checkout's `src` and `tests` on `PYTHONPATH`, and compares each output
+  with its file in `tests/golden/` byte for byte;
 - runs the depth probe of
-  `tests/test_soundness.py::test_first_recursion_error_of_a_deep_fold_stays_put`:
-  the shortest `foldr addInt` list whose `diff_check` raises `RecursionError`,
-  read in a new thread at the default recursion limit, which should be 246.
+  `tests/test_soundness.py::test_first_recursion_error_of_a_deep_fold_stays_put`
+  (`first_recursion_error` in `tests/pinned.py`): the shortest `foldr addInt`
+  list whose `diff_check` raises `RecursionError`, read in a new thread at
+  the default recursion limit, which should be 246.
 
 It prints one row per interpreter and exits 1 on any mismatch, or when no
 interpreter ran. Standard library only; it is not part of the test suite.
@@ -26,55 +28,26 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-GOLDEN = ROOT / "tests" / "golden"
+TESTS = ROOT / "tests"
+GOLDEN = TESTS / "golden"
 INTERPRETERS = ("python3.10", "python3.11", "python3.12", "python3.13")
 EXPECTED_DEPTH = 246
 TIMEOUT_S = 600
 
-# The same commands as `CASES` in `tests/test_golden.py`, which needs pytest.
-CASES = [
-    ("diff_eval_gen1000_seed7.txt", ["diff-eval", "--gen", "1000", "--seed", "7", "--fuel", "10000"]),
-    ("chain_blocks50_seed3.txt", ["chain", "--blocks", "50", "--seed", "3", "--fuel", "10000"]),
-    *[(f"translate_{m}.txt", ["translate", m]) for m in ("crowdfunding", "counter", "listops", "mapops")],
-    (
-        "chain_counter_blocks50_seed3.txt",
-        ["chain", "--scenario", "counter", "--blocks", "50", "--seed", "3", "--fuel", "10000"],
-    ),
-]
+# this checkout's package and the test helpers the commands come from
+SEARCH_PATH = [str(ROOT / "src"), str(TESTS)]
+sys.path[:0] = SEARCH_PATH
+from pinned import CASES  # noqa: E402
 
-DEPTH_PROBE = """
-import threading
-from acorncore.lang import Const, Lit, PInt, TInd, TyAsExpr, mk_app
-from acorncore.programs import int_list_expr, stdlib_env
-from acorncore.soundness import diff_check
-from acorncore.translate import translate_env
-
-found = []
-
-def probe():
-    genv = stdlib_env()
-    kenv = translate_env(genv)
-    INT = TInd("Int")
-    for n in range(236, 300):
-        e = mk_app(
-            Const("foldr"), TyAsExpr(INT), TyAsExpr(INT), Const("addInt"),
-            Lit(PInt(0)), int_list_expr(range(n)),
-        )
-        try:
-            diff_check(genv, 100_000, e, kenv)
-        except RecursionError:
-            found.append(n)
-            return
-
-t = threading.Thread(target=probe)
-t.start()
-t.join()
-print(found[0] if found else "none")
+# the probe the depth test asserts on, given half the time of a run
+DEPTH_PROBE = f"""
+from pinned import first_recursion_error
+print(first_recursion_error(timeout={TIMEOUT_S // 2}) or "none")
 """
 
 
 def _run(exe: str, args: list[str]) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(SEARCH_PATH))
     return subprocess.run(
         [exe, *args], cwd=ROOT, env=env, capture_output=True, timeout=TIMEOUT_S
     )

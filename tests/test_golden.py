@@ -19,18 +19,10 @@ from acorncore import chainsim
 from acorncore.cli import main
 
 from oracles import clear_call_memos
+from pinned import CASES
 
 GOLDEN = Path(__file__).parent / "golden"
 
-CASES = [
-    ("diff_eval_gen1000_seed7.txt", ["diff-eval", "--gen", "1000", "--seed", "7", "--fuel", "10000"]),
-    ("chain_blocks50_seed3.txt", ["chain", "--blocks", "50", "--seed", "3", "--fuel", "10000"]),
-    *[(f"translate_{m}.txt", ["translate", m]) for m in ("crowdfunding", "counter", "listops", "mapops")],
-    (
-        "chain_counter_blocks50_seed3.txt",
-        ["chain", "--scenario", "counter", "--blocks", "50", "--seed", "3", "--fuel", "10000"],
-    ),
-]
 CHAIN_CASES = [(name, argv) for name, argv in CASES if argv[0] == "chain"]
 
 

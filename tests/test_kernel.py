@@ -662,18 +662,19 @@ def test_fold_calls_grow_linearly(monkeypatch):
     # the list value is substituted and matched again at every step; kept
     # closed and marked, it is neither rebuilt nor walked again
     calls = 0
-    evaluate = kernel.cbv_eval
+    evaluate = kernel._cbv
 
     def counting(kenv, fuel, t):
         nonlocal calls
         calls += 1
         return evaluate(kenv, fuel, t)
 
-    monkeypatch.setattr(kernel, "cbv_eval", counting)
+    # the recursion goes through `_cbv`, so counting it counts every level
+    monkeypatch.setattr(kernel, "_cbv", counting)
     counts = []
     for n in (50, 100):
         calls = 0
-        r = counting(KENV, 10_000, _fold("addInt", int_list(list(range(n)))))
+        r = kernel.cbv_eval(KENV, 10_000, _fold("addInt", int_list(list(range(n)))))
         assert r == Ok(zlit(7 + n * (n - 1) // 2))
         counts.append(calls)
     assert counts[1] <= 2.2 * counts[0], counts

@@ -4,7 +4,6 @@ and report rendering."""
 
 import random
 import sys
-import threading
 
 import pytest
 
@@ -32,7 +31,7 @@ from acorncore.lang import (
     closed_under,
     mk_app,
 )
-from acorncore.programs import corpus_dir, int_list_expr, load_module, stdlib_env
+from acorncore.programs import corpus_dir, load_module, stdlib_env
 from acorncore.soundness import (
     Agree,
     Disagree,
@@ -47,6 +46,7 @@ from acorncore.soundness import (
 from acorncore.translate import expr_to_term, translate_env
 
 from oracles import int_val, minimal_fuel
+from pinned import first_recursion_error
 
 GENV = stdlib_env()
 KENV = translate_env(GENV)
@@ -347,27 +347,7 @@ def test_first_recursion_error_of_a_deep_fold_stays_put():
     """The shortest `foldr addInt` list whose `diff_check` overflows Python's
     stack, read in a new thread so that the caller's depth does not count.
     Translation and read-back must add no frame per level."""
-    found = []
-
-    def probe():
-        genv = stdlib_env()
-        kenv = translate_env(genv)
-        for n in range(236, 300):
-            e = mk_app(
-                Const("foldr"), TyAsExpr(INT), TyAsExpr(INT), Const("addInt"),
-                Lit(PInt(0)), int_list_expr(range(n)),
-            )
-            try:
-                diff_check(genv, 100_000, e, kenv)
-            except RecursionError:
-                found.append(n)
-                return
-
-    t = threading.Thread(target=probe)
-    t.start()
-    t.join(timeout=120)
-    assert not t.is_alive()
-    assert found == [246]
+    assert first_recursion_error(timeout=120) == 246
 
 
 def test_run_corpus_without_generation_has_no_gen_rows():
