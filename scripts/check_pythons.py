@@ -3,7 +3,7 @@
 For each of `python3.10` to `python3.13` that runs from `PATH`, one after
 another, this script
 
-- runs the seven golden commands (`CASES` in `tests/pinned.py`, which
+- runs the golden commands (`CASES` in `tests/pinned.py`, which
   `tests/test_golden.py` runs too) as `python -m acorncore.cli` with this
   checkout's `src` and `tests` on `PYTHONPATH`, and compares each output
   with its file in `tests/golden/` byte for byte;

@@ -1,7 +1,7 @@
 """A small functional language with two executable semantics.
 
 The surface language (algebraic data types, fixpoints, parametric
-polymorphism, machine integers and naturals) evaluates under a fuelled
+polymorphism, arbitrary-precision integers and naturals) evaluates under a fuelled
 environment-based interpreter. The same programs translate to a de Bruijn
 kernel calculus with a substitution-based evaluator, and the two are checked
 against each other differentially. On top sits a block-structured chain

@@ -32,11 +32,6 @@ from .serialize import JsonError, _index, _list, _need, _str, parse_json
 CONTRACT_BASE = 1000
 DEFAULT_CALL_FUEL = 100_000
 MAX_CALL_DEPTH = 10
-# Entry-point call results kept per loaded contract. A 50-block crowdfunding
-# trace makes at most 72 distinct calls, so the replays of a trace find every
-# call its generation made. A cap of 4,096 ran the `chain` benchmark 3 %
-# faster at 1.6 times its peak memory.
-CALL_MEMO_CAP = 128
 
 
 class ChainError(Exception):
@@ -82,19 +77,23 @@ class DeployedContract:
 
 @dataclass
 class ChainState:
+    """`calls` is the chain's call memo (see `_call_entry`): every clone of
+    a state shares it, and each `genesis` makes a new one."""
+
     slot: int
     balances: dict[int, int]
     contracts: dict[int, DeployedContract]
     next_address: int
+    calls: dict[tuple, EvalResult] = field(repr=False, compare=False)
 
 
 def genesis(balances: dict[int, int]) -> ChainState:
-    return ChainState(0, dict(balances), {}, CONTRACT_BASE)
+    return ChainState(0, dict(balances), {}, CONTRACT_BASE, {})
 
 
 def clone(st: ChainState) -> ChainState:
     # contract records are immutable, so the two dicts are all there is to copy
-    return ChainState(st.slot, dict(st.balances), dict(st.contracts), st.next_address)
+    return ChainState(st.slot, dict(st.balances), dict(st.contracts), st.next_address, st.calls)
 
 
 def _chain_val(st: ChainState) -> Val:
@@ -144,14 +143,14 @@ def _decode_receive(result: Val) -> Optional[tuple[Val, list[tuple[int, int]]]]:
 
 
 def _call_entry(
-    loaded: LoadedContract, entry: str, fuel: int, rho: tuple[Val, ...]
+    st: ChainState, loaded: LoadedContract, entry: str, fuel: int, rho: tuple[Val, ...]
 ) -> EvalResult:
-    """The entry point `entry` applied to `rho`, evaluated at `fuel`. A call
-    is a pure function of these and the contract's program, so its result,
-    an error as much as a value, is kept in `loaded.calls` and returned to
-    the same call later. Past CALL_MEMO_CAP results the oldest goes."""
-    key = (entry, fuel, rho)
-    calls = loaded.calls
+    """The entry point `entry` of `loaded` applied to `rho`, evaluated at
+    `fuel`. A call is a pure function of these, so its result, an error as
+    much as a value, is kept in the chain's memo `st.calls`, under the
+    program's name, and returned to the same call later."""
+    key = (loaded.program.name, entry, fuel, rho)
+    calls = st.calls
     try:
         r = calls.get(key)
     except RecursionError:
@@ -159,10 +158,7 @@ def _call_entry(
         # deep for that (a long ledger built elsewhere) are evaluated, not kept
         return eval_expr(loaded.env, fuel, rho, loaded.entries[entry])
     if r is None:
-        r = eval_expr(loaded.env, fuel, rho, loaded.entries[entry])
-        if len(calls) >= CALL_MEMO_CAP:
-            del calls[next(iter(calls))]
-        calls[key] = r
+        r = calls[key] = eval_expr(loaded.env, fuel, rho, loaded.entries[entry])
     return r
 
 
@@ -188,7 +184,7 @@ def call_contract(
     if not _move(st, sender, target, amount, log):
         return False
     rho = (_chain_val(st), _ctx_val(sender, amount), _maybe_val(msg), con.state)
-    r = _call_entry(loaded, loaded.program.receive_name, fuel, rho)
+    r = _call_entry(st, loaded, loaded.program.receive_name, fuel, rho)
     if not isinstance(r, Ok):
         log.append(f"receive at {target} failed: {r!r}")
         return False
@@ -232,7 +228,7 @@ def _exec_action(
             if not _move(st, sender, address, amount, log):
                 return False
             rho = (_chain_val(st), _ctx_val(sender, amount), setup)
-            r = _call_entry(loaded, loaded.program.init_name, fuel, rho)
+            r = _call_entry(st, loaded, loaded.program.init_name, fuel, rho)
             if not isinstance(r, Ok):
                 log.append(f"init of '{name}' failed: {r!r}")
                 return False
@@ -520,8 +516,8 @@ def gen_trace(
     scenario: Scenario,
     fuel: int = DEFAULT_CALL_FUEL,
 ) -> Trace:
-    """A reproducible random trace of `max_blocks` blocks (at least 1): one
-    deployment block, then random blocks.
+    """A reproducible random trace of `max_blocks` blocks (at least 1, as
+    are the actors): one deployment block, then random blocks.
 
     Each random block is run once, action by action, each action on a clone
     of the state after the actions kept before it. An action that fails is
@@ -531,6 +527,9 @@ def gen_trace(
     header, so the chain keeps moving."""
     if max_blocks < 1:
         raise ValueError(f"a trace needs at least 1 block, got {max_blocks}")
+    if not scenario.actors:
+        # every generated action draws its sender from the actors
+        raise ValueError("a trace needs at least 1 actor")
     rng = random.Random(seed)
     st = genesis(dict(scenario.actors))
     trace = Trace(clone(st))

@@ -9,7 +9,7 @@ evaluation results with.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -19,7 +19,6 @@ from .lang import (
     BUILTINS,
     Const,
     Constr,
-    EvalResult,
     Expr,
     GlobalEnv,
     Lit,
@@ -110,13 +109,11 @@ class ContractProgram:
 class LoadedContract:
     """A contract program on its loaded module. `entries` maps each entry
     point's name to its application to the first indices of the environment
-    it is called in (`init #0 #1 #2`, `receive #0 #1 #2 #3`); `calls` keeps
-    results of such calls, for `chainsim` to read and fill."""
+    it is called in (`init #0 #1 #2`, `receive #0 #1 #2 #3`)."""
 
     program: ContractProgram
     env: GlobalEnv
     entries: dict[str, Expr]
-    calls: dict[tuple, EvalResult] = field(default_factory=dict, repr=False, compare=False)
 
 
 def _cf_setup(args: dict) -> Val:

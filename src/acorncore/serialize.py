@@ -203,7 +203,7 @@ def decl_from_json(obj: Any) -> InductiveDecl:
     constrs = _list(_need(obj, "constrs"), "'constrs'")
     return InductiveDecl(
         _str(_need(obj, "name"), "inductive name"),
-        _int(_need(obj, "numParams"), "numParams"),
+        _index(_need(obj, "numParams"), "numParams"),
         tuple(
             ConstrDecl(
                 _str(_need(c, "name"), "constructor name"),

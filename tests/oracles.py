@@ -63,7 +63,6 @@ from acorncore.programs import (
     CONTRACTS,
     ConversionError,
     _INT,
-    contract,
     int_list_expr,
     nat_val,
     val_to_int,
@@ -191,12 +190,6 @@ def counter_scenario(start: int = 0) -> Scenario:
         actors=((1, 100), (2, 100)),
         deploys=(DeployPlan("counter", 1, 0, {"start": start}),),
     )
-
-
-def clear_call_memos() -> None:
-    """Empty every loaded contract's call memo, so the next calls run cold."""
-    for name in CONTRACTS:
-        contract(name).calls.clear()
 
 
 def funded_outcome(trace: Trace, fuel: int = DEFAULT_CALL_FUEL) -> bool:

@@ -23,6 +23,7 @@ CASES = [
         "chain_counter_blocks50_seed3.txt",
         ["chain", "--scenario", "counter", "--blocks", "50", "--seed", "3", "--fuel", "10000"],
     ),
+    ("chain_blocks300_seed0.txt", ["chain", "--blocks", "300", "--seed", "0", "--fuel", "10000"]),
 ]
 
 

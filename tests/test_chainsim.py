@@ -41,20 +41,16 @@ from acorncore.chainsim import (
     scenario_from_json,
 )
 from acorncore.interp import VConstr, eval_expr
-from acorncore.lang import Const, EvalError, NotEnoughFuel, Ok, Var, mk_app
+from acorncore.lang import Const, EvalError, NotEnoughFuel, Var, mk_app
 from acorncore.programs import (
     CONTRACTS,
     constr_payload,
-    contract,
     map_entries,
     nat_val,
-    val_to_int,
-    val_to_nat,
 )
 
 from oracles import (
     bool_val,
-    clear_call_memos,
     counter_scenario,
     funded_outcome,
     gen_trace_by_retries,
@@ -376,6 +372,14 @@ def test_gen_trace_needs_at_least_one_block(blocks):
         gen_trace(7, blocks, crowdfunding_scenario())
 
 
+def test_gen_trace_needs_at_least_one_actor(monkeypatch):
+    blocks = []
+    monkeypatch.setattr(chainsim, "add_block", lambda *a: blocks.append(a))
+    with pytest.raises(ValueError, match="at least 1 actor"):
+        gen_trace(0, 5, Scenario((), load_scenario("counter").deploys))
+    assert blocks == []
+
+
 def test_gen_trace_slots_advance_across_accepted_steps():
     # rejected headers never enter the chain, so only the accepted ones
     # have to climb
@@ -457,16 +461,15 @@ def test_a_kept_call_result_equals_a_cold_evaluation(monkeypatch):
     call_entry = chainsim._call_entry
     kinds = {"calls": 0, "hits": 0}
 
-    def checked(loaded, entry, fuel, rho):
-        kinds["hits"] += (entry, fuel, rho) in loaded.calls
+    def checked(st, loaded, entry, fuel, rho):
+        kinds["hits"] += (loaded.program.name, entry, fuel, rho) in st.calls
         kinds["calls"] += 1
-        r = call_entry(loaded, entry, fuel, rho)
+        r = call_entry(st, loaded, entry, fuel, rho)
         # the entry point applied to the environment, built here afresh
         cold = eval_expr(loaded.env, fuel, rho, mk_app(Const(entry), *map(Var, range(len(rho)))))
         assert r == cold, (loaded.program.name, entry, rho)
         return r
 
-    clear_call_memos()
     monkeypatch.setattr(chainsim, "_call_entry", checked)
     for scenario in GEN_SCENARIOS:
         for seed in range(10):
@@ -475,7 +478,8 @@ def test_a_kept_call_result_equals_a_cold_evaluation(monkeypatch):
     assert 0 < kinds["hits"] < kinds["calls"]
 
 
-def test_replay_after_gen_trace_evaluates_no_call(monkeypatch):
+def _count_evaluations(monkeypatch) -> list:
+    """The entry points `chainsim` evaluates from now on, in order."""
     evaluated = []
     evaluate = chainsim.eval_expr
 
@@ -483,24 +487,59 @@ def test_replay_after_gen_trace_evaluates_no_call(monkeypatch):
         evaluated.append(args[2])
         return evaluate(*args)
 
-    clear_call_memos()
     monkeypatch.setattr(chainsim, "eval_expr", counting)
-    for scenario in GEN_SCENARIOS:
-        for seed in (0, 3, 7):
-            t = gen_trace(seed, 20, scenario)
-            assert evaluated, "generation meets calls it has not made before"
-            evaluated.clear()
-            replay(t)
-            assert evaluated == [], (scenario.deploys[0].contract, seed)
+    return evaluated
+
+
+def test_replay_after_gen_trace_evaluates_no_call(monkeypatch):
+    evaluated = _count_evaluations(monkeypatch)
+    runs = [(scenario, seed, 20) for scenario in GEN_SCENARIOS for seed in (0, 3, 7)]
+    # a trace's memo keeps every call its generation made, however many
+    runs += [(load_scenario("crowdfunding"), 0, blocks) for blocks in (100, 300)]
+    for scenario, seed, blocks in runs:
+        t = gen_trace(seed, blocks, scenario)
+        assert evaluated, "generation meets calls it has not made before"
+        evaluated.clear()
+        replay(t)
+        assert evaluated == [], (scenario.deploys[0].contract, seed, blocks)
+
+
+def test_a_separate_genesis_evaluates_its_calls_again(monkeypatch):
+    evaluated = _count_evaluations(monkeypatch)
+    deploy = [Deploy(1, "counter", int_val(0), 0)]
+    first = genesis({1: 0})
+    assert add_block(first, BlockHeader(1), deploy)[0] is not None
+    assert add_block(first, BlockHeader(1), deploy)[0] is not None
+    assert len(evaluated) == 1
+    second = genesis({1: 0})
+    assert add_block(second, BlockHeader(1), deploy)[0] is not None
+    assert len(evaluated) == 2
+    assert len(first.calls) == len(second.calls) == 1
+    assert first.calls is not second.calls
+
+
+def test_programs_that_share_entry_names_share_no_results():
+    # both crowdfunding programs get the same donation with the same
+    # arguments; only the over-recording one writes it down twice
+    setup = CONTRACTS["crowdfunding"].make_setup({"deadline": 12, "goal": 60})
+    st = genesis({2: 100})
+    st, log = add_block(
+        st, BlockHeader(1), [Deploy(2, n, setup, 0) for n in ("crowdfunding", "crowdfunding_overrecord")]
+    )
+    assert st is not None, log
+    st, log = add_block(st, BlockHeader(2), [Call(2, CF, DONATE, 10), Call(2, CF + 1, DONATE, 10)])
+    assert st is not None, log
+    assert consistent_balance(st.contracts[CF].state)
+    assert not consistent_balance(st.contracts[CF + 1].state)
+    assert {key[0] for key in st.calls} == {"crowdfunding", "crowdfunding_overrecord"}
 
 
 def test_errors_are_kept_and_logged_as_evaluated(monkeypatch):
     # 5 units of fuel cannot run init; the shortfall is kept like a value
-    clear_call_memos()
     st = genesis({1: 0})
     new, log = add_block(st, BlockHeader(1), [Deploy(1, "counter", int_val(0), 0)], fuel=5)
     assert new is None and log == ["init of 'counter' failed: NotEnoughFuel()"]
-    (kept,) = contract("counter").calls.values()
+    (kept,) = st.calls.values()
     assert isinstance(kept, NotEnoughFuel)
     monkeypatch.setattr(chainsim, "eval_expr", lambda *a: EvalError("evaluated again"))
     assert add_block(st, BlockHeader(1), [Deploy(1, "counter", int_val(0), 0)], fuel=5) == (None, log)
@@ -511,25 +550,12 @@ def test_errors_are_kept_and_logged_as_evaluated(monkeypatch):
 
 def test_arguments_too_deep_to_hash_are_evaluated_and_not_kept():
     # a ledger of 3,000 donations nests deeper than hashing it can recurse
-    clear_call_memos()
     ledger = _cf_state(3000, [(1 + i % 3, 1) for i in range(3000)])
-    st = ChainState(5, {2: 10, CF: 3000}, {CF: DeployedContract("crowdfunding", ledger)}, CF + 1)
+    st = ChainState(5, {2: 10, CF: 3000}, {CF: DeployedContract("crowdfunding", ledger)}, CF + 1, {})
     new, log = add_block(st, BlockHeader(6), [Call(2, CF, VConstr("Msg", "Donate"), 7)])
     assert new is not None, log
     assert cf_state_fields(new.contracts[CF].state)[0] == 3007
-    assert not contract("crowdfunding").calls
-
-
-def test_the_call_memo_keeps_at_most_its_cap_and_drops_the_oldest(monkeypatch):
-    monkeypatch.setattr(chainsim, "CALL_MEMO_CAP", 3)
-    clear_call_memos()
-    st = genesis({1: 0})
-    for start in range(5):
-        new, _ = add_block(st, BlockHeader(1), [Deploy(1, "counter", int_val(start), 0)])
-        assert new is not None
-    kept = contract("counter").calls
-    assert [rho[2] for _, _, rho in kept] == [int_val(2), int_val(3), int_val(4)]
-    assert all(type(r) is Ok for r in kept.values())
+    assert not st.calls
 
 
 def _cf_state(balance, pairs, done=False, goal=60):
@@ -548,7 +574,7 @@ def _cf_state(balance, pairs, done=False, goal=60):
 
 
 def test_invariant_messages_name_the_drift():
-    st = ChainState(5, {1: 10, CF: 30}, {CF: DeployedContract("crowdfunding", _cf_state(50, [(2, 50)]))}, CF + 1)
+    st = ChainState(5, {1: 10, CF: 30}, {CF: DeployedContract("crowdfunding", _cf_state(50, [(2, 50)]))}, CF + 1, {})
     t = Trace(genesis({1: 40}))
     msg = cf_backed(t, 0, st)
     assert msg == f"contract {CF} holds 30, ledger claims 50"
@@ -559,9 +585,9 @@ def test_invariant_messages_name_the_drift():
 
 def test_money_conservation_message():
     t = Trace(genesis({1: 40}))
-    st = ChainState(1, {1: 41}, {}, CF)
+    st = ChainState(1, {1: 41}, {}, CF, {})
     assert money_conserved(t, 0, st) == "total supply drifted from 40 to 41"
-    st = ChainState(1, {1: 40}, {}, CF)
+    st = ChainState(1, {1: 40}, {}, CF, {})
     assert money_conserved(t, 0, st) is None
 
 

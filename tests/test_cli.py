@@ -118,6 +118,23 @@ def test_run_rejects_a_negative_index_in_a_json_module(capsys, tmp_path):
     assert "variable index must be non-negative" in err
 
 
+@pytest.mark.parametrize("command", [["check"], ["run", "--entry", "three"]])
+def test_a_negative_parameter_count_in_a_json_module_is_bad_input(capsys, tmp_path, command):
+    box = {
+        "name": "Box",
+        "numParams": -1,
+        "constrs": [{"name": "MkBox", "args": [{"tag": "TVar", "index": 0}]}],
+    }
+    three = {"tag": "Lit", "value": {"tag": "PInt", "value": 3}}
+    body = {"tag": "App", "fn": {"tag": "Constr", "ind": "Box", "ctor": "MkBox"}, "arg": three}
+    p = tmp_path / "box.json"
+    p.write_text(json.dumps({"inductives": [box], "defs": [{"name": "three", "body": body}]}))
+    code, out, err = run_cli(capsys, command[0], str(p), *command[1:])
+    assert code == 2
+    assert out == ""
+    assert err.count("error:") == 1 and "numParams must be non-negative" in err
+
+
 @pytest.mark.parametrize(
     "body",
     [

@@ -8,8 +8,8 @@ that means to alter the report, e.g.
 the `chain` files run below that command's default.
 The `translate` reports print every variable by the binder its de Bruijn
 index points at, so they pin the indices the parser resolves.
-A `chain` report must not depend on what the contracts' call memos hold, so
-those cases also run cold and warm in one process, and under a tiny cap."""
+A `chain` report must not depend on the chain's call memo, so those cases
+also run with every contract call evaluated afresh."""
 
 from pathlib import Path
 
@@ -17,8 +17,8 @@ import pytest
 
 from acorncore import chainsim
 from acorncore.cli import main
+from acorncore.interp import eval_expr
 
-from oracles import clear_call_memos
 from pinned import CASES
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -33,25 +33,13 @@ def test_report_matches_its_golden_file(capsys, name, argv):
 
 
 @pytest.mark.parametrize("name, argv", CHAIN_CASES)
-def test_chain_report_is_the_same_cold_and_warm(capsys, name, argv):
-    clear_call_memos()
-    for _ in ("cold", "warm"):
-        assert main(argv) == 0
+def test_chain_report_is_the_same_cold_and_warm(capsys, monkeypatch, name, argv):
+    def cold(st, loaded, entry, fuel, rho):
+        return eval_expr(loaded.env, fuel, rho, loaded.entries[entry])
+
+    for kept in (False, True):
+        with monkeypatch.context() as m:
+            if not kept:
+                m.setattr(chainsim, "_call_entry", cold)
+            assert main(argv) == 0
         assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
-
-
-def test_chain_report_is_the_same_under_a_cap_of_four(capsys, monkeypatch):
-    call_entry = chainsim._call_entry
-    sizes = []
-
-    def measured(loaded, *args):
-        r = call_entry(loaded, *args)
-        sizes.append(len(loaded.calls))
-        return r
-
-    monkeypatch.setattr(chainsim, "CALL_MEMO_CAP", 4)
-    monkeypatch.setattr(chainsim, "_call_entry", measured)
-    clear_call_memos()
-    assert main(["chain", "--blocks", "50", "--seed", "3", "--fuel", "10000"]) == 0
-    assert capsys.readouterr().out.encode() == (GOLDEN / "chain_blocks50_seed3.txt").read_bytes()
-    assert max(sizes) == 4

@@ -134,6 +134,13 @@ def test_decl_round_trip():
         decl_from_json(bad)
 
 
+def test_a_negative_parameter_count_is_rejected():
+    box = {"name": "Box", "numParams": -1, "constrs": [{"name": "MkBox", "args": [ty_to_json(TVar(0))]}]}
+    with pytest.raises(JsonError, match="numParams must be non-negative"):
+        decl_from_json(box)
+    assert decl_from_json({**box, "numParams": 1}).num_params == 1
+
+
 def test_module_round_trip():
     from acorncore.programs import load_module, stdlib_env
 
