@@ -77,8 +77,9 @@ class DeployedContract:
 
 @dataclass
 class ChainState:
-    """`calls` is the chain's call memo (see `_call_entry`): every clone of
-    a state shares it, and each `genesis` makes a new one."""
+    """`calls` is the chain's call memo, keyed on each call's plain inputs
+    (see `_call_entry`): every clone of a state shares it, and each
+    `genesis` makes a new one."""
 
     slot: int
     balances: dict[int, int]
@@ -143,22 +144,29 @@ def _decode_receive(result: Val) -> Optional[tuple[Val, list[tuple[int, int]]]]:
 
 
 def _call_entry(
-    st: ChainState, loaded: LoadedContract, entry: str, fuel: int, rho: tuple[Val, ...]
+    st: ChainState, loaded: LoadedContract, entry: str, fuel: int, sender: int, amount: int, *args
 ) -> EvalResult:
-    """The entry point `entry` of `loaded` applied to `rho`, evaluated at
-    `fuel`. A call is a pure function of these, so its result, an error as
-    much as a value, is kept in the chain's memo `st.calls`, under the
-    program's name, and returned to the same call later."""
-    key = (loaded.program.name, entry, fuel, rho)
-    calls = st.calls
+    """The entry point `entry` of `loaded`, called by `sender` with `amount`
+    at the slot of `st` and evaluated at `fuel`; `args` are init's setup,
+    or receive's message (None for a bare payment) and state.
+
+    The chain value depends only on the slot and the context only on sender
+    and amount, so a call is a pure function of these plain inputs. Its
+    result, an error as much as a value, is kept in `st.calls` under them
+    and the program's name; the Acorn arguments are built only on a miss."""
+    key = (loaded.program.name, entry, fuel, st.slot, sender, amount, *args)
     try:
-        r = calls.get(key)
+        r = st.calls.get(key)
     except RecursionError:
-        # hashing recurses once per level not hashed before; arguments too
-        # deep for that (a long ledger built elsewhere) are evaluated, not kept
-        return eval_expr(loaded.env, fuel, rho, loaded.entries[entry])
+        # a state too deep to hash is evaluated, not kept
+        key = r = None
     if r is None:
-        r = calls[key] = eval_expr(loaded.env, fuel, rho, loaded.entries[entry])
+        if entry == loaded.program.receive_name:
+            args = (_maybe_val(args[0]), args[1])
+        rho = (_chain_val(st), _ctx_val(sender, amount), *args)
+        r = eval_expr(loaded.env, fuel, rho, loaded.entries[entry])
+        if key is not None:
+            st.calls[key] = r
     return r
 
 
@@ -183,8 +191,7 @@ def call_contract(
     loaded = contract(con.program)
     if not _move(st, sender, target, amount, log):
         return False
-    rho = (_chain_val(st), _ctx_val(sender, amount), _maybe_val(msg), con.state)
-    r = _call_entry(st, loaded, loaded.program.receive_name, fuel, rho)
+    r = _call_entry(st, loaded, loaded.program.receive_name, fuel, sender, amount, msg, con.state)
     if not isinstance(r, Ok):
         log.append(f"receive at {target} failed: {r!r}")
         return False
@@ -227,8 +234,7 @@ def _exec_action(
             # the endowment lands before init runs
             if not _move(st, sender, address, amount, log):
                 return False
-            rho = (_chain_val(st), _ctx_val(sender, amount), setup)
-            r = _call_entry(st, loaded, loaded.program.init_name, fuel, rho)
+            r = _call_entry(st, loaded, loaded.program.init_name, fuel, sender, amount, setup)
             if not isinstance(r, Ok):
                 log.append(f"init of '{name}' failed: {r!r}")
                 return False

@@ -40,8 +40,8 @@ from acorncore.chainsim import (
     replay,
     scenario_from_json,
 )
-from acorncore.interp import VConstr, eval_expr
-from acorncore.lang import Const, EvalError, NotEnoughFuel, Var, mk_app
+from acorncore.interp import VConstr, VPrim, eval_expr
+from acorncore.lang import Const, EvalError, NotEnoughFuel, PInt, PNat, Var, mk_app
 from acorncore.programs import (
     CONTRACTS,
     constr_payload,
@@ -457,27 +457,6 @@ def test_check_invariants_replays_once_for_all_invariants(monkeypatch):
 # ---------------------------------------------------------------------------
 # kept entry-point calls
 
-def test_a_kept_call_result_equals_a_cold_evaluation(monkeypatch):
-    call_entry = chainsim._call_entry
-    kinds = {"calls": 0, "hits": 0}
-
-    def checked(st, loaded, entry, fuel, rho):
-        kinds["hits"] += (loaded.program.name, entry, fuel, rho) in st.calls
-        kinds["calls"] += 1
-        r = call_entry(st, loaded, entry, fuel, rho)
-        # the entry point applied to the environment, built here afresh
-        cold = eval_expr(loaded.env, fuel, rho, mk_app(Const(entry), *map(Var, range(len(rho)))))
-        assert r == cold, (loaded.program.name, entry, rho)
-        return r
-
-    monkeypatch.setattr(chainsim, "_call_entry", checked)
-    for scenario in GEN_SCENARIOS:
-        for seed in range(10):
-            replay(gen_trace(seed, 20, scenario))
-    # generation misses and replay hits, so both sides were compared
-    assert 0 < kinds["hits"] < kinds["calls"]
-
-
 def _count_evaluations(monkeypatch) -> list:
     """The entry points `chainsim` evaluates from now on, in order."""
     evaluated = []
@@ -491,6 +470,39 @@ def _count_evaluations(monkeypatch) -> list:
     return evaluated
 
 
+def test_a_kept_call_result_equals_a_cold_evaluation(monkeypatch):
+    call_entry = chainsim._call_entry
+    evaluated = _count_evaluations(monkeypatch)
+    kinds = {"calls": 0, "hits": 0}
+
+    def checked(st, loaded, entry, fuel, sender, amount, *args):
+        before = len(evaluated)
+        r = call_entry(st, loaded, entry, fuel, sender, amount, *args)
+        kinds["hits"] += len(evaluated) == before
+        kinds["calls"] += 1
+        # the entry point applied to its arguments, built here afresh
+        chain = VConstr("SimpleChain", "MkSimpleChain", (VPrim(PNat(st.slot)),))
+        ctx = VConstr(
+            "SimpleContractCallContext",
+            "MkSimpleContractCallContext",
+            (VPrim(PNat(sender)), VPrim(PInt(amount))),
+        )
+        if entry == loaded.program.receive_name:
+            msg, state = args
+            args = (VConstr("Maybe", "Nothing") if msg is None else VConstr("Maybe", "Just", (msg,)), state)
+        rho = (chain, ctx, *args)
+        cold = eval_expr(loaded.env, fuel, rho, mk_app(Const(entry), *map(Var, range(len(rho)))))
+        assert r == cold, (loaded.program.name, entry, rho)
+        return r
+
+    monkeypatch.setattr(chainsim, "_call_entry", checked)
+    for scenario in GEN_SCENARIOS:
+        for seed in range(10):
+            replay(gen_trace(seed, 20, scenario))
+    # generation misses and replay hits, so both sides were compared
+    assert 0 < kinds["hits"] < kinds["calls"]
+
+
 def test_replay_after_gen_trace_evaluates_no_call(monkeypatch):
     evaluated = _count_evaluations(monkeypatch)
     runs = [(scenario, seed, 20) for scenario in GEN_SCENARIOS for seed in (0, 3, 7)]
@@ -502,6 +514,52 @@ def test_replay_after_gen_trace_evaluates_no_call(monkeypatch):
         evaluated.clear()
         replay(t)
         assert evaluated == [], (scenario.deploys[0].contract, seed, blocks)
+
+
+def test_replay_after_gen_trace_builds_no_chain_or_context_value(monkeypatch):
+    built = []
+    for name in ("_chain_val", "_ctx_val", "_maybe_val"):
+        make = getattr(chainsim, name)
+        monkeypatch.setattr(chainsim, name, lambda *a, name=name, make=make: built.append(name) or make(*a))
+    for blocks in (20, 100, 300):
+        t = gen_trace(0, blocks, load_scenario("crowdfunding"))
+        assert built, "generation builds the arguments of the calls it evaluates"
+        built.clear()
+        replay(t)
+        # the memo is found by the call's plain inputs alone
+        assert built == [], blocks
+
+
+def test_the_call_key_covers_every_input(monkeypatch):
+    evaluated = _count_evaluations(monkeypatch)
+    st = _cf_deploy()
+    assert len(evaluated) == 1
+    donated = _accept(st, 2, [Call(2, CF, DONATE, 10)])
+    evaluated.clear()
+    # each differs from the first in one input only: slot, sender, amount,
+    # message (a bare payment, Donate, Claim) or state
+    calls = [
+        (st, 3, Call(2, CF, DONATE, 10)),
+        (st, 4, Call(2, CF, DONATE, 10)),
+        (st, 3, Call(3, CF, DONATE, 10)),
+        (st, 3, Call(2, CF, DONATE, 11)),
+        (st, 3, Transfer(2, CF, 10)),
+        (st, 3, Call(2, CF, CLAIM, 10)),
+        (donated, 3, Call(2, CF, DONATE, 10)),
+    ]
+    for i, (prev, slot, act) in enumerate(calls):
+        add_block(prev, BlockHeader(slot), [act])
+        assert len(evaluated) == i + 1, act
+    for prev, slot, act in calls:
+        add_block(prev, BlockHeader(slot), [act])
+    assert len(evaluated) == len(calls)
+    # init: another setup is another call
+    evaluated.clear()
+    for _ in range(2):
+        for goal in (60, 61):
+            setup = CONTRACTS["crowdfunding"].make_setup({"deadline": 12, "goal": goal})
+            add_block(st, BlockHeader(2), [Deploy(1, "crowdfunding", setup, 0)])
+    assert len(evaluated) == 2
 
 
 def test_a_separate_genesis_evaluates_its_calls_again(monkeypatch):
