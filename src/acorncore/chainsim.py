@@ -17,8 +17,8 @@ from .interp import Ok, VConstr, VPrim, Val, eval_expr
 from .lang import EvalResult, PInt, PNat
 from .programs import (
     CONTRACTS,
+    ContractProgram,
     ConversionError,
-    LoadedContract,
     constr_payload,
     contract,
     from_acorn_list,
@@ -75,17 +75,21 @@ class DeployedContract:
     state: Val
 
 
+# a call's decoded outcome: (new state, emitted transfers), or why it failed
+Outcome = Union[tuple[Val, tuple[tuple[int, int], ...]], str]
+
+
 @dataclass
 class ChainState:
     """`calls` is the chain's call memo, keyed on each call's plain inputs
-    (see `_call_entry`): every clone of a state shares it, and each
-    `genesis` makes a new one."""
+    and holding each call's decoded outcome (see `_call_entry`): every
+    clone of a state shares it, and each `genesis` makes a new one."""
 
     slot: int
     balances: dict[int, int]
     contracts: dict[int, DeployedContract]
     next_address: int
-    calls: dict[tuple, EvalResult] = field(repr=False, compare=False)
+    calls: dict[tuple, Outcome] = field(repr=False, compare=False)
 
 
 def genesis(balances: dict[int, int]) -> ChainState:
@@ -127,86 +131,81 @@ def _move(st: ChainState, sender: int, target: int, amount: int, log: list[str])
     return True
 
 
-def _decode_receive(result: Val) -> Optional[tuple[Val, list[tuple[int, int]]]]:
-    """Unpack Maybe (Prod state (List SimpleActionBody)); None for a refusal.
-    Emitted transfers decode to (amount, recipient) pairs."""
-    if not isinstance(result, VConstr) or result.ind != "Maybe":
-        raise ConversionError(f"receive returned a non-option value: {result!r}")
-    if result.ctor == "Nothing":
-        return None
-    (pair,) = constr_payload(result, "Just")
-    new_state, actions = constr_payload(pair, "Pair")
-    emitted = []
-    for act in from_acorn_list(actions):
-        amt, recipient = constr_payload(act, "Transfer")
-        emitted.append((val_to_int(amt), val_to_nat(recipient)))
-    return new_state, emitted
+def _decode(result: EvalResult, init: bool) -> Outcome:
+    """A call's outcome: its new state and emitted (amount, recipient)
+    transfers, or why it failed. init returns Maybe state and emits nothing;
+    receive returns Maybe (Prod state (List SimpleActionBody))."""
+    if not isinstance(result, Ok):
+        return f"failed: {result!r}"
+    out = result.value
+    try:
+        if not isinstance(out, VConstr) or out.ind != "Maybe":
+            kind = "init" if init else "receive"
+            raise ConversionError(f"{kind} returned a non-option value: {out!r}")
+        if out.ctor == "Nothing":
+            return "rejected the setup" if init else "rejected the call"
+        (new_state,) = constr_payload(out, "Just")
+        if init:
+            return new_state, ()
+        new_state, actions = constr_payload(new_state, "Pair")
+        emitted = []
+        for act in from_acorn_list(actions):
+            amt, recipient = constr_payload(act, "Transfer")
+            emitted.append((val_to_int(amt), val_to_nat(recipient)))
+    except ConversionError as err:
+        return f"returned a bad shape: {err}"
+    return new_state, tuple(emitted)
 
 
 def _call_entry(
-    st: ChainState, loaded: LoadedContract, entry: str, fuel: int, sender: int, amount: int, *args
-) -> EvalResult:
-    """The entry point `entry` of `loaded`, called by `sender` with `amount`
-    at the slot of `st` and evaluated at `fuel`; `args` are init's setup,
-    or receive's message (None for a bare payment) and state.
+    st: ChainState, prog: ContractProgram, entry: str, fuel: int, sender: int, amount: int, *args
+) -> Outcome:
+    """The outcome of the entry point `entry` of `prog`, called by `sender`
+    with `amount` at the slot of `st` and evaluated at `fuel`; `args` are
+    init's setup, or receive's message (None for a bare payment) and state.
 
     The chain value depends only on the slot and the context only on sender
     and amount, so a call is a pure function of these plain inputs. Its
-    result, an error as much as a value, is kept in `st.calls` under them
-    and the program's name; the Acorn arguments are built only on a miss."""
-    key = (loaded.program.name, entry, fuel, st.slot, sender, amount, *args)
+    decoded outcome, a failure as much as a success, is kept in `st.calls`
+    under them and the program's name; the program is loaded and the Acorn
+    arguments are built only on a miss."""
+    key = (prog.name, entry, fuel, st.slot, sender, amount, *args)
     try:
-        r = st.calls.get(key)
+        out = st.calls.get(key)
     except RecursionError:
         # a state too deep to hash is evaluated, not kept
-        key = r = None
-    if r is None:
-        if entry == loaded.program.receive_name:
+        key = out = None
+    if out is None:
+        loaded = contract(prog.name)
+        init = entry == prog.init_name
+        if not init:
             args = (_maybe_val(args[0]), args[1])
         rho = (_chain_val(st), _ctx_val(sender, amount), *args)
-        r = eval_expr(loaded.env, fuel, rho, loaded.entries[entry])
+        out = _decode(eval_expr(loaded.env, fuel, rho, loaded.entries[entry]), init)
         if key is not None:
-            st.calls[key] = r
-    return r
+            st.calls[key] = out
+    return out
 
 
-def call_contract(
-    st: ChainState,
-    sender: int,
-    target: int,
-    msg: Optional[Val],
-    amount: int,
-    depth: int,
-    log: list[str],
-    fuel: int = DEFAULT_CALL_FUEL,
+def _run_entry(
+    st: ChainState, prog: ContractProgram, address: int, entry: str, sender: int, amount: int,
+    args: tuple, depth: int, log: list[str], fuel: int,
 ) -> bool:
-    """Deliver a message (or a bare payment when msg is None) to a deployed
-    contract, committing its new state and running any emitted transfers
-    depth-first. Mutates `st`; the caller checks `depth` against
-    MAX_CALL_DEPTH and provides rollback."""
-    con = st.contracts.get(target)
-    if con is None:
-        log.append(f"no contract deployed at {target}")
+    """Pay `amount` from `sender` to `address`, call `entry` of `prog` there
+    on `args` (as `_call_entry` takes them), commit the state it returns and
+    run the transfers it emits depth-first. Mutates `st`; the caller checks
+    `depth` against MAX_CALL_DEPTH and provides rollback."""
+    if not _move(st, sender, address, amount, log):
         return False
-    loaded = contract(con.program)
-    if not _move(st, sender, target, amount, log):
+    out = _call_entry(st, prog, entry, fuel, sender, amount, *args)
+    if isinstance(out, str):
+        who = f"init of '{prog.name}'" if entry == prog.init_name else f"receive at {address}"
+        log.append(f"{who} {out}")
         return False
-    r = _call_entry(st, loaded, loaded.program.receive_name, fuel, sender, amount, msg, con.state)
-    if not isinstance(r, Ok):
-        log.append(f"receive at {target} failed: {r!r}")
-        return False
-    try:
-        decoded = _decode_receive(r.value)
-    except ConversionError as err:
-        log.append(f"receive at {target} returned a bad shape: {err}")
-        return False
-    if decoded is None:
-        log.append(f"contract {target} rejected the call")
-        return False
-    new_state, emitted = decoded
-    st.contracts[target] = DeployedContract(con.program, new_state)
+    new_state, emitted = out
+    st.contracts[address] = DeployedContract(prog.name, new_state)
     for out_amount, recipient in emitted:
-        if not _exec_action(st, Transfer(target, recipient, out_amount), depth + 1, log, fuel):
+        if not _exec_action(st, Transfer(address, recipient, out_amount), depth + 1, log, fuel):
             return False
     return True
 
@@ -219,38 +218,32 @@ def _exec_action(
         return False
     match act:
         case Transfer(sender, target, amount):
-            if target in st.contracts:
-                # paying a contract delivers an empty message
-                return call_contract(st, sender, target, None, amount, depth, log, fuel)
-            return _move(st, sender, target, amount, log)
+            if target not in st.contracts:
+                return _move(st, sender, target, amount, log)
+            # paying a contract delivers an empty message
+            msg = None
+        case Call(sender, target, msg, amount):
+            if target not in st.contracts:
+                log.append(f"no contract deployed at {target}")
+                return False
         case Deploy(sender, name, setup, amount):
-            try:
-                loaded = contract(name)
-            except ConversionError:
+            prog = CONTRACTS.get(name)
+            if prog is None:
                 log.append(f"unknown contract '{name}'")
                 return False
             address = st.next_address
             st.next_address += 1
             # the endowment lands before init runs
-            if not _move(st, sender, address, amount, log):
-                return False
-            r = _call_entry(st, loaded, loaded.program.init_name, fuel, sender, amount, setup)
-            if not isinstance(r, Ok):
-                log.append(f"init of '{name}' failed: {r!r}")
-                return False
-            out = r.value
-            if not isinstance(out, VConstr) or out.ind != "Maybe":
-                log.append(f"init of '{name}' returned a bad shape")
-                return False
-            if out.ctor == "Nothing":
-                log.append(f"init of '{name}' rejected the setup")
-                return False
-            (state,) = constr_payload(out, "Just")
-            st.contracts[address] = DeployedContract(name, state)
-            return True
-        case Call(sender, target, msg, amount):
-            return call_contract(st, sender, target, msg, amount, depth, log, fuel)
-    raise TypeError(f"not an action: {act!r}")
+            return _run_entry(
+                st, prog, address, prog.init_name, sender, amount, (setup,), depth, log, fuel
+            )
+        case _:
+            raise TypeError(f"not an action: {act!r}")
+    con = st.contracts[target]
+    prog = CONTRACTS[con.program]
+    return _run_entry(
+        st, prog, target, prog.receive_name, sender, amount, (msg, con.state), depth, log, fuel
+    )
 
 
 def add_block(
@@ -374,7 +367,7 @@ def consistent_balance(state: Val) -> bool:
 
 def _cf_contracts(st: ChainState):
     for addr, con in st.contracts.items():
-        if contract(con.program).program.init_name == "cf_init":
+        if CONTRACTS[con.program].init_name == "cf_init":
             yield addr, con
 
 
@@ -502,7 +495,7 @@ def _rand_action(rng: random.Random, st: ChainState, actors: list[int]) -> Actio
     sender = rng.choice(actors)
     if addrs and roll < 0.75:
         target = rng.choice(addrs)
-        prog = contract(st.contracts[target].program).program
+        prog = CONTRACTS[st.contracts[target].program]
         msg, amount = prog.gen_call(rng, st.slot)
         if msg is None:
             return Transfer(sender, target, amount)

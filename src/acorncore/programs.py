@@ -184,7 +184,8 @@ def contract(name: str) -> LoadedContract:
     prog = CONTRACTS.get(name)
     if prog is None:
         raise ConversionError(f"unknown contract '{name}'")
-    env, _ = load_module(prog.module)
+    # never a file of that name in the working directory
+    env, _ = parse_module((corpus_dir() / f"{prog.module}.acorn").read_text(), stdlib_env())
     entries = {
         entry: mk_app(Const(entry), *map(Var, range(arity)))
         for entry, arity in ((prog.init_name, 3), (prog.receive_name, 4))

@@ -85,11 +85,13 @@ def _list(v: Any, what: str) -> list:
 
 
 def parse_json(text: str, what: str) -> Any:
-    """`json.loads`, raising JsonError on malformed text."""
+    """`json.loads`, raising JsonError on malformed or too deeply nested text."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as err:
         raise JsonError(f"{what} is not valid JSON: {err}") from None
+    except RecursionError:
+        raise JsonError(f"{what} is nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +224,11 @@ def module_from_json(obj: Any) -> tuple[list[InductiveDecl], list[tuple[str, Exp
     defs = _need(obj, "defs")
     if not isinstance(inds, list) or not isinstance(defs, list):
         raise JsonError("module must have 'inductives' and 'defs' lists")
-    return (
-        [decl_from_json(d) for d in inds],
-        [
+    try:
+        return [decl_from_json(d) for d in inds], [
             (_str(_need(d, "name"), "definition name"), expr_from_json(_need(d, "body")))
             for d in defs
-        ],
-    )
+        ]
+    except RecursionError:
+        # the decoders recurse once per level of the AST
+        raise JsonError("module is nested too deeply") from None

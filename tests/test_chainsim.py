@@ -41,10 +41,11 @@ from acorncore.chainsim import (
     scenario_from_json,
 )
 from acorncore.interp import VConstr, VPrim, eval_expr
-from acorncore.lang import Const, EvalError, NotEnoughFuel, PInt, PNat, Var, mk_app
+from acorncore.lang import Const, EvalError, PInt, PNat, Var, mk_app
 from acorncore.programs import (
     CONTRACTS,
     constr_payload,
+    contract,
     map_entries,
     nat_val,
 )
@@ -200,7 +201,7 @@ def test_claim_before_the_deadline_is_rejected():
 def test_bare_payment_to_crowdfunding_is_rejected():
     st = _cf_deploy()
     log = _reject(st, 2, [Transfer(3, CF, 10)])
-    assert any("rejected the call" in l for l in log)
+    assert log == [f"receive at {CF} rejected the call"]
 
 
 def test_stranger_cannot_collect():
@@ -475,9 +476,9 @@ def test_a_kept_call_result_equals_a_cold_evaluation(monkeypatch):
     evaluated = _count_evaluations(monkeypatch)
     kinds = {"calls": 0, "hits": 0}
 
-    def checked(st, loaded, entry, fuel, sender, amount, *args):
+    def checked(st, prog, entry, fuel, sender, amount, *args):
         before = len(evaluated)
-        r = call_entry(st, loaded, entry, fuel, sender, amount, *args)
+        out = call_entry(st, prog, entry, fuel, sender, amount, *args)
         kinds["hits"] += len(evaluated) == before
         kinds["calls"] += 1
         # the entry point applied to its arguments, built here afresh
@@ -487,13 +488,14 @@ def test_a_kept_call_result_equals_a_cold_evaluation(monkeypatch):
             "MkSimpleContractCallContext",
             (VPrim(PNat(sender)), VPrim(PInt(amount))),
         )
-        if entry == loaded.program.receive_name:
+        if entry == prog.receive_name:
             msg, state = args
             args = (VConstr("Maybe", "Nothing") if msg is None else VConstr("Maybe", "Just", (msg,)), state)
         rho = (chain, ctx, *args)
-        cold = eval_expr(loaded.env, fuel, rho, mk_app(Const(entry), *map(Var, range(len(rho)))))
-        assert r == cold, (loaded.program.name, entry, rho)
-        return r
+        env = contract(prog.name).env
+        cold = eval_expr(env, fuel, rho, mk_app(Const(entry), *map(Var, range(len(rho)))))
+        assert out == chainsim._decode(cold, entry == prog.init_name), (prog.name, entry, rho)
+        return out
 
     monkeypatch.setattr(chainsim, "_call_entry", checked)
     for scenario in GEN_SCENARIOS:
@@ -528,6 +530,20 @@ def test_replay_after_gen_trace_builds_no_chain_or_context_value(monkeypatch):
         replay(t)
         # the memo is found by the call's plain inputs alone
         assert built == [], blocks
+
+
+def test_replay_after_gen_trace_decodes_no_call(monkeypatch):
+    decoded = []
+    for name in ("constr_payload", "from_acorn_list"):
+        decode = getattr(chainsim, name)
+        monkeypatch.setattr(chainsim, name, lambda *a, name=name, f=decode: decoded.append(name) or f(*a))
+    for blocks in (20, 100, 300):
+        t = gen_trace(0, blocks, load_scenario("crowdfunding"))
+        assert decoded, "generation decodes the calls it evaluates"
+        decoded.clear()
+        replay(t)
+        # the memo keeps each call's outcome, not the value it decodes from
+        assert decoded == [], blocks
 
 
 def test_the_call_key_covers_every_input(monkeypatch):
@@ -597,8 +613,8 @@ def test_errors_are_kept_and_logged_as_evaluated(monkeypatch):
     st = genesis({1: 0})
     new, log = add_block(st, BlockHeader(1), [Deploy(1, "counter", int_val(0), 0)], fuel=5)
     assert new is None and log == ["init of 'counter' failed: NotEnoughFuel()"]
-    (kept,) = st.calls.values()
-    assert isinstance(kept, NotEnoughFuel)
+    assert len(st.calls) == 1
+    # a kept failure is not evaluated again, and logs as it did
     monkeypatch.setattr(chainsim, "eval_expr", lambda *a: EvalError("evaluated again"))
     assert add_block(st, BlockHeader(1), [Deploy(1, "counter", int_val(0), 0)], fuel=5) == (None, log)
     # another fuel is another call

@@ -205,6 +205,24 @@ def test_check_rejects_a_module_nested_too_deeply(capsys, tmp_path):
     assert "input nested too deeply" in err
 
 
+_LIT = '{"tag": "Lit", "value": {"tag": "PInt", "value": 1}}'
+_DEEP_APPS = '{"tag": "App", "fn": ' * 3000 + _LIT + (', "arg": ' + _LIT + "}") * 3000
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 5000 + "]" * 5000, '{"inductives": [], "defs": [{"name": "x", "body": %s}]}' % _DEEP_APPS],
+    ids=["brackets", "apps"],
+)
+def test_a_json_module_nested_too_deeply_is_bad_input(capsys, tmp_path, text):
+    p = tmp_path / "deep.json"
+    p.write_text(text)
+    code, out, err = run_cli(capsys, "check", str(p))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: module '{p}' is nested too deeply"]
+
+
 # ---------------------------------------------------------------------------
 # translate
 
@@ -367,9 +385,10 @@ def test_counts_below_their_minimum_are_usage_errors(capsys, argv, message):
             ' "deployer": 1, "setup": {"deadline": -1, "goal": 60}}]}',
             "natural literal must be non-negative",
         ),
+        ("[" * 5000 + "]" * 5000, "is nested too deeply"),
     ],
     ids=["malformed", "unknown-contract", "actors-not-a-list", "duplicate-actor",
-         "no-deadline", "negative-deadline"],
+         "no-deadline", "negative-deadline", "nested-too-deeply"],
 )
 def test_chain_rejects_a_bad_scenario_file(capsys, tmp_path, text, message):
     p = tmp_path / "bad.json"

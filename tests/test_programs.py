@@ -28,6 +28,7 @@ from acorncore.programs import (
     val_to_int,
     val_to_nat,
 )
+from acorncore.parser import parse_module
 from acorncore.translate import translate_env
 
 from oracles import (
@@ -114,6 +115,18 @@ def test_registry_entries_load_and_expose_entry_points():
 
 def test_contract_is_cached():
     assert contract("counter") is contract("counter")
+
+
+def test_contracts_load_from_the_packaged_corpus_only(monkeypatch, tmp_path):
+    # module arguments resolve against the working directory first; a
+    # contract's module never does
+    (tmp_path / "dir" / "counter").mkdir(parents=True)
+    (tmp_path / "file").mkdir()
+    (tmp_path / "file" / "counter").write_text("def counter_init = 5z\n")
+    want = parse_module((corpus_dir() / "counter.acorn").read_text(), stdlib_env())[0]
+    for decoy in ("dir", "file"):
+        monkeypatch.chdir(tmp_path / decoy)
+        assert contract.__wrapped__("counter").env.constants == want.constants, decoy
 
 
 def test_unknown_contract():

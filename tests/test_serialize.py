@@ -30,6 +30,7 @@ from acorncore.serialize import (
     decl_from_json,
     expr_from_json,
     module_from_json,
+    parse_json,
     prim_from_json,
     ty_from_json,
 )
@@ -150,6 +151,16 @@ def test_module_round_trip():
     decls2, defs2 = module_from_json(json.loads(json.dumps(data)))
     assert decls2 == own
     assert defs2 == defs
+
+
+def test_json_nested_past_the_recursion_limit_is_rejected():
+    with pytest.raises(JsonError, match="'deep' is nested too deeply"):
+        parse_json("[" * 5000 + "]" * 5000, "'deep'")
+    body = {"tag": "Lit", "value": prim_to_json(PInt(1))}
+    for _ in range(3000):
+        body = {"tag": "App", "fn": body, "arg": body}
+    with pytest.raises(JsonError, match="module is nested too deeply"):
+        module_from_json({"inductives": [], "defs": [{"name": "x", "body": body}]})
 
 
 def test_corpus_json_twins_do_not_drift():
