@@ -479,12 +479,13 @@ def load_scenario(name_or_path: str) -> Scenario:
     """Scenario from a JSON file; bare names resolve to the packaged set."""
     from .programs import scenario_dir
 
+    # a directory of the same name does not shadow a packaged scenario
     p = Path(name_or_path)
-    if not p.exists() and "/" not in name_or_path:
+    if not p.is_file() and "/" not in name_or_path:
         cand = scenario_dir() / f"{name_or_path}.json"
-        if cand.exists():
+        if cand.is_file():
             p = cand
-    if not p.exists():
+    if not p.is_file():
         raise FileNotFoundError(f"no scenario at '{name_or_path}'")
     return scenario_from_json(parse_json(p.read_text(), f"scenario '{p}'"))
 

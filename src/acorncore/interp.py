@@ -27,7 +27,6 @@ call memo in `chainsim`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .lang import (
@@ -60,6 +59,7 @@ from .lang import (
     closed_under,
     delta,
     footprint,
+    tree_node,
 )
 
 
@@ -70,7 +70,7 @@ class Val:
     __slots__ = ("_expr", "_hash")  # the read-back and the hash; see `lang.Ty`
 
 
-@dataclass(frozen=True, slots=True)
+@tree_node
 class VConstr(Val):
     ind: str
     ctor: str
@@ -86,7 +86,7 @@ class VConstr(Val):
         return h
 
 
-@dataclass(frozen=True, slots=True)
+@tree_node
 class VClosLam(Val):
     env: tuple[Val, ...]
     hint: str
@@ -94,7 +94,7 @@ class VClosLam(Val):
     body: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@tree_node
 class VClosFix(Val):
     env: tuple[Val, ...]
     f_hint: str
@@ -104,24 +104,24 @@ class VClosFix(Val):
     body: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@tree_node
 class VTyClos(Val):
     env: tuple[Val, ...]
     hint: str
     body: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@tree_node
 class VTy(Val):
     ty: Ty
 
 
-@dataclass(frozen=True, slots=True)
+@tree_node
 class VPrim(Val):
     prim: PrimVal
 
 
-@dataclass(frozen=True, slots=True)
+@tree_node
 class VBuiltin(Val):
     """A primitive constant applied to fewer arguments than it needs."""
 

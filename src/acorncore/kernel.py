@@ -26,6 +26,7 @@ from .lang import (
     PInt,
     PrimVal,
     delta,
+    tree_node,
 )
 
 
@@ -33,25 +34,25 @@ class Term:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@tree_node
 class Rel(Term):
     index: int
 
 
-@dataclass(frozen=True)
+@tree_node
 class Lambda(Term):
     hint: Optional[str]
     dom: Term
     body: Term
 
 
-@dataclass(frozen=True)
+@tree_node
 class App(Term):
     fn: Term
     arg: Term
 
 
-@dataclass(frozen=True)
+@tree_node
 class LetIn(Term):
     hint: Optional[str]
     ty: Term
@@ -59,23 +60,23 @@ class LetIn(Term):
     body: Term
 
 
-@dataclass(frozen=True)
+@tree_node
 class Const(Term):
     name: str
 
 
-@dataclass(frozen=True)
+@tree_node
 class Ind(Term):
     name: str
 
 
-@dataclass(frozen=True)
+@tree_node
 class Construct(Term):
     ind: str
     ctor_idx: int
 
 
-@dataclass(frozen=True)
+@tree_node
 class Match(Term):
     """Case analysis. `ret_ty` lives under one extra binder (the scrutinee);
     each branch is (arity, iterated lambda over the constructor arguments)."""
@@ -88,7 +89,7 @@ class Match(Term):
     branches: tuple[tuple[int, Term], ...]
 
 
-@dataclass(frozen=True)
+@tree_node
 class Fix(Term):
     """Single-argument recursive function; `body` is a lambda under the
     binder for the function itself."""
@@ -98,19 +99,19 @@ class Fix(Term):
     body: Term
 
 
-@dataclass(frozen=True)
+@tree_node
 class Prod(Term):
     hint: Optional[str]
     dom: Term
     cod: Term
 
 
-@dataclass(frozen=True)
+@tree_node
 class SortSet(Term):
     pass
 
 
-@dataclass(frozen=True)
+@tree_node
 class PrimLit(Term):
     value: PrimVal
 
@@ -134,7 +135,8 @@ def spine_view(t: Term) -> tuple[Term, tuple[Term, ...]]:
 # closed. It is computed once per node and kept on it as `_bound`, read and
 # written as `lang.Ty` describes for the surface caches; kernel terms keep
 # theirs in the instance dictionary rather than in slots, because the
-# benchmark's node counter (`bench/layers.py`) walks `vars()` of each term. A
+# benchmark's node counter (`bench/layers.py`) walks `vars()` of each term,
+# and a term is built without it, so that `vars()` holds its fields alone. A
 # negative index, which no binder reaches and lifting and substitution leave
 # alone, counts as closed. Lifting and substitution share one walker, which
 # returns a subterm with no index at or above its cutoff as it is, computing
@@ -263,13 +265,15 @@ class KernelEnv:
 
 def _constr_headed(t: Term) -> bool:
     # primitive literals count as constructor forms for the fix guard
-    head, _ = spine_view(t)
-    return isinstance(head, (Construct, PrimLit))
+    while type(t) is App:
+        t = t.fn
+    return isinstance(t, (Construct, PrimLit))
 
 
 def _type_like(t: Term) -> bool:
-    head, _ = spine_view(t)
-    return isinstance(head, (Ind, Prod, SortSet))
+    while type(t) is App:
+        t = t.fn
+    return isinstance(t, (Ind, Prod, SortSet))
 
 
 # A value met again, as a substituted argument or scrutinee, is not walked
@@ -283,19 +287,13 @@ def _type_like(t: Term) -> bool:
 # depends on the environment's inductives and builtins, so a mark holds only
 # under the `KernelEnv` it was made under; under any other the term is walked.
 
-def _mark_of(kenv: KernelEnv, v: Term) -> Optional[int]:
-    """Fuel that re-evaluating the value `v` takes, or None if unknown."""
-    if not isinstance(v, App):
-        return 1
-    mark = getattr(v, "_mark", None)
-    return mark[1] if mark is not None and mark[0] is kenv else None
-
-
 def _inert(kenv: KernelEnv, vf: Term, va: Term) -> Term:
     t = App(vf, va)
-    mf, ma = _mark_of(kenv, vf), _mark_of(kenv, va)
-    if mf is not None and ma is not None:
-        object.__setattr__(t, "_mark", (kenv, 1 + max(mf, ma)))
+    # each part's mark, read inline: an application without one is unknown
+    mf = getattr(vf, "_mark", None) if type(vf) is App else (kenv, 1)
+    ma = getattr(va, "_mark", None) if type(va) is App else (kenv, 1)
+    if mf is not None and ma is not None and mf[0] is kenv and ma[0] is kenv:
+        object.__setattr__(t, "_mark", (kenv, 1 + max(mf[1], ma[1])))
     return t
 
 
@@ -359,12 +357,16 @@ def _cbv(
             return EvalError("constructor argument count does not fit the branch")
         if not all(_type_like(a) for a in spine[:drop]):
             return EvalError("non-type argument in the parameter prefix")
-        cur = body
-        for a in spine[drop:]:
-            if not isinstance(cur, Lambda):
-                return EvalError("branch shape does not match its arity")
-            cur = subst1(a, cur.body)
-        return _cbv(kenv, n, cur)
+        if arity:
+            # peel the branch's lambdas, then put the last argument at index
+            # 0 and the first at index arity-1 in one walk, as `_apply` does
+            # for a fixpoint
+            for _ in range(arity):
+                if type(body) is not Lambda:
+                    return EvalError("branch shape does not match its arity")
+                body = body.body
+            body = parallel_subst(spine[drop:][::-1], body)
+        return _cbv(kenv, n, body)
     if c is Lambda or c is Ind or c is Fix or c is Prod or c is SortSet:
         return t
     if c is LetIn:

@@ -12,21 +12,62 @@ type binders; the parser resolves every name to its index as it reads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Callable, Iterable, Optional, Sequence, Union
+
+
+# ---------------------------------------------------------------------------
+# tree nodes
+
+def tree_node(cls: type) -> type:
+    """`@dataclass(frozen=True)` for a tree node, with a faster `__init__`.
+
+    A node whose base class declares cache slots (see `Ty`) is made with
+    `slots=True`. Its `__init__` stores each field through the slot's
+    descriptor, which the frozen `__setattr__` does not guard, and sets every
+    cache slot to None, so that no cache read on the node misses. A node
+    without cache slots (a literal, a kernel term) keeps its instance
+    dictionary and has its fields stored by one bound `object.__setattr__`.
+    Equality, hashing, repr and `__match_args__` stay the dataclass's; field
+    defaults hold and `__post_init__` runs, as in the dataclass's `__init__`.
+    """
+    caches = [n for base in cls.__mro__[1:] for n in getattr(base, "__slots__", ())]
+    cls = dataclass(frozen=True, slots=bool(caches))(cls)
+    scope: dict[str, object] = {"_set": object.__setattr__}
+    params = []
+    for f in fields(cls):
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            scope[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+    lines = []
+    for name, value in [(f.name, f.name) for f in fields(cls)] + [(n, "None") for n in caches]:
+        if caches:
+            scope[f"_set_{name}"] = getattr(cls, name).__set__
+            lines.append(f"_set_{name}(self, {value})")
+        else:
+            lines.append(f"_set(self, {name!r}, {value})")
+    if hasattr(cls, "__post_init__"):
+        lines.append("self.__post_init__()")
+    body = "\n    ".join(lines or ["pass"])
+    exec(f"def __init__(self, {', '.join(params)}):\n    {body}", scope)
+    cls.__init__ = scope["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    return cls
 
 
 # ---------------------------------------------------------------------------
 # primitive literals
 
-@dataclass(frozen=True)
+@tree_node
 class PInt:
     """Arbitrary-precision signed integer (written with a `z` suffix)."""
 
     value: int
 
 
-@dataclass(frozen=True)
+@tree_node
 class PNat:
     """Natural number; used for addresses and time."""
 
@@ -53,38 +94,39 @@ PRIM_TYPE_NAMES = frozenset({"Int", "Nat"})
 # expressions), `_term` the kernel translation (`translate.ty_to_term` or
 # `translate.expr_to_term`) and `_expr` (values only) the read-back. Slots
 # sit outside the dataclass fields, so equality, hashing and repr do not see
-# them, and nodes are immutable, so a kept answer never goes stale. Every
-# cache is read as `getattr(node, name, None)`, None meaning "not computed
-# yet", and written with `object.__setattr__`. Slots rather than
-# instance-dictionary entries keep a node small however many of its caches
-# are filled.
+# them, and nodes are immutable, so a kept answer never goes stale.
+# `tree_node` sets every cache slot to None when it builds a node, so a read
+# never misses. Every cache is read as `getattr(node, name, None)`, None
+# meaning "not computed yet", and written with `object.__setattr__`. Slots
+# rather than instance-dictionary entries keep a node small however many of
+# its caches are filled.
 class Ty:
     __slots__ = ("_fp", "_term")
 
 
-@dataclass(frozen=True, slots=True)
+@tree_node
 class TVar(Ty):
     ref: int
 
 
-@dataclass(frozen=True, slots=True)
+@tree_node
 class TInd(Ty):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@tree_node
 class TForall(Ty):
     hint: str
     body: Ty
 
 
-@dataclass(frozen=True, slots=True)
+@tree_node
 class TApp(Ty):
     fn: Ty
     arg: Ty
 
 
-@dataclass(frozen=True, slots=True)
+@tree_node
 class TArr(Ty):
     dom: Ty
     cod: Ty
@@ -109,25 +151,25 @@ class Expr:
     __slots__ = ("_fp", "_term")  # see `Ty`
 
 
-@dataclass(frozen=True, slots=True)
+@tree_node
 class Var(Expr):
     ref: int
 
 
-@dataclass(frozen=True, slots=True)
+@tree_node
 class Lam(Expr):
     hint: str
     dom: Ty
     body: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@tree_node
 class TyLam(Expr):
     hint: str
     body: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@tree_node
 class Let(Expr):
     hint: str
     ty: Ty
@@ -135,13 +177,13 @@ class Let(Expr):
     body: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@tree_node
 class App(Expr):
     fn: Expr
     arg: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@tree_node
 class Case(Expr):
     scrut: Expr
     ind: str
@@ -150,13 +192,13 @@ class Case(Expr):
     branches: tuple[tuple[Pat, Expr], ...]
 
 
-@dataclass(frozen=True, slots=True)
+@tree_node
 class Constr(Expr):
     ind: str
     ctor: str
 
 
-@dataclass(frozen=True, slots=True)
+@tree_node
 class Fix(Expr):
     f_hint: str
     x_hint: str
@@ -165,17 +207,17 @@ class Fix(Expr):
     body: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@tree_node
 class TyAsExpr(Expr):
     ty: Ty
 
 
-@dataclass(frozen=True, slots=True)
+@tree_node
 class Const(Expr):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@tree_node
 class Lit(Expr):
     value: PrimVal
 

@@ -59,17 +59,18 @@ def stdlib_env() -> GlobalEnv:
 
 
 def resolve_module_path(name_or_path: str) -> Path:
+    # a directory of the same name does not shadow a packaged module
     p = Path(name_or_path)
-    if p.exists():
+    if p.is_file():
         return p
     #  bare names and corpus/-prefixed paths fall back to the packaged corpus
     parts = p.parts
     if len(parts) == 1 or (len(parts) == 2 and parts[0] == "corpus"):
         cand = corpus_dir() / parts[-1]
-        if cand.exists():
+        if cand.is_file():
             return cand
         cand = corpus_dir() / f"{parts[-1]}.acorn"
-        if cand.exists():
+        if cand.is_file():
             return cand
     raise FileNotFoundError(f"no module at '{name_or_path}'")
 

@@ -43,6 +43,15 @@ def test_check_flags_the_shipped_broken_module(capsys):
     assert "unbound variable" in err
 
 
+@pytest.mark.parametrize("name", ["counter", "crowdfunding"])
+def test_a_directory_does_not_shadow_a_packaged_module(capsys, tmp_path, monkeypatch, name):
+    (tmp_path / name).mkdir()
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "check", name)
+    assert code == 0, err
+    assert out.startswith("ok: ")
+
+
 def test_check_missing_file(capsys):
     code, _, err = run_cli(capsys, "check", "no_such_module")
     assert code == 2
@@ -342,6 +351,17 @@ def test_chain_unknown_invariant(capsys):
     assert code == 2
     assert out == ""
     assert "unknown invariant 'bogus'" in err
+
+
+@pytest.mark.parametrize("name", ["counter", "crowdfunding"])
+def test_a_directory_does_not_shadow_a_packaged_scenario(capsys, tmp_path, monkeypatch, name):
+    argv = ("chain", "--scenario", name, "--blocks", "4", "--seed", "1", "--check", "")
+    _, expected, _ = run_cli(capsys, *argv)
+    (tmp_path / name).mkdir()
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert out == expected and out.startswith("blocks: 4")
 
 
 def test_chain_missing_scenario(capsys):

@@ -2,7 +2,7 @@
 normalizer's gating rules, and the printer."""
 
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 
 from acorncore import kernel
 from acorncore.kernel import (
@@ -448,6 +448,42 @@ def test_fix_unfolds_in_one_walk_as_in_two():
                 assert _apply(kenv, 200, vf, va) == bare
 
 
+def test_match_instantiates_in_one_walk_as_in_one_per_argument():
+    # `_cbv` puts every constructor argument into a branch in one walk; it
+    # must build the term one `subst1` per argument did, also for a match
+    # that sits under binders and so is open
+    matches, values = [], []
+    for f in corpus_files(corpus_dir()):
+        kenv = translate_env(load_module(str(f))[0])
+        for top in kenv.constants.values():
+            matches += ((kenv, t) for t in _subterms(top) if isinstance(t, Match))
+            r = cbv_eval(kenv, 10_000, top)
+            if isinstance(r, Ok) and isinstance(spine_view(r.value)[0], Construct):
+                values.append(r.value)
+    checked = 0
+    for kenv, m in matches:
+        for v in values:
+            head, spine = spine_view(v)
+            if head.ind != m.ind or head.ctor_idx >= len(m.branches):
+                continue
+            arity, body = m.branches[head.ctor_idx]
+            args = spine[len(spine) - arity:]
+            chained = body
+            for a in args:
+                chained = subst1(a, chained.body)
+            for _ in args:
+                body = body.body
+            assert parallel_subst(args[::-1], body) == chained
+            # and `_cbv` goes on from it, with literals for the free indices
+            closing = (zlit(0),) * term_bound(m)
+            r = cbv_eval(kenv, 199, parallel_subst(closing, chained))
+            bare = r.value if isinstance(r, Ok) else r
+            closed = parallel_subst(closing, replace(m, scrut=v))
+            assert kernel._cbv(kenv, 200, closed) == bare
+            checked += 1
+    assert any(term_bound(m) > 0 for _, m in matches) and checked > 100, checked
+
+
 # ---------------------------------------------------------------------------
 # evaluation: match gating
 
@@ -503,6 +539,16 @@ def test_match_parameter_prefix_must_be_type_like():
 
 def test_match_branch_shape_must_match_arity():
     m = _match_list(int_list([1]), ((0, zlit(1)), (2, zlit(2))))
+    assert err(m) == "branch shape does not match its arity"
+
+
+def test_match_branch_lambdas_must_be_syntactic():
+    # the branch's lambdas are peeled before any argument goes in, so a
+    # branch that only becomes a second lambda once the first argument is
+    # substituted (here `fun x => x` given a lambda) no longer fits arity 2
+    lam = Lambda("y", INT, zlit(5))
+    scrut = mk_app(Construct("List", CONS), INT, lam, int_list([]))
+    m = _match_list(scrut, ((0, zlit(1)), (2, Lambda("x", INT, Rel(0)))))
     assert err(m) == "branch shape does not match its arity"
 
 
@@ -678,6 +724,29 @@ def test_fold_calls_grow_linearly(monkeypatch):
         assert r == Ok(zlit(7 + n * (n - 1) // 2))
         counts.append(calls)
     assert counts[1] <= 2.2 * counts[0], counts
+
+
+def test_fold_substitutes_once_per_match(monkeypatch):
+    # a match puts all its constructor arguments into the branch in one
+    # walk, so no intermediate branch is built, then walked for its bound;
+    # one walk per argument made 1,529 and 2,929 `_subst` calls and 782 and
+    # 1,388 `term_bound` calls
+    calls = dict.fromkeys(("_cbv", "_subst", "term_bound"), 0)
+    for name in calls:
+        def counting(*args, _name=name, _f=getattr(kernel, name)):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(kernel, name, counting)
+    seen = []
+    for n in (50, 100):
+        calls.update(dict.fromkeys(calls, 0))
+        r = kernel.cbv_eval(KENV, 10_000, _fold("addInt", int_list(list(range(n)))))
+        assert r == Ok(zlit(7 + n * (n - 1) // 2))
+        seen.append(dict(calls))
+    assert [c["_cbv"] for c in seen] == [773, 1523], seen
+    assert seen[0]["_subst"] <= 1229 and seen[1]["_subst"] <= 2329, seen
+    assert seen[0]["term_bound"] <= 382 and seen[1]["term_bound"] <= 588, seen
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from acorncore import interp, lang
 from acorncore.lang import (
     App,
     BUILTINS,
@@ -248,3 +251,84 @@ def test_builtin_table_shape():
     assert len(add.arg_kinds) == 2
     # aliases share semantics with their originals
     assert BUILTINS["plusInt64"].fn(3, 4) == BUILTINS["addInt"].fn(3, 4) == 7
+
+
+# ---------------------------------------------------------------------------
+# tree nodes: the classes `tree_node` makes
+
+# cache slots each node base declares; a node without them keeps a dictionary
+CACHES = {
+    lang.Ty: ("_fp", "_term"),
+    lang.Expr: ("_fp", "_term"),
+    interp.Val: ("_expr", "_hash"),
+}
+TREE_NODES = [PInt, PNat] + [
+    c
+    for module, base in ((lang, lang.Ty), (lang, lang.Expr), (interp, interp.Val), (k, k.Term))
+    for c in vars(module).values()
+    if isinstance(c, type) and issubclass(c, base) and c is not base
+]
+
+
+def _node_id(kind):
+    return f"{kind.__module__.rsplit('.', 1)[-1]}.{kind.__name__}"
+
+
+def _sample(kind, offset=0):
+    # a distinct positive int per field, which every field takes
+    return {f.name: i + 1 + offset for i, f in enumerate(dataclasses.fields(kind))}
+
+
+def test_every_tree_node_class_is_listed():
+    # 2 literals, 5 types, 11 expressions, 7 values and 12 kernel terms
+    assert len(TREE_NODES) == 37
+
+
+@pytest.mark.parametrize("kind", TREE_NODES, ids=_node_id)
+def test_a_tree_node_is_the_frozen_dataclass_it_replaces(kind):
+    names = [f.name for f in dataclasses.fields(kind)]
+    twin = dataclasses.make_dataclass(kind.__name__, names, frozen=True)
+    args = _sample(kind)
+    node = kind(**args)
+    assert node == kind(*args.values())
+    assert hash(node) == hash(twin(**args))
+    assert repr(node) == repr(twin(**args))
+    assert kind.__match_args__ == twin.__match_args__ == tuple(names)
+    if names:
+        assert node != kind(**_sample(kind, 10))
+        match node:
+            case kind(first):
+                assert first == 1
+            case _:
+                pytest.fail("class pattern did not match")
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, name, 0)
+
+
+@pytest.mark.parametrize("kind", TREE_NODES, ids=_node_id)
+def test_a_tree_node_starts_with_its_caches_empty(kind):
+    args = _sample(kind)
+    node = kind(**args)
+    base = kind.__mro__[1]
+    if base in CACHES:
+        assert not hasattr(node, "__dict__")
+        for name in CACHES[base]:
+            assert getattr(node, name) is None  # a read that does not miss
+    else:
+        assert vars(node) == args
+
+
+def test_tree_node_defaults_and_post_init_hold():
+    defaulted = []
+    for kind in TREE_NODES:
+        fields = dataclasses.fields(kind)
+        required = {f.name: 1 for f in fields if f.default is dataclasses.MISSING}
+        for f in fields:
+            if f.default is not dataclasses.MISSING:
+                assert getattr(kind(**required), f.name) == f.default
+                defaulted.append(f"{kind.__name__}.{f.name}")
+    assert defaulted == ["VConstr.args", "VBuiltin.args"]
+    assert interp.VConstr("Bool", "True").args == ()
+    with pytest.raises(ValueError):
+        PNat(value=-1)

@@ -273,11 +273,11 @@ def test_cached_footprint_leaves_equality_hash_and_repr_alone():
     for e in cached:
         footprint(e)
         for b in closure_bodies(e):
-            assert hasattr(b, "_fp")
+            assert b._fp is not None
     fresh = corpus_definitions() + generated_programs()
     for a, b in zip(cached, fresh):
         assert a is not b
-        assert not hasattr(b, "_fp")
+        assert b._fp is None
         assert a == b
         assert hash(a) == hash(b)
         assert repr(a) == repr(b)
