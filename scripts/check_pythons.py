@@ -1,4 +1,5 @@
-"""Check the golden reports and the evaluators' depth on every installed Python.
+"""Check the golden reports, the evaluators' depth and the intern table on
+every installed Python.
 
 For each of `python3.10` to `python3.13` that runs from `PATH`, one after
 another, this script
@@ -11,7 +12,14 @@ another, this script
   `tests/test_soundness.py::test_first_recursion_error_of_a_deep_fold_stays_put`
   (`first_recursion_error` in `tests/pinned.py`): the shortest `foldr addInt`
   list whose `diff_check` raises `RecursionError`, read in a new thread at
-  the default recursion limit, which should be 246.
+  the default recursion limit, which should be 246;
+- runs the intern probe of
+  `tests/test_intern.py::test_a_collection_leaves_no_node_that_only_the_table_holds`
+  (`intern_probe` in `tests/pinned.py`): after a `diff-eval` run and
+  `gc.collect()`, the intern table should hold no node that only it holds,
+  and no two live nodes should be structurally equal. The sweep that keeps
+  the table small leans on CPython's `sys.getrefcount` and `gc.callbacks`,
+  so it is checked on each version.
 
 It prints one row per interpreter and exits 1 on any mismatch, or when no
 interpreter ran. Standard library only; it is not part of the test suite.
@@ -44,6 +52,12 @@ DEPTH_PROBE = f"""
 from pinned import first_recursion_error
 print(first_recursion_error(timeout={TIMEOUT_S // 2}) or "none")
 """
+# the probe the intern test asserts on: lone entries and duplicate pairs
+INTERN_PROBE = """
+from pinned import intern_probe
+_, lone, duplicates = intern_probe()
+print(lone, duplicates)
+"""
 
 
 def _run(exe: str, args: list[str]) -> subprocess.CompletedProcess:
@@ -65,9 +79,19 @@ def check(exe: str) -> tuple[str, str]:
             differ.append(f"{name} (exit {out.returncode})")
     probe = _run(exe, ["-c", DEPTH_PROBE])
     depth = probe.stdout.decode().strip() if probe.returncode == 0 else "crash"
+    probe = _run(exe, ["-c", INTERN_PROBE])
+    counts = probe.stdout.decode().split() if probe.returncode == 0 else []
+    if counts == ["0", "0"]:
+        intern = "ok"
+    else:
+        intern = f"lone {counts[0]} duplicates {counts[1]}" if len(counts) == 2 else "crash"
     problems = differ + ([] if depth == str(EXPECTED_DEPTH) else [f"depth {depth}"])
+    problems += [] if intern == "ok" else [f"intern {intern}"]
     verdict = "MISMATCH: " + "; ".join(problems) if problems else "ok"
-    row = f"golden {len(CASES) - len(differ)}/{len(CASES)}  depth {depth}  {verdict}"
+    row = (
+        f"golden {len(CASES) - len(differ)}/{len(CASES)}  depth {depth}  "
+        f"intern {intern}  {verdict}"
+    )
     return version.stdout.decode().strip(), row
 
 

@@ -168,13 +168,11 @@ def _call_entry(
     and amount, so a call is a pure function of these plain inputs. Its
     decoded outcome, a failure as much as a success, is kept in `st.calls`
     under them and the program's name; the program is loaded and the Acorn
-    arguments are built only on a miss."""
+    arguments are built only on a miss. The state and message are tree
+    nodes, which hash and compare by identity, so a key costs the same
+    however deep the state nests."""
     key = (prog.name, entry, fuel, st.slot, sender, amount, *args)
-    try:
-        out = st.calls.get(key)
-    except RecursionError:
-        # a state too deep to hash is evaluated, not kept
-        key = out = None
+    out = st.calls.get(key)
     if out is None:
         loaded = contract(prog.name)
         init = entry == prog.init_name
@@ -182,8 +180,7 @@ def _call_entry(
             args = (_maybe_val(args[0]), args[1])
         rho = (_chain_val(st), _ctx_val(sender, amount), *args)
         out = _decode(eval_expr(loaded.env, fuel, rho, loaded.entries[entry]), init)
-        if key is not None:
-            st.calls[key] = out
+        st.calls[key] = out
     return out
 
 

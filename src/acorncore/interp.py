@@ -20,8 +20,7 @@ fit. `fits` and `_subst` each serve types and expressions alike, as
 `GlobalEnv.constrs`. A constant whose body is a value form (`_VALUE_FORMS`)
 is evaluated once per `GlobalEnv` and its value kept in
 `GlobalEnv.const_values`; a later reference returns it whenever the body
-would have had fuel to run. A `VConstr` keeps its hash once computed, for the
-call memo in `chainsim`.
+would have had fuel to run.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ from .lang import (
 # values
 
 class Val:
-    __slots__ = ("_expr", "_hash")  # the read-back and the hash; see `lang.Ty`
+    __slots__ = ("_expr",)  # the read-back; see `lang.Ty`
 
 
 @tree_node
@@ -75,15 +74,6 @@ class VConstr(Val):
     ind: str
     ctor: str
     args: tuple[Val, ...] = ()
-
-    def __hash__(self) -> int:
-        # `chainsim` hashes every contract call's arguments; a new state
-        # mostly reuses the nodes of the one before, whose hashes are kept
-        h = getattr(self, "_hash", None)
-        if h is None:
-            h = hash((self.ind, self.ctor, self.args))
-            object.__setattr__(self, "_hash", h)
-        return h
 
 
 @tree_node

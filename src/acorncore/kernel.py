@@ -13,7 +13,7 @@ recursion (`_cbv` and `_apply`) passes bare values: each call returns a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .lang import (
@@ -258,6 +258,10 @@ class KernelEnv:
     inductives: dict[str, KernelInductive]
     constants: dict[str, Term]
     builtins: dict[str, Builtin]
+    # what a fuel mark made under this environment holds (see `_inert`): a
+    # bare object, so that a mark on a shared node, which the environment's
+    # own terms may hold, makes no cycle through the intern table
+    stamp: object = field(default_factory=object, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -285,15 +289,17 @@ def _type_like(t: Term) -> bool:
 # marked term from the mark alone: the term itself at that fuel or more, out
 # of fuel below it, which is what the walk would return. Which applications are inert
 # depends on the environment's inductives and builtins, so a mark holds only
-# under the `KernelEnv` it was made under; under any other the term is walked.
+# under the `KernelEnv` whose stamp it holds; under any other the term is
+# walked.
 
 def _inert(kenv: KernelEnv, vf: Term, va: Term) -> Term:
     t = App(vf, va)
+    s = kenv.stamp
     # each part's mark, read inline: an application without one is unknown
-    mf = getattr(vf, "_mark", None) if type(vf) is App else (kenv, 1)
-    ma = getattr(va, "_mark", None) if type(va) is App else (kenv, 1)
-    if mf is not None and ma is not None and mf[0] is kenv and ma[0] is kenv:
-        object.__setattr__(t, "_mark", (kenv, 1 + max(mf[1], ma[1])))
+    mf = getattr(vf, "_mark", None) if type(vf) is App else (s, 1)
+    ma = getattr(va, "_mark", None) if type(va) is App else (s, 1)
+    if mf is not None and ma is not None and mf[0] is s and ma[0] is s:
+        object.__setattr__(t, "_mark", (s, 1 + max(mf[1], ma[1])))
     return t
 
 
@@ -317,7 +323,7 @@ def _cbv(
     c = type(t)
     if c is App:
         mark = getattr(t, "_mark", None)
-        if mark is not None and mark[0] is kenv:
+        if mark is not None and mark[0] is kenv.stamp:
             return t if fuel >= mark[1] else NOT_ENOUGH_FUEL
         va = _cbv(kenv, n, t.arg)
         if type(va) is EvalError or va is NOT_ENOUGH_FUEL:

@@ -11,49 +11,161 @@ type binders; the parser resolves every name to its index as it reads it.
 
 from __future__ import annotations
 
+import gc
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
+from itertools import islice
+from sys import getrefcount
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 
 # ---------------------------------------------------------------------------
 # tree nodes
 
-def tree_node(cls: type) -> type:
-    """`@dataclass(frozen=True)` for a tree node, with a faster `__init__`.
+# The intern table: every live tree node under its key, the node's class and
+# field values (see `tree_node`). It holds its nodes strongly; `_sweep` drops
+# the entries that nothing else holds. The table keeps the order in which
+# nodes were filed, children before parents.
+_NODES: dict[tuple, object] = {}
+_swept = 0  # the table's size after the last sweep
+_lap = 0  # the older entries below this are the ones the round has yet to see
 
-    A node whose base class declares cache slots (see `Ty`) is made with
-    `slots=True`. Its `__init__` stores each field through the slot's
-    descriptor, which the frozen `__setattr__` does not guard, and sets every
-    cache slot to None, so that no cache read on the node misses. A node
-    without cache slots (a literal, a kernel term) keeps its instance
-    dictionary and has its fields stored by one bound `object.__setattr__`.
-    Equality, hashing, repr and `__match_args__` stay the dataclass's; field
-    defaults hold and `__post_init__` runs, as in the dataclass's `__init__`.
+
+def _drop(keys: list) -> None:
+    # Drop each of `keys`, given oldest first, whose node the table alone
+    # holds: the table's reference plus `getrefcount`'s argument. Going
+    # newest first frees a parent before its children are looked at, and
+    # popping each key rather than iterating over the list lets go of a key,
+    # and so of the children it names, before they are looked at.
+    t = _NODES
+    refs = getrefcount
+    pop = keys.pop
+    for _ in range(len(keys)):
+        key = pop()
+        if refs(t[key]) == 2:
+            del t[key]
+
+
+def _sweep(phase: str, info: dict) -> None:
+    # Run at the start of every cyclic collection. It looks at the entries
+    # filed since the last sweep, which is where most garbage is, and at as
+    # many of the older ones, in a round from the newest older entry down to
+    # the oldest and over again, so that a node that dies old waits at most
+    # one round. A full collection (generation 2) looks at every entry, pass
+    # after pass until a pass frees nothing: a cache (`_term`, `_expr`)
+    # points from an older node to a newer one, which one pass frees only
+    # on the next. So after `gc.collect()`, every entry is held by something
+    # besides the table, unless the collection itself freed what held it.
+    global _swept, _lap
+    if phase != "start":
+        return
+    t = _NODES
+    if info["generation"] == 2:
+        n = -1
+        while n != len(t):
+            n = len(t)
+            _drop(list(t))
+        _lap = 0
+    else:
+        old = _swept
+        new = len(t) - old
+        _drop(list(islice(t, old, None)))
+        if _lap <= 0:
+            _lap = old
+        below = max(0, _lap - new)
+        _drop(list(islice(t, below, _lap)))
+        _lap = below
+    _swept = len(t)
+
+
+gc.callbacks.append(_sweep)
+
+
+def _frozen(self: object, name: str, *value: object) -> None:
+    # `__setattr__` and `__delattr__` of every node, for any name
+    raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+
+def _reduce(self: object) -> tuple:
+    # copying or unpickling a node builds it through `__new__`, so a copy is
+    # the node itself
+    return type(self), tuple([getattr(self, f.name) for f in fields(self)])
+
+
+def tree_node(cls: type) -> type:
+    """A frozen dataclass for a tree node, built once per distinct node.
+
+    The class's generated `__new__` looks the node up in the intern table
+    `_NODES` before it builds it. The key is the class and the field values;
+    a child node is already interned, so it goes in by identity and the
+    lookup does not walk the tree. A field annotated `int` also keys on its
+    value's type, since `True == 1` and both hash alike: `PInt(True)` is not
+    `PInt(1)`. So two live nodes that are structurally equal are one object,
+    and the dataclass is made with `eq=False`: `==` is `is`, `hash` is the
+    identity hash, and both take constant time at any depth.
+
+    On a miss, `__new__` stores each field, through its slot's descriptor
+    where the base class declares cache slots (see `Ty`) and the node is
+    made with `slots=True`, else by `object.__setattr__` into the instance
+    dictionary (a literal, a kernel term). It sets every cache slot to None,
+    runs `__post_init__` if there is one, and files the node. There is no
+    generated `__init__`, so a hit returns the node with its caches as they
+    are. Assigning or deleting any attribute raises `FrozenInstanceError`;
+    caches are written with `object.__setattr__`. Defaults hold, and repr
+    and `__match_args__` are the dataclass's.
+
+    The table holds its nodes strongly. `_sweep`, a `gc.callbacks` hook run
+    at the start of each cyclic garbage collection, drops the nodes that only
+    the table holds; so `gc.disable()` stops the sweep, and the table keeps
+    every node built until the collector runs again. Copying or unpickling a
+    node returns the node itself. Build nodes from one thread at a time: a
+    sweep in one thread may drop a node that another has just looked up.
     """
     caches = [n for base in cls.__mro__[1:] for n in getattr(base, "__slots__", ())]
-    cls = dataclass(frozen=True, slots=bool(caches))(cls)
-    scope: dict[str, object] = {"_set": object.__setattr__}
-    params = []
+    cls = dataclass(frozen=True, eq=False, init=False, slots=bool(caches))(cls)
+    scope: dict[str, object] = {
+        "_get": _NODES.get,
+        "_put": _NODES.setdefault,
+        "_new": object.__new__,
+        "_set": object.__setattr__,
+    }
+    params, key = [], ["cls"]
     for f in fields(cls):
         if f.default is MISSING:
             params.append(f.name)
         else:
             scope[f"_default_{f.name}"] = f.default
             params.append(f"{f.name}=_default_{f.name}")
+        key.append(f.name)
+        if f.type in ("int", int):
+            key.append(f"type({f.name})")
     lines = []
     for name, value in [(f.name, f.name) for f in fields(cls)] + [(n, "None") for n in caches]:
         if caches:
             scope[f"_set_{name}"] = getattr(cls, name).__set__
-            lines.append(f"_set_{name}(self, {value})")
+            lines.append(f"_set_{name}(node, {value})")
         else:
-            lines.append(f"_set(self, {name!r}, {value})")
+            lines.append(f"_set(node, {name!r}, {value})")
     if hasattr(cls, "__post_init__"):
-        lines.append("self.__post_init__()")
-    body = "\n    ".join(lines or ["pass"])
-    exec(f"def __init__(self, {', '.join(params)}):\n    {body}", scope)
-    cls.__init__ = scope["__init__"]
-    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        lines.append("node.__post_init__()")
+    # `setdefault`, so that two threads building one node file one of them
+    lines.append("node = _put(key, node)")
+    body = "\n        ".join(lines)
+    exec(
+        f"def __new__({', '.join(['cls'] + params)}):\n"
+        f"    key = ({', '.join(key)},)\n"
+        f"    node = _get(key)\n"
+        f"    if node is None:\n"
+        f"        node = _new(cls)\n"
+        f"        {body}\n"
+        f"    return node",
+        scope,
+    )
+    new = scope["__new__"]
+    new.__qualname__ = f"{cls.__qualname__}.__new__"
+    cls.__new__ = staticmethod(new)
+    cls.__setattr__ = cls.__delattr__ = _frozen
+    cls.__reduce__ = _reduce
     return cls
 
 
@@ -92,14 +204,17 @@ PRIM_TYPE_NAMES = frozenset({"Int", "Nat"})
 # answers computed from them in slots declared on their base class: `_fp` is
 # the free-index footprint (`footprint`, one walker for types and
 # expressions), `_term` the kernel translation (`translate.ty_to_term` or
-# `translate.expr_to_term`) and `_expr` (values only) the read-back. Slots
-# sit outside the dataclass fields, so equality, hashing and repr do not see
-# them, and nodes are immutable, so a kept answer never goes stale.
-# `tree_node` sets every cache slot to None when it builds a node, so a read
-# never misses. Every cache is read as `getattr(node, name, None)`, None
-# meaning "not computed yet", and written with `object.__setattr__`. Slots
-# rather than instance-dictionary entries keep a node small however many of
-# its caches are filled.
+# `translate.expr_to_term`) and `_expr` (values only) the read-back. Every
+# node is interned (see `tree_node`): building a node equal to a live one
+# returns that one, caches and all, so an answer is computed once for every
+# program that holds the node. Slots sit outside the dataclass fields, so
+# repr does not see them, equality and hashing are identity, and nodes are
+# immutable, so a kept answer never goes stale. `tree_node` sets every cache
+# slot to None when it first builds a node, so a read never misses. Every
+# cache is read as `getattr(node, name, None)`, None meaning "not computed
+# yet", and written with `object.__setattr__`. Slots rather than
+# instance-dictionary entries keep a node small however many of its caches
+# are filled.
 class Ty:
     __slots__ = ("_fp", "_term")
 
@@ -141,7 +256,7 @@ def ty_app(fn: Ty, *args: Ty) -> Ty:
 # ---------------------------------------------------------------------------
 # patterns and expressions
 
-@dataclass(frozen=True)
+@tree_node
 class Pat:
     ctor: str
     binders: tuple[str, ...] = ()

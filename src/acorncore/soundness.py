@@ -3,7 +3,7 @@
 Every closed expression is run twice, once with `eval_expr` and once with
 `cbv_eval` after translation. Interpreter values are read back to syntax and
 translated, then compared to the kernel's result term for structural
-equality. A seeded generator widens coverage beyond the shipped corpus, and
+equality, which is `==` since tree nodes are interned (`lang.tree_node`). A seeded generator widens coverage beyond the shipped corpus, and
 environment/body pairs harvested during interpretation feed the
 substitution-commutation property.
 """

@@ -2,11 +2,13 @@
 through the interpreter, the minimal fuel search, a scenario for the counter
 contract, the trace generator that `chainsim.gen_trace` is checked against,
 the JSON encoders that `serialize`'s readers invert, the kernel application
-builder, and the structural closedness walk that `kernel.term_bound` is
+builder, the structural closedness walk that `kernel.term_bound` is
+checked against, and the structural equality that interned tree nodes are
 checked against."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from typing import Optional, Sequence
 
@@ -395,3 +397,90 @@ def term_closed_under(n: int, t: k.Term) -> bool:
         case k.Const() | k.Ind() | k.Construct() | k.SortSet() | k.PrimLit():
             return True
     raise TypeError(f"not a kernel term: {t!r}")
+
+
+# ---------------------------------------------------------------------------
+# structural equality
+
+def struct_eq(a: object, b: object) -> bool:
+    """Structural equality of two trees, field by field through dataclasses
+    and element by element through tuples, with an explicit stack so that it
+    holds at any depth. A leaf compares by type and `==`, so `True` is not
+    `1`. Tree nodes compare by identity under `==`; this is the oracle that
+    interning them is checked against."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, tuple):
+            if len(x) != len(y):
+                return False
+            stack.extend(zip(x, y))
+        elif dataclasses.is_dataclass(x):
+            stack.extend((getattr(x, f.name), getattr(y, f.name)) for f in dataclasses.fields(x))
+        elif x != y:
+            return False
+    return True
+
+
+def forged_copy(x: object) -> object:
+    """A structurally equal copy of `x` built from new objects around the
+    intern table (`object.__new__`), with every cache empty: the duplicate
+    that interning rules out, for checks that must be able to fail and for
+    comparing a cached node with one that has never been walked."""
+    if isinstance(x, tuple):
+        return tuple(forged_copy(y) for y in x)
+    if not dataclasses.is_dataclass(x):
+        return x
+    node = object.__new__(type(x))
+    for f in dataclasses.fields(x):
+        object.__setattr__(node, f.name, forged_copy(getattr(x, f.name)))
+    for base in type(x).__mro__[1:]:
+        for name in getattr(base, "__slots__", ()):
+            object.__setattr__(node, name, None)
+    return node
+
+
+def _shape(x: object, shapes: dict[int, int]) -> int:
+    # a hash of a field value's structure, given the shapes of its nodes
+    if isinstance(x, tuple):
+        return hash(tuple(_shape(y, shapes) for y in x))
+    if id(x) in shapes:
+        return shapes[id(x)]
+    return hash((type(x), x))
+
+
+def struct_duplicates(roots: Sequence[object], kinds: tuple) -> list[tuple]:
+    """Pairs of distinct objects of the classes `kinds`, reachable from
+    `roots` through fields and tuples, that `struct_eq` finds equal. Nodes
+    are bucketed by a structural hash, computed bottom-up with an explicit
+    stack, and compared within a bucket."""
+    nodes: dict[int, object] = {}
+    shapes: dict[int, int] = {}
+    stack = [(r, False) for r in roots]
+    while stack:
+        x, ready = stack.pop()
+        if isinstance(x, tuple):
+            stack.extend((y, False) for y in x)
+        elif isinstance(x, kinds) and id(x) not in shapes:
+            parts = [getattr(x, f.name) for f in dataclasses.fields(x)]
+            if ready:
+                nodes[id(x)] = x
+                shapes[id(x)] = hash((type(x), *(_shape(p, shapes) for p in parts)))
+            else:
+                # the node again once its parts have their shapes
+                stack.append((x, True))
+                stack.extend((p, False) for p in parts)
+    buckets: dict[int, list] = {}
+    for i, s in shapes.items():
+        buckets.setdefault(s, []).append(nodes[i])
+    return [
+        (a, b)
+        for group in buckets.values()
+        for i, a in enumerate(group)
+        for b in group[i + 1:]
+        if struct_eq(a, b)
+    ]

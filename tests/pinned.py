@@ -1,18 +1,27 @@
-"""What the golden reports and the depth test pin, kept free of pytest so
-that `scripts/check_pythons.py` runs the very same commands and probe under
-every installed Python: the CLI commands whose output `tests/golden/` holds,
-and the search for the first `foldr addInt` list whose `diff_check`
-overflows Python's stack."""
+"""What the golden reports, the depth test and the intern test pin, kept
+free of pytest so that `scripts/check_pythons.py` runs the very same
+commands and probes under every installed Python: the CLI commands whose
+output `tests/golden/` holds, the search for the first `foldr addInt` list
+whose `diff_check` overflows Python's stack, and the check of the intern
+table after a `diff-eval` run."""
 
 from __future__ import annotations
 
+import gc
+import sys
 import threading
 from typing import Optional
 
-from acorncore.lang import Const, Lit, PInt, TInd, TyAsExpr, mk_app
-from acorncore.programs import int_list_expr, stdlib_env
-from acorncore.soundness import diff_check
+from acorncore import kernel, lang
+from acorncore.interp import Val
+from acorncore.lang import Const, Expr, Lit, Pat, PInt, PNat, TInd, Ty, TyAsExpr, mk_app
+from acorncore.programs import corpus_dir, int_list_expr, stdlib_env
+from acorncore.soundness import diff_check, run_corpus
 from acorncore.translate import translate_env
+from oracles import struct_duplicates
+
+# the classes `lang.tree_node` makes, by their bases
+TREE_NODE_KINDS = (Ty, Expr, Val, kernel.Term, PInt, PNat, Pat)
 
 # (file in tests/golden/, CLI arguments that print it)
 CASES = [
@@ -55,3 +64,29 @@ def first_recursion_error(timeout: float) -> Optional[int]:
     if t.is_alive():
         raise TimeoutError(f"depth probe still running after {timeout} s")
     return found[0] if found else None
+
+
+def lone_entries() -> int:
+    """Entries of the intern table that nothing but the table holds: the
+    table's reference and `getrefcount`'s argument. The key list holds each
+    node's children, so a lone node's children are not counted; the node
+    itself is."""
+    table = lang._NODES
+    return sum(1 for key in list(table) if sys.getrefcount(table[key]) == 2)
+
+
+def intern_probe() -> tuple[int, int, int]:
+    """Run `diff-eval` on the corpus and 100 generated programs, then collect
+    garbage twice: the first collection frees reference cycles, which may
+    hold nodes, and sweeps; the second sweeps what that released. Returns
+    the number of entries left in the table, how many of them only the table
+    holds, and how many pairs of distinct structurally equal nodes are
+    reachable from them. The last two should be 0."""
+    report = run_corpus(corpus_dir(), gen_count=100)
+    assert report.ok
+    del report
+    gc.collect()
+    gc.collect()
+    lone = lone_entries()
+    dups = struct_duplicates(list(lang._NODES.values()), TREE_NODE_KINDS)
+    return len(lang._NODES), lone, len(dups)

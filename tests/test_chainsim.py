@@ -622,14 +622,20 @@ def test_errors_are_kept_and_logged_as_evaluated(monkeypatch):
     assert log == ["init of 'counter' failed: EvalError(reason='evaluated again')"]
 
 
-def test_arguments_too_deep_to_hash_are_evaluated_and_not_kept():
-    # a ledger of 3,000 donations nests deeper than hashing it can recurse
+def test_a_call_on_a_ledger_too_deep_for_structural_hashing_is_kept(monkeypatch):
+    # a ledger of 3,000 donations nests deeper than a structural hash could
+    # recurse; tree nodes hash by identity, so its call is kept like any other
     ledger = _cf_state(3000, [(1 + i % 3, 1) for i in range(3000)])
     st = ChainState(5, {2: 10, CF: 3000}, {CF: DeployedContract("crowdfunding", ledger)}, CF + 1, {})
-    new, log = add_block(st, BlockHeader(6), [Call(2, CF, VConstr("Msg", "Donate"), 7)])
+    evaluated = _count_evaluations(monkeypatch)
+    block = [Call(2, CF, VConstr("Msg", "Donate"), 7)]
+    new, log = add_block(st, BlockHeader(6), block)
     assert new is not None, log
     assert cf_state_fields(new.contracts[CF].state)[0] == 3007
-    assert not st.calls
+    assert len(st.calls) == 1 and len(evaluated) == 1
+    again, log_again = add_block(st, BlockHeader(6), block)
+    assert len(evaluated) == 1
+    assert again.contracts[CF].state is new.contracts[CF].state and log_again == log
 
 
 def _cf_state(balance, pairs, done=False, goal=60):

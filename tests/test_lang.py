@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
@@ -260,9 +262,9 @@ def test_builtin_table_shape():
 CACHES = {
     lang.Ty: ("_fp", "_term"),
     lang.Expr: ("_fp", "_term"),
-    interp.Val: ("_expr", "_hash"),
+    interp.Val: ("_expr",),
 }
-TREE_NODES = [PInt, PNat] + [
+TREE_NODES = [PInt, PNat, Pat] + [
     c
     for module, base in ((lang, lang.Ty), (lang, lang.Expr), (interp, interp.Val), (k, k.Term))
     for c in vars(module).values()
@@ -280,43 +282,86 @@ def _sample(kind, offset=0):
 
 
 def test_every_tree_node_class_is_listed():
-    # 2 literals, 5 types, 11 expressions, 7 values and 12 kernel terms
-    assert len(TREE_NODES) == 37
+    # 2 literals, the pattern, 5 types, 11 expressions, 7 values and 12
+    # kernel terms
+    assert len(TREE_NODES) == 38
 
 
 @pytest.mark.parametrize("kind", TREE_NODES, ids=_node_id)
 def test_a_tree_node_is_the_frozen_dataclass_it_replaces(kind):
+    # the same fields, repr and class patterns as the plain frozen dataclass,
+    # but built once per distinct value: `==` is `is` and `hash` is the
+    # identity hash
     names = [f.name for f in dataclasses.fields(kind)]
     twin = dataclasses.make_dataclass(kind.__name__, names, frozen=True)
     args = _sample(kind)
     node = kind(**args)
-    assert node == kind(*args.values())
-    assert hash(node) == hash(twin(**args))
+    assert kind(*args.values()) is node
+    assert kind.__eq__ is object.__eq__ and kind.__hash__ is object.__hash__
+    assert node == kind(**args) and hash(node) == object.__hash__(node)
     assert repr(node) == repr(twin(**args))
     assert kind.__match_args__ == twin.__match_args__ == tuple(names)
     if names:
-        assert node != kind(**_sample(kind, 10))
+        other = kind(**_sample(kind, 10))
+        assert node != other and other is not node
         match node:
             case kind(first):
                 assert first == 1
             case _:
                 pytest.fail("class pattern did not match")
-    for name in names:
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(node, name, 0)
 
 
 @pytest.mark.parametrize("kind", TREE_NODES, ids=_node_id)
 def test_a_tree_node_starts_with_its_caches_empty(kind):
-    args = _sample(kind)
+    # values no other test builds, so that the node is new here
+    args = _sample(kind, 7_000_000)
+    if not args:
+        # a class without fields has one node, built with its module
+        assert kind() is kind() is k.SORT_SET
+        return
     node = kind(**args)
     base = kind.__mro__[1]
     if base in CACHES:
         assert not hasattr(node, "__dict__")
         for name in CACHES[base]:
             assert getattr(node, name) is None  # a read that does not miss
+        cache = CACHES[base][0]
     else:
         assert vars(node) == args
+        cache = "_bound"
+    # building it again finds it, and leaves what is cached on it alone
+    object.__setattr__(node, cache, 5)
+    assert kind(**args) is node and getattr(node, cache) == 5
+
+
+@pytest.mark.parametrize(
+    "node",
+    [TVar(3), k.App(k.Rel(0), k.SORT_SET)],
+    ids=["slotted surface node", "kernel term"],
+)
+@pytest.mark.parametrize("name", ["ref", "fn", "_fp", "_bound", "unknown"])
+def test_no_attribute_of_a_shared_node_can_be_written(node, name):
+    # a field, a cache name or any other name; caches are written with
+    # `object.__setattr__`
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(node, name, 0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(node, name)
+
+
+def test_a_literal_keys_on_the_type_of_its_value():
+    # True == 1 and both hash alike, but they are different literals
+    assert PInt(True) is not PInt(1) and PInt(1) is PInt(1)
+    assert PInt(True).value is True and PInt(1).value == 1
+    assert Lit(PInt(True)) is not Lit(PInt(1))
+
+
+def test_copying_or_pickling_a_node_gives_the_node_itself():
+    e = Case(Var(0), "Bool", (), TInd("Int"), ((Pat("True"), Lit(PInt(1))),))
+    for node in (e, k.App(k.Rel(0), k.SORT_SET), interp.VConstr("Bool", "True")):
+        assert copy.copy(node) is node
+        assert copy.deepcopy(node) is node
+        assert pickle.loads(pickle.dumps(node)) is node
 
 
 def test_tree_node_defaults_and_post_init_hold():
@@ -328,7 +373,9 @@ def test_tree_node_defaults_and_post_init_hold():
             if f.default is not dataclasses.MISSING:
                 assert getattr(kind(**required), f.name) == f.default
                 defaulted.append(f"{kind.__name__}.{f.name}")
-    assert defaulted == ["VConstr.args", "VBuiltin.args"]
+    assert defaulted == ["Pat.binders", "VConstr.args", "VBuiltin.args"]
     assert interp.VConstr("Bool", "True").args == ()
     with pytest.raises(ValueError):
         PNat(value=-1)
+    # a node whose `__post_init__` raises is not filed
+    assert not [key for key in lang._NODES if key[0] is PNat and key[1] == -1]

@@ -47,7 +47,7 @@ from acorncore.translate import (
     ty_to_term,
 )
 
-from oracles import kernel_app
+from oracles import forged_copy, kernel_app, struct_eq
 
 GENV = stdlib_env()
 
@@ -302,16 +302,6 @@ def test_translated_fold_runs_in_the_kernel():
 # per-node translation cache
 
 
-def _fresh(x):
-    """A structurally equal copy sharing no node with `x`, so nothing cached
-    on the nodes of `x` carries over."""
-    if isinstance(x, tuple):
-        return tuple(_fresh(y) for y in x)
-    if dataclasses.is_dataclass(x):
-        return type(x)(**{f.name: _fresh(getattr(x, f.name)) for f in dataclasses.fields(x)})
-    return x
-
-
 def _corpus_and_generated():
     for f in corpus_files(corpus_dir()):
         genv, defs = load_module(str(f))
@@ -334,7 +324,12 @@ def test_cached_translations_equal_fresh_ones():
             subst_commutes(genv, rho, pair_body)
         cached = expr_to_term(genv, body)
         assert expr_to_term(genv, body) is cached
-        assert cached == expr_to_term(genv, _fresh(body))
+        # a new declaration list misses every kept translation, and
+        # translating afresh builds the very same nodes
+        assert expr_to_term(genv.copy(), body) is cached
+        # a copy built around the intern table has nothing cached, and its
+        # translation holds the copy's own literals: compared structurally
+        assert struct_eq(cached, expr_to_term(genv, forged_copy(body)))
 
 
 def test_one_node_gets_each_environments_own_translation():
@@ -362,16 +357,21 @@ def test_a_failed_translation_is_not_kept():
 
 
 def test_translated_nodes_compare_hash_and_print_like_fresh_copies():
+    # `==` and `hash` are identity, so a kept translation cannot reach them;
+    # rebuilding a node from its fields gives the node itself, and it prints
+    # as a copy built around the intern table does
     rng = random.Random(11)
     for _ in range(50):
         e = gen_expr(rng)
         expr_to_term(GENV, e)
-        copy = _fresh(e)
-        assert e == copy and hash(e) == hash(copy) and repr(e) == repr(copy)
+        copy = forged_copy(e)
+        assert type(e)(*(getattr(e, f.name) for f in dataclasses.fields(e))) is e
+        assert e != copy and struct_eq(e, copy) and repr(e) == repr(copy)
     ty = TForall("A", TArr(TVar(0), TApp(TInd("List"), TVar(0))))
     assert ty_to_term(ty) is ty_to_term(ty)
-    copy = _fresh(ty)
-    assert ty == copy and hash(ty) == hash(copy) and repr(ty) == repr(copy)
+    assert TForall("A", TArr(TVar(0), TApp(TInd("List"), TVar(0)))) is ty
+    copy = forged_copy(ty)
+    assert struct_eq(ty, copy) and repr(ty) == repr(copy)
 
 
 def test_long_lists_translate_at_the_default_recursion_limit():

@@ -36,6 +36,7 @@ from acorncore.lang import (
 )
 from acorncore.programs import corpus_dir, load_module
 from acorncore.soundness import corpus_files, gen_expr
+from oracles import forged_copy, struct_eq
 
 INT = TInd("Int")
 TY_ENTRY = VTy(INT)
@@ -274,13 +275,17 @@ def test_cached_footprint_leaves_equality_hash_and_repr_alone():
         footprint(e)
         for b in closure_bodies(e):
             assert b._fp is not None
-    fresh = corpus_definitions() + generated_programs()
-    for a, b in zip(cached, fresh):
-        assert a is not b
+    # parsing and generating again builds the very same nodes
+    again = corpus_definitions() + generated_programs()
+    assert all(a is b for a, b in zip(cached, again))
+    # `==` and `hash` are identity, so no cache reaches them; repr and the
+    # footprint are compared with copies built around the intern table
+    for a in cached:
+        b = forged_copy(a)
         assert b._fp is None
-        assert a == b
-        assert hash(a) == hash(b)
+        assert a != b and struct_eq(a, b)
         assert repr(a) == repr(b)
+        assert footprint(b) == footprint(a)
 
 
 @pytest.mark.parametrize(
