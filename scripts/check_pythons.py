@@ -1,5 +1,5 @@
-"""Check the golden reports, the evaluators' depth and the intern table on
-every installed Python.
+"""Check the golden reports, the evaluators' depth, the intern table and
+Tier-1 on every installed Python.
 
 For each of `python3.10` to `python3.13` that runs from `PATH`, one after
 another, this script
@@ -12,14 +12,20 @@ another, this script
   `tests/test_soundness.py::test_first_recursion_error_of_a_deep_fold_stays_put`
   (`first_recursion_error` in `tests/pinned.py`): the shortest `foldr addInt`
   list whose `diff_check` raises `RecursionError`, read in a new thread at
-  the default recursion limit, which should be 246;
+  the default recursion limit, which should be `FIRST_RECURSION_ERROR`;
 - runs the intern probe of
   `tests/test_intern.py::test_a_collection_leaves_no_node_that_only_the_table_holds`
   (`intern_probe` in `tests/pinned.py`): after a `diff-eval` run and
   `gc.collect()`, the intern table should hold no node that only it holds,
   and no two live nodes should be structurally equal. The sweep that keeps
   the table small leans on CPython's `sys.getrefcount` and `gc.callbacks`,
-  so it is checked on each version.
+  so it is checked on each version;
+- runs Tier-1 (`python -m pytest -q`) with the pytest of the interpreter
+  that runs this script: its `site-packages` goes on `PYTHONPATH` after
+  this checkout's `src`, and `PYTEST_DISABLE_PLUGIN_AUTOLOAD=1` keeps
+  plugins built for that interpreter out. The row shows the passed, failed
+  and skipped counts, and `tier1 n/a` where the borrowed pytest does not
+  import (3.10 lacks `exceptiongroup`), which is not a mismatch.
 
 It prints one row per interpreter and exits 1 on any mismatch, or when no
 interpreter ran. Standard library only; it is not part of the test suite.
@@ -30,22 +36,30 @@ interpreter ran. Standard library only; it is not part of the test suite.
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import subprocess
 import sys
+import sysconfig
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TESTS = ROOT / "tests"
 GOLDEN = TESTS / "golden"
 INTERPRETERS = ("python3.10", "python3.11", "python3.12", "python3.13")
-EXPECTED_DEPTH = 246
 TIMEOUT_S = 600
 
 # this checkout's package and the test helpers the commands come from
 SEARCH_PATH = [str(ROOT / "src"), str(TESTS)]
 sys.path[:0] = SEARCH_PATH
-from pinned import CASES  # noqa: E402
+from pinned import CASES, FIRST_RECURSION_ERROR  # noqa: E402
+
+# Tier-1 as documented, run with this interpreter's pytest
+TIER1_ENV = {
+    "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), sysconfig.get_path("purelib")]),
+    "PYTEST_DISABLE_PLUGIN_AUTOLOAD": "1",
+}
+TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
 
 # the probe the depth test asserts on, given half the time of a run
 DEPTH_PROBE = f"""
@@ -60,11 +74,22 @@ print(lone, duplicates)
 """
 
 
-def _run(exe: str, args: list[str]) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(SEARCH_PATH))
+def _run(exe: str, args: list[str], **env: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(SEARCH_PATH), **env}
     return subprocess.run(
         [exe, *args], cwd=ROOT, env=env, capture_output=True, timeout=TIMEOUT_S
     )
+
+
+def tier1(exe: str) -> tuple[str, bool]:
+    """Tier-1's counts under `exe`, and whether they are a mismatch."""
+    if _run(exe, ["-c", "import pytest"], **TIER1_ENV).returncode != 0:
+        return "tier1 n/a", False
+    out = _run(exe, TIER1, **TIER1_ENV)
+    tail = out.stdout.decode().strip().rpartition("\n")[2]
+    counts = {what: num for num, what in re.findall(r"(\d+) (passed|failed|skipped)", tail)}
+    row = "tier1 " + " ".join(f"{counts.get(w, 0)} {w}" for w in ("passed", "failed", "skipped"))
+    return row, out.returncode != 0
 
 
 def check(exe: str) -> tuple[str, str]:
@@ -85,12 +110,14 @@ def check(exe: str) -> tuple[str, str]:
         intern = "ok"
     else:
         intern = f"lone {counts[0]} duplicates {counts[1]}" if len(counts) == 2 else "crash"
-    problems = differ + ([] if depth == str(EXPECTED_DEPTH) else [f"depth {depth}"])
+    tests, tests_bad = tier1(exe)
+    problems = differ + ([] if depth == str(FIRST_RECURSION_ERROR) else [f"depth {depth}"])
     problems += [] if intern == "ok" else [f"intern {intern}"]
+    problems += [tests] if tests_bad else []
     verdict = "MISMATCH: " + "; ".join(problems) if problems else "ok"
     row = (
         f"golden {len(CASES) - len(differ)}/{len(CASES)}  depth {depth}  "
-        f"intern {intern}  {verdict}"
+        f"intern {intern}  {tests}  {verdict}"
     )
     return version.stdout.decode().strip(), row
 

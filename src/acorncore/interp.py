@@ -7,12 +7,14 @@ bodies against the captured environment when they are built, which keeps
 every value well-formed and makes the syntactic read-back `from_val` total
 on reachable values.
 
-The recursion, `_eval` and `apply_val`, passes bare values: each call
-returns a `Val`, or the failure itself (an `EvalError` or `NOT_ENOUGH_FUEL`),
-and `eval_expr` builds the one `Ok` of a call from outside. Both dispatch on
-the exact node class with an `is` chain ordered by how often each class is
-met (variables, applications, lambdas, constants, case), not through a table
-of handlers, so the recursion passes through no frame besides these two.
+The recursion is the one function `_eval`, which passes bare values: each
+call returns a `Val`, or the failure itself (an `EvalError` or
+`NOT_ENOUGH_FUEL`), and `eval_expr` builds the one `Ok` of a call from
+outside. It dispatches on the exact node class with an `is` chain ordered by
+how often each class is met (variables, applications, lambdas, constants,
+case), not through a table of handlers. The `App` arm applies the function
+value and the `Case` arm selects the branch in place, so an application
+holds one frame on the stack.
 `Case`, `Lam` and `Fix` check the whole node with `fits` once; only on a miss
 do they check each part in turn, which names the first part that does not
 fit. `fits` and `_subst` each serve types and expressions alike, as
@@ -45,7 +47,6 @@ from .lang import (
     NOT_ENOUGH_FUEL,
     NotEnoughFuel,
     Ok,
-    Pat,
     PrimVal,
     TApp,
     TArr,
@@ -162,28 +163,6 @@ def fits(rho: Sequence[Val], n_extra: int, node: Union[Ty, Expr]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# pattern matching
-
-def _select_branch(
-    ctor: str,
-    n_params: int,
-    args: tuple[Val, ...],
-    branches: tuple[tuple[Pat, Expr], ...],
-) -> Optional[tuple[Expr, tuple[Val, ...]]]:
-    for pat, body in branches:
-        if pat.ctor != ctor:
-            continue
-        k = len(pat.binders)
-        drop = len(args) - k
-        if drop < 0 or drop > n_params:
-            return None
-        if drop and not all(isinstance(a, VTy) for a in args[:drop]):
-            return None
-        return body, args[drop:]
-    return None
-
-
-# ---------------------------------------------------------------------------
 # evaluation
 
 # Constant bodies that evaluate in the empty environment to one value at any
@@ -205,8 +184,8 @@ def eval_expr(
     return Ok(r)
 
 
-# `_eval` and `apply_val` return a bare `Val` or the failure itself, which a
-# caller tells apart by `type(r) is EvalError or r is NOT_ENOUGH_FUEL`.
+# `_eval` returns a bare `Val` or the failure itself, which a caller tells
+# apart by `type(r) is EvalError or r is NOT_ENOUGH_FUEL`.
 
 def _eval(
     genv: GlobalEnv,
@@ -232,7 +211,49 @@ def _eval(
         vf = _eval(genv, n, rho, e.fn, trace)
         if type(vf) is EvalError or vf is NOT_ENOUGH_FUEL:
             return vf
-        return apply_val(genv, n, vf, va, trace)
+        # the function value applies at the fuel of this step
+        tf = type(vf)
+        if tf is VClosLam:
+            rho2 = (va,) + vf.env
+            if trace is not None:
+                trace.record(rho2, vf.body)
+            return _eval(genv, n, rho2, vf.body, trace)
+        if tf is VConstr:
+            hit = genv.constrs.get((vf.ind, vf.ctor))
+            if hit is None:
+                return EvalError(f"unknown constructor '{vf.ctor}' of '{vf.ind}'")
+            if len(vf.args) >= hit[2].num_params + len(hit[1].arg_tys):
+                return EvalError(f"constructor '{vf.ctor}' applied to too many arguments")
+            return VConstr(vf.ind, vf.ctor, vf.args + (va,))
+        if tf is VBuiltin:
+            b = genv.constants.get(vf.name)
+            if not isinstance(b, Builtin):
+                return EvalError(f"unknown primitive '{vf.name}'")
+            args = vf.args + (va,)
+            if len(args) < len(b.arg_kinds):
+                return VBuiltin(vf.name, args)
+            out = delta(b, [a.prim if isinstance(a, VPrim) else None for a in args])
+            if isinstance(out, EvalError):
+                return out
+            if isinstance(out, bool):
+                return VConstr("Bool", "True" if out else "False")
+            return VPrim(out)
+        if tf is VClosFix:
+            # primitive literals act as constructor forms for the fix guard
+            if not isinstance(va, (VConstr, VPrim)):
+                return EvalError("fixpoint applied to a non-constructor value")
+            rho2 = (va, vf) + vf.env
+            if trace is not None:
+                trace.record(rho2, vf.body)
+            return _eval(genv, n, rho2, vf.body, trace)
+        if tf is VTyClos:
+            if not isinstance(va, VTy):
+                return EvalError("type abstraction applied to a term value")
+            rho2 = (va,) + vf.env
+            if trace is not None:
+                trace.record(rho2, vf.body)
+            return _eval(genv, n, rho2, vf.body, trace)
+        return EvalError("application of a non-function value")
     if t is Lam:
         if fits(rho, 0, e):
             dom_v = _subst(rho, 0, e.dom)
@@ -280,14 +301,21 @@ def _eval(
             return EvalError(f"unknown constructor '{v.ctor}' of '{v.ind}'")
         if v.ind != e.ind:
             return EvalError(f"scrutinee of '{v.ind}' matched against '{e.ind}'")
-        found = _select_branch(v.ctor, hit[2].num_params, v.args, e.branches)
-        if found is None:
-            return EvalError(f"no branch fits constructor '{v.ctor}'")
-        body, value_args = found
-        rho2 = tuple(reversed(value_args)) + tuple(rho)
-        if trace is not None:
-            trace.record(rho2, body)
-        return _eval(genv, n, rho2, body, trace)
+        # the first branch for the constructor takes its arguments, after a
+        # prefix of at most `num_params` type arguments
+        args = v.args
+        for pat, body in e.branches:
+            if pat.ctor == v.ctor:
+                drop = len(args) - len(pat.binders)
+                if drop < 0 or drop > hit[2].num_params:
+                    break
+                if drop and not all(isinstance(a, VTy) for a in args[:drop]):
+                    break
+                rho2 = tuple(reversed(args[drop:])) + tuple(rho)
+                if trace is not None:
+                    trace.record(rho2, body)
+                return _eval(genv, n, rho2, body, trace)
+        return EvalError(f"no branch fits constructor '{v.ctor}'")
     if t is Let:
         v = _eval(genv, n, rho, e.bound, trace)
         if type(v) is EvalError or v is NOT_ENOUGH_FUEL:
@@ -324,59 +352,6 @@ def _eval(
             return EvalError("type argument refers to a term-level binding")
         return VTy(ty_v)
     raise TypeError(f"not an expression: {e!r}")
-
-
-def apply_val(
-    genv: GlobalEnv,
-    fuel: int,
-    v1: Val,
-    v2: Val,
-    trace: Optional[EnvTrace] = None,
-) -> Union[Val, EvalError, NotEnoughFuel]:
-    """Apply an evaluated function to an evaluated argument at the same fuel
-    the surrounding application step runs at."""
-    t = type(v1)
-    if t is VClosLam:
-        rho2 = (v2,) + v1.env
-        if trace is not None:
-            trace.record(rho2, v1.body)
-        return _eval(genv, fuel, rho2, v1.body, trace)
-    if t is VConstr:
-        hit = genv.constrs.get((v1.ind, v1.ctor))
-        if hit is None:
-            return EvalError(f"unknown constructor '{v1.ctor}' of '{v1.ind}'")
-        if len(v1.args) >= hit[2].num_params + len(hit[1].arg_tys):
-            return EvalError(f"constructor '{v1.ctor}' applied to too many arguments")
-        return VConstr(v1.ind, v1.ctor, v1.args + (v2,))
-    if t is VBuiltin:
-        b = genv.constants.get(v1.name)
-        if not isinstance(b, Builtin):
-            return EvalError(f"unknown primitive '{v1.name}'")
-        args2 = v1.args + (v2,)
-        if len(args2) < len(b.arg_kinds):
-            return VBuiltin(v1.name, args2)
-        out = delta(b, [a.prim if isinstance(a, VPrim) else None for a in args2])
-        if isinstance(out, EvalError):
-            return out
-        if isinstance(out, bool):
-            return VConstr("Bool", "True" if out else "False")
-        return VPrim(out)
-    if t is VClosFix:
-        # primitive literals act as constructor forms for the fix guard
-        if not isinstance(v2, (VConstr, VPrim)):
-            return EvalError("fixpoint applied to a non-constructor value")
-        rho2 = (v2, v1) + v1.env
-        if trace is not None:
-            trace.record(rho2, v1.body)
-        return _eval(genv, fuel, rho2, v1.body, trace)
-    if t is VTyClos:
-        if not isinstance(v2, VTy):
-            return EvalError("type abstraction applied to a term value")
-        rho2 = (v2,) + v1.env
-        if trace is not None:
-            trace.record(rho2, v1.body)
-        return _eval(genv, fuel, rho2, v1.body, trace)
-    return EvalError("application of a non-function value")
 
 
 # ---------------------------------------------------------------------------

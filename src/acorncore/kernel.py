@@ -6,9 +6,11 @@ serves as the independent second semantics the differential harness compares
 the environment-passing interpreter against. `term_bound`, `_subst` and
 `_cbv` dispatch on the exact node class with an `is` chain ordered by how
 often each class is met, as `interp.py`'s evaluator does. As there, the
-recursion (`_cbv` and `_apply`) passes bare values: each call returns a
-`Term`, or the failure itself (an `EvalError` or `NOT_ENOUGH_FUEL`), and
-`cbv_eval` builds the one `Ok` of a call from outside.
+recursion is the one function `_cbv`, which passes bare values: each call
+returns a `Term`, or the failure itself (an `EvalError` or
+`NOT_ENOUGH_FUEL`), and `cbv_eval` builds the one `Ok` of a call from
+outside. Its `App` arm applies the function value in place, so an
+application holds one frame on the stack.
 """
 
 from __future__ import annotations
@@ -258,7 +260,7 @@ class KernelEnv:
     inductives: dict[str, KernelInductive]
     constants: dict[str, Term]
     builtins: dict[str, Builtin]
-    # what a fuel mark made under this environment holds (see `_inert`): a
+    # what a fuel mark made under this environment holds (see `_cbv`): a
     # bare object, so that a mark on a shared node, which the environment's
     # own terms may hold, makes no cycle through the intern table
     stamp: object = field(default_factory=object, repr=False, compare=False)
@@ -284,24 +286,13 @@ def _type_like(t: Term) -> bool:
 # again. Re-evaluating an atomic value (a lambda, product, fixpoint, literal,
 # inductive, constructor or builtin name) takes fuel 1; re-evaluating an inert
 # application, a constructor, inductive or partial builtin applied to values,
-# takes 1 more than its function or its argument does. `_inert` records that
-# fuel on each application it builds, as its mark, and `_cbv` answers a
-# marked term from the mark alone: the term itself at that fuel or more, out
-# of fuel below it, which is what the walk would return. Which applications are inert
-# depends on the environment's inductives and builtins, so a mark holds only
-# under the `KernelEnv` whose stamp it holds; under any other the term is
-# walked.
-
-def _inert(kenv: KernelEnv, vf: Term, va: Term) -> Term:
-    t = App(vf, va)
-    s = kenv.stamp
-    # each part's mark, read inline: an application without one is unknown
-    mf = getattr(vf, "_mark", None) if type(vf) is App else (s, 1)
-    ma = getattr(va, "_mark", None) if type(va) is App else (s, 1)
-    if mf is not None and ma is not None and mf[0] is s and ma[0] is s:
-        object.__setattr__(t, "_mark", (s, 1 + max(mf[1], ma[1])))
-    return t
-
+# takes 1 more than its function or its argument does. The tail of `_cbv`'s
+# `App` arm records that fuel on each inert application it builds, as its
+# mark, and `_cbv` answers a marked term from the mark alone: the term itself
+# at that fuel or more, out of fuel below it, which is what the walk would
+# return. Which applications are inert depends on the environment's
+# inductives and builtins, so a mark holds only under the `KernelEnv` whose
+# stamp it holds; under any other the term is walked.
 
 def cbv_eval(kenv: KernelEnv, fuel: int, t: Term) -> EvalResult:
     """Weak call-by-value normalization; fuel bounds the call depth."""
@@ -311,8 +302,8 @@ def cbv_eval(kenv: KernelEnv, fuel: int, t: Term) -> EvalResult:
     return Ok(r)
 
 
-# `_cbv` and `_apply` return a bare `Term` or the failure itself, which a
-# caller tells apart by `type(r) is EvalError or r is NOT_ENOUGH_FUEL`.
+# `_cbv` returns a bare `Term` or the failure itself, which a caller tells
+# apart by `type(r) is EvalError or r is NOT_ENOUGH_FUEL`.
 
 def _cbv(
     kenv: KernelEnv, fuel: int, t: Term
@@ -331,7 +322,54 @@ def _cbv(
         vf = _cbv(kenv, n, t.fn)
         if type(vf) is EvalError or vf is NOT_ENOUGH_FUEL:
             return vf
-        return _apply(kenv, n, vf, va)
+        # the function value applies at the fuel of this step
+        cf = type(vf)
+        if cf is Lambda:
+            if vf.dom is SORT_SET and not _type_like(va):
+                return EvalError("type abstraction applied to a term value")
+            return _cbv(kenv, n, subst1(va, vf.body))
+        if cf is Fix:
+            if not _constr_headed(va):
+                return EvalError("fixpoint applied to a non-constructor value")
+            if type(vf.body) is not Lambda:
+                return EvalError("fixpoint body is not a lambda")
+            # argument for index 0, the fixpoint itself for index 1, in one walk
+            return _cbv(kenv, n, parallel_subst((va, vf), vf.body.body))
+        head, spine = spine_view(vf)
+        ch = type(head)
+        if ch is Construct:
+            ki = kenv.inductives.get(head.ind)
+            if ki is None or head.ctor_idx >= len(ki.ctors):
+                return EvalError(f"unknown constructor {head.ctor_idx} of '{head.ind}'")
+            if len(spine) >= ki.num_params + ki.ctors[head.ctor_idx].arity:
+                return EvalError(
+                    f"constructor '{ki.ctors[head.ctor_idx].name}' applied to too many arguments"
+                )
+        elif ch is Const and head.name in kenv.builtins:
+            # a builtin-headed value holds fewer arguments than the builtin
+            # takes, since a saturated one is reduced at once and every
+            # builtin takes at least one; so this one is partial or saturated
+            b = kenv.builtins[head.name]
+            if len(spine) + 1 == len(b.arg_kinds):
+                args = spine + (va,)
+                out = delta(b, [a.value if isinstance(a, PrimLit) else None for a in args])
+                if isinstance(out, EvalError):
+                    return out
+                if isinstance(out, bool):
+                    return Construct("Bool", 0 if out else 1)
+                return PrimLit(out)
+        elif ch is not Ind:
+            return EvalError("application of a non-function value")
+        # an inert value: a constructor, an inductive or a partial builtin
+        # applied to values, marked with the fuel its re-evaluation takes
+        v = App(vf, va)
+        s = kenv.stamp
+        # each part's mark, read inline: an application without one is unknown
+        mf = getattr(vf, "_mark", None) if type(vf) is App else (s, 1)
+        ma = getattr(va, "_mark", None) if type(va) is App else (s, 1)
+        if mf is not None and ma is not None and mf[0] is s and ma[0] is s:
+            object.__setattr__(v, "_mark", (s, 1 + max(mf[1], ma[1])))
+        return v
     if c is PrimLit or c is Construct:
         return t
     if c is Const:
@@ -365,8 +403,8 @@ def _cbv(
             return EvalError("non-type argument in the parameter prefix")
         if arity:
             # peel the branch's lambdas, then put the last argument at index
-            # 0 and the first at index arity-1 in one walk, as `_apply` does
-            # for a fixpoint
+            # 0 and the first at index arity-1 in one walk, as the `App` arm
+            # does for a fixpoint
             for _ in range(arity):
                 if type(body) is not Lambda:
                     return EvalError("branch shape does not match its arity")
@@ -383,48 +421,6 @@ def _cbv(
     if c is Rel:
         return EvalError(f"unbound index {t.index} in kernel evaluation")
     raise TypeError(f"not a kernel term: {t!r}")
-
-
-def _apply(
-    kenv: KernelEnv, fuel: int, vf: Term, va: Term
-) -> Union[Term, EvalError, NotEnoughFuel]:
-    if isinstance(vf, Lambda):
-        return _cbv(kenv, fuel, subst1(va, vf.body))
-    if isinstance(vf, Fix):
-        if not _constr_headed(va):
-            return EvalError("fixpoint applied to a non-constructor value")
-        if not isinstance(vf.body, Lambda):
-            return EvalError("fixpoint body is not a lambda")
-        # argument for index 0, the fixpoint itself for index 1, in one walk
-        return _cbv(kenv, fuel, parallel_subst((va, vf), vf.body.body))
-    head, spine = spine_view(vf)
-    if isinstance(head, Construct):
-        ki = kenv.inductives.get(head.ind)
-        if ki is None or head.ctor_idx >= len(ki.ctors):
-            return EvalError(f"unknown constructor {head.ctor_idx} of '{head.ind}'")
-        limit = ki.num_params + ki.ctors[head.ctor_idx].arity
-        if len(spine) >= limit:
-            return EvalError(
-                f"constructor '{ki.ctors[head.ctor_idx].name}' applied to too many arguments"
-            )
-        return _inert(kenv, vf, va)
-    if isinstance(head, Const) and head.name in kenv.builtins:
-        b = kenv.builtins[head.name]
-        args = spine + (va,)
-        if len(args) < len(b.arg_kinds):
-            return _inert(kenv, vf, va)
-        if len(args) > len(b.arg_kinds):
-            return EvalError(f"primitive '{b.name}' applied to too many arguments")
-        out = delta(b, [a.value if isinstance(a, PrimLit) else None for a in args])
-        if isinstance(out, EvalError):
-            return out
-        if isinstance(out, bool):
-            return Construct("Bool", 0 if out else 1)
-        return PrimLit(out)
-    if isinstance(head, Ind):
-        # a type applied to arguments is an inert value
-        return _inert(kenv, vf, va)
-    return EvalError("application of a non-function value")
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,8 @@ def load_module(name_or_path: str) -> tuple[GlobalEnv, list[tuple[str, Expr]]]:
         # the prelude itself sits on the bare builtins
         return parse_module(path.read_text(), base_env())
     if path.suffix == ".json":
-        decls, defs = module_from_json(parse_json(path.read_text(), f"module '{path}'"))
+        what = f"module '{path}'"
+        decls, defs = module_from_json(parse_json(path.read_text(), what), what)
         env = stdlib_env().copy()
         for d in decls:
             env.add_inductive(d)

@@ -219,7 +219,12 @@ def decl_from_json(obj: Any) -> InductiveDecl:
     )
 
 
-def module_from_json(obj: Any) -> tuple[list[InductiveDecl], list[tuple[str, Expr]]]:
+def module_from_json(
+    obj: Any, what: str
+) -> tuple[list[InductiveDecl], list[tuple[str, Expr]]]:
+    """Decode a module. `what` names it, as in `parse_json`, when it is
+    nested too deeply: the JSON parser of Python 3.13 reads far more levels
+    than the decoders can."""
     inds = _need(obj, "inductives")
     defs = _need(obj, "defs")
     if not isinstance(inds, list) or not isinstance(defs, list):
@@ -231,4 +236,4 @@ def module_from_json(obj: Any) -> tuple[list[InductiveDecl], list[tuple[str, Exp
         ]
     except RecursionError:
         # the decoders recurse once per level of the AST
-        raise JsonError("module is nested too deeply") from None
+        raise JsonError(f"{what} is nested too deeply") from None

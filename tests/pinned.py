@@ -2,8 +2,8 @@
 free of pytest so that `scripts/check_pythons.py` runs the very same
 commands and probes under every installed Python: the CLI commands whose
 output `tests/golden/` holds, the search for the first `foldr addInt` list
-whose `diff_check` overflows Python's stack, and the check of the intern
-table after a `diff-eval` run."""
+whose `diff_check` overflows Python's stack, with the length it should
+find, and the check of the intern table after a `diff-eval` run."""
 
 from __future__ import annotations
 
@@ -36,8 +36,21 @@ CASES = [
 ]
 
 
+def foldr_add_int(n: int) -> Expr:
+    """`foldr addInt 0z` over the integers 0 to n - 1."""
+    INT = TInd("Int")
+    return mk_app(
+        Const("foldr"), TyAsExpr(INT), TyAsExpr(INT), Const("addInt"),
+        Lit(PInt(0)), int_list_expr(range(n)),
+    )
+
+
+# what `first_recursion_error` reads at the default recursion limit
+FIRST_RECURSION_ERROR = 328
+
+
 def first_recursion_error(timeout: float) -> Optional[int]:
-    """The shortest `foldr addInt` list, of 236 to 299 elements, whose
+    """The shortest `foldr addInt` list, of 318 to 381 elements, whose
     `diff_check` raises `RecursionError`, or None if none does. It runs in
     a new daemon thread, so that the caller's depth does not count; raises
     `TimeoutError` if that thread has not ended within `timeout` seconds."""
@@ -46,12 +59,8 @@ def first_recursion_error(timeout: float) -> Optional[int]:
     def probe():
         genv = stdlib_env()
         kenv = translate_env(genv)
-        INT = TInd("Int")
-        for n in range(236, 300):
-            e = mk_app(
-                Const("foldr"), TyAsExpr(INT), TyAsExpr(INT), Const("addInt"),
-                Lit(PInt(0)), int_list_expr(range(n)),
-            )
+        for n in range(318, 382):
+            e = foldr_add_int(n)
             try:
                 diff_check(genv, 100_000, e, kenv)
             except RecursionError:

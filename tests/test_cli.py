@@ -220,7 +220,7 @@ _DEEP_APPS = '{"tag": "App", "fn": ' * 3000 + _LIT + (', "arg": ' + _LIT + "}") 
 
 @pytest.mark.parametrize(
     "text",
-    ["[" * 5000 + "]" * 5000, '{"inductives": [], "defs": [{"name": "x", "body": %s}]}' % _DEEP_APPS],
+    ["[" * 100_000 + "]" * 100_000, '{"inductives": [], "defs": [{"name": "x", "body": %s}]}' % _DEEP_APPS],
     ids=["brackets", "apps"],
 )
 def test_a_json_module_nested_too_deeply_is_bad_input(capsys, tmp_path, text):
@@ -405,7 +405,7 @@ def test_counts_below_their_minimum_are_usage_errors(capsys, argv, message):
             ' "deployer": 1, "setup": {"deadline": -1, "goal": 60}}]}',
             "natural literal must be non-negative",
         ),
-        ("[" * 5000 + "]" * 5000, "is nested too deeply"),
+        ("[" * 100_000 + "]" * 100_000, "is nested too deeply"),
     ],
     ids=["malformed", "unknown-contract", "actors-not-a-list", "duplicate-actor",
          "no-deadline", "negative-deadline", "nested-too-deeply"],

@@ -11,7 +11,6 @@ from acorncore.interp import (
     VPrim,
     VTy,
     VTyClos,
-    apply_val,
     eval_expr,
     eval_type,
     fits,
@@ -650,9 +649,12 @@ def test_subst_env_ty_needs_type_entries():
     assert subst_env_expr([Lit(PInt(1))], TyAsExpr(TVar(0))) is None
 
 
-def test_apply_val_direct():
+def test_a_closure_value_applies_to_a_value():
+    # the application step runs the body one level down
     f = ok(Lam("x", INT, Var(0)))
-    assert apply_val(ENV, 10, f, VPrim(PInt(8))) == VPrim(PInt(8))
+    e = App(Var(0), Lit(PInt(8)))
+    assert eval_expr(ENV, 2, (f,), e) == Ok(VPrim(PInt(8)))
+    assert eval_expr(ENV, 1, (f,), e) is NOT_ENOUGH_FUEL
 
 
 def test_subst_env_expr_keeps_closed_subtrees():

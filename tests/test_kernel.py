@@ -28,8 +28,7 @@ from acorncore.kernel import (
     subst1,
     term_bound,
 )
-from acorncore.kernel import _apply
-from acorncore.lang import EvalError, NOT_ENOUGH_FUEL, Ok, PInt, PNat
+from acorncore.lang import BUILTINS, EvalError, NOT_ENOUGH_FUEL, Ok, PInt, PNat
 from acorncore.programs import corpus_dir, load_module, stdlib_env
 from acorncore.soundness import corpus_files, gen_expr
 from acorncore.translate import expr_to_term, translate_env
@@ -426,7 +425,7 @@ def test_fix_body_must_be_a_lambda():
 
 
 def test_fix_unfolds_in_one_walk_as_in_two():
-    # `_apply` substitutes the argument and the fixpoint itself in one walk;
+    # `_cbv` substitutes the argument and the fixpoint itself in one walk;
     # it must build the term the two single substitutions did, also for a
     # fixpoint that sits under binders and so is open
     fixes, values = [], []
@@ -436,16 +435,19 @@ def test_fix_unfolds_in_one_walk_as_in_two():
             fixes += ((kenv, t) for t in _subterms(top) if isinstance(t, Fix))
             r = cbv_eval(kenv, 10_000, top)
             if isinstance(r, Ok) and kernel._constr_headed(r.value):
-                values.append(r.value)
+                values.append((kenv, r.value))
     assert any(term_bound(vf) > 0 for _, vf in fixes) and len(values) > 10
+    applied = 0
     for kenv, vf in fixes:
-        for va in values:
+        for home, va in values:
             two = subst1(va, subst1(vf, vf.body).body)
             assert parallel_subst((va, vf), vf.body.body) == two
-            if term_bound(vf) == 0:
-                r = cbv_eval(kenv, 200, two)
-                bare = r.value if isinstance(r, Ok) else r
-                assert _apply(kenv, 200, vf, va) == bare
+            if term_bound(vf) == 0 and home is kenv:
+                # the application step runs the body one level down; the
+                # argument, a value of the same module, evaluates to itself
+                assert cbv_eval(kenv, 201, App(vf, va)) == cbv_eval(kenv, 200, two)
+                applied += 1
+    assert applied > 100
 
 
 def test_match_instantiates_in_one_walk_as_in_one_per_argument():
@@ -608,10 +610,20 @@ def test_builtin_over_application():
     assert err(mk_app(Const("addInt"), zlit(1), zlit(2), zlit(3))) == (
         "application of a non-function value"
     )
-    # the guard itself is reachable through the application helper
-    spine = mk_app(Const("addInt"), zlit(1), zlit(2))
-    r = _apply(KENV, 10, spine, zlit(3))
-    assert r == EvalError("primitive 'addInt' applied to too many arguments")
+    # so no builtin-headed value holds as many arguments as the builtin
+    # takes, as long as each takes at least one
+    assert all(b.arg_kinds for b in BUILTINS.values())
+    assert ok(mk_app(Const("addInt"), zlit(1))) == mk_app(Const("addInt"), zlit(1))
+
+
+def test_type_abstraction_applied_to_a_term_fails():
+    # a lambda over `Set` is a translated type abstraction, and takes only a
+    # type, as the interpreter's type closure does
+    polyid = Lambda("A", SORT_SET, Lambda("x", Rel(0), Rel(0)))
+    assert err(App(polyid, Construct("Bool", 0))) == "type abstraction applied to a term value"
+    assert err(App(polyid, zlit(1))) == "type abstraction applied to a term value"
+    for ty in (Ind("Int"), App(Ind("List"), Ind("Int")), Prod(None, Ind("Int"), Ind("Int"))):
+        assert ok(mk_app(polyid, ty, zlit(1))) == zlit(1)
 
 
 def test_ind_headed_application_is_inert():
@@ -752,7 +764,7 @@ def test_fold_substitutes_once_per_match(monkeypatch):
         r = kernel.cbv_eval(kenv, 10_000, _fold("addInt", int_list(list(range(n)))))
         assert r == Ok(zlit(7 + n * (n - 1) // 2))
         seen.append(dict(calls))
-    # 773 and 1,523 before tree nodes were interned: `_inert` now rebuilds
+    # 773 and 1,523 before tree nodes were interned: `_cbv` now rebuilds
     # each inert application of the input list as the very node it walked,
     # so the mark lands on the input and later matches do not walk it again
     assert [c["_cbv"] for c in seen] == [675, 1325], seen

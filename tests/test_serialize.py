@@ -148,19 +148,19 @@ def test_module_round_trip():
     env, defs = load_module("mapops")
     own = [d for d in env.inductives if d not in stdlib_env().inductives]
     data = module_to_json(env, own, [n for n, _ in defs])
-    decls2, defs2 = module_from_json(json.loads(json.dumps(data)))
+    decls2, defs2 = module_from_json(json.loads(json.dumps(data)), "module")
     assert decls2 == own
     assert defs2 == defs
 
 
 def test_json_nested_past_the_recursion_limit_is_rejected():
     with pytest.raises(JsonError, match="'deep' is nested too deeply"):
-        parse_json("[" * 5000 + "]" * 5000, "'deep'")
+        parse_json("[" * 100_000 + "]" * 100_000, "'deep'")
     body = {"tag": "Lit", "value": prim_to_json(PInt(1))}
     for _ in range(3000):
         body = {"tag": "App", "fn": body, "arg": body}
-    with pytest.raises(JsonError, match="module is nested too deeply"):
-        module_from_json({"inductives": [], "defs": [{"name": "x", "body": body}]})
+    with pytest.raises(JsonError, match="'deep' is nested too deeply"):
+        module_from_json({"inductives": [], "defs": [{"name": "x", "body": body}]}, "'deep'")
 
 
 def test_corpus_json_twins_do_not_drift():

@@ -4,6 +4,8 @@ and report rendering."""
 
 import random
 import sys
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -46,7 +48,7 @@ from acorncore.soundness import (
 from acorncore.translate import expr_to_term, translate_env
 
 from oracles import int_val, minimal_fuel
-from pinned import first_recursion_error
+from pinned import FIRST_RECURSION_ERROR, first_recursion_error, foldr_add_int
 
 GENV = stdlib_env()
 KENV = translate_env(GENV)
@@ -347,7 +349,33 @@ def test_first_recursion_error_of_a_deep_fold_stays_put():
     """The shortest `foldr addInt` list whose `diff_check` overflows Python's
     stack, read in a new thread so that the caller's depth does not count.
     Translation and read-back must add no frame per level."""
-    assert first_recursion_error(timeout=120) == 246
+    assert first_recursion_error(timeout=120) == FIRST_RECURSION_ERROR
+
+
+def test_a_fold_over_319_elements_agrees_at_the_default_limits():
+    """319 elements is the longest list the benchmark's `deepfold` folds. It
+    runs to the end in both evaluators at the default fuel and recursion
+    limit, read in a new thread as the depth probe is."""
+    out = []
+
+    def run():
+        out.append(diff_check(GENV, 10_000, foldr_add_int(319), KENV))
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    t.join(timeout=120)
+    assert out == [Agree(k.PrimLit(PInt(319 * 318 // 2)))]
+
+
+def test_a_type_abstraction_applied_to_a_term_fails_on_both_sides():
+    # `polyid True`, in a module of its own so that the packaged corpus and
+    # its golden report stay as they are
+    report = run_corpus(Path(__file__).parent / "ill_typed", gen_count=0)
+    assert report.rows == [
+        ("polyid.acorn:polyid", "agree"),
+        ("polyid.acorn:bad", "agree (both err)"),
+    ]
+    assert report.ok
 
 
 def test_run_corpus_without_generation_has_no_gen_rows():
