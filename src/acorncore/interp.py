@@ -2,10 +2,12 @@
 
 Evaluation is fuel-limited: every recursive call runs at one unit less, so
 fuel bounds call depth rather than step count, and any result reached with
-fuel n is reached identically with any larger amount. Closures check their
-bodies against the captured environment when they are built, which keeps
-every value well-formed and makes the syntactic read-back `from_val` total
-on reachable values.
+fuel n is reached identically with any larger amount. A closure, `VClos`, is
+its environment and the `Lam`, `Fix` or `TyLam` node it was built from. A
+lambda or fixpoint checks that its node fits the captured environment when
+the closure is built, which keeps every value well-formed and makes the
+syntactic read-back `from_val` total on reachable values. The types inside
+a closure are resolved only at read-back.
 
 The recursion is the one function `_eval`, which passes bare values: each
 call returns a `Val`, or the failure itself (an `EvalError` or
@@ -78,28 +80,15 @@ class VConstr(Val):
 
 
 @tree_node
-class VClosLam(Val):
+class VClos(Val):
+    """A closure: the environment it was built in and the `Lam`, `Fix` or
+    `TyLam` node it was built from. A `Lam` or `Fix` node fits the
+    environment. The types inside the node, such as a lambda's domain, are
+    not resolved when the closure is built but at read-back, where the
+    environment is substituted through the whole node."""
+
     env: tuple[Val, ...]
-    hint: str
-    dom: Ty  # closed type value
-    body: Expr
-
-
-@tree_node
-class VClosFix(Val):
-    env: tuple[Val, ...]
-    f_hint: str
-    x_hint: str
-    dom: Ty
-    cod: Ty
-    body: Expr
-
-
-@tree_node
-class VTyClos(Val):
-    env: tuple[Val, ...]
-    hint: str
-    body: Expr
+    fn: Expr
 
 
 @tree_node
@@ -213,11 +202,23 @@ def _eval(
             return vf
         # the function value applies at the fuel of this step
         tf = type(vf)
-        if tf is VClosLam:
-            rho2 = (va,) + vf.env
+        if tf is VClos:
+            fn = vf.fn
+            tc = type(fn)
+            if tc is Lam:
+                rho2 = (va,) + vf.env
+            elif tc is Fix:
+                # primitive literals act as constructor forms for the fix guard
+                if not isinstance(va, (VConstr, VPrim)):
+                    return EvalError("fixpoint applied to a non-constructor value")
+                rho2 = (va, vf) + vf.env
+            else:
+                if not isinstance(va, VTy):
+                    return EvalError("type abstraction applied to a term value")
+                rho2 = (va,) + vf.env
             if trace is not None:
-                trace.record(rho2, vf.body)
-            return _eval(genv, n, rho2, vf.body, trace)
+                trace.record(rho2, fn.body)
+            return _eval(genv, n, rho2, fn.body, trace)
         if tf is VConstr:
             hit = genv.constrs.get((vf.ind, vf.ctor))
             if hit is None:
@@ -238,32 +239,13 @@ def _eval(
             if isinstance(out, bool):
                 return VConstr("Bool", "True" if out else "False")
             return VPrim(out)
-        if tf is VClosFix:
-            # primitive literals act as constructor forms for the fix guard
-            if not isinstance(va, (VConstr, VPrim)):
-                return EvalError("fixpoint applied to a non-constructor value")
-            rho2 = (va, vf) + vf.env
-            if trace is not None:
-                trace.record(rho2, vf.body)
-            return _eval(genv, n, rho2, vf.body, trace)
-        if tf is VTyClos:
-            if not isinstance(va, VTy):
-                return EvalError("type abstraction applied to a term value")
-            rho2 = (va,) + vf.env
-            if trace is not None:
-                trace.record(rho2, vf.body)
-            return _eval(genv, n, rho2, vf.body, trace)
         return EvalError("application of a non-function value")
     if t is Lam:
-        if fits(rho, 0, e):
-            dom_v = _subst(rho, 0, e.dom)
-        else:
+        if not fits(rho, 0, e):
             if not fits(rho, 1, e.body):
                 return EvalError("lambda body does not fit its environment")
-            dom_v = eval_type(rho, e.dom)
-            if dom_v is None:
-                return EvalError("lambda domain refers to a term-level binding")
-        return VClosLam(tuple(rho), e.hint, dom_v, e.body)
+            return EvalError("lambda domain refers to a term-level binding")
+        return VClos(tuple(rho), e)
     if t is Const:
         kept = genv.const_values.get(e.name)
         if kept is not None:
@@ -331,21 +313,15 @@ def _eval(
     if t is Lit:
         return VPrim(e.value)
     if t is Fix:
-        if fits(rho, 0, e):
-            dom_v = _subst(rho, 0, e.dom)
-            cod_v = _subst(rho, 0, e.cod)
-        else:
-            dom_v = eval_type(rho, e.dom)
-            if dom_v is None:
+        if not fits(rho, 0, e):
+            if not fits(rho, 0, e.dom):
                 return EvalError("fixpoint domain refers to a term-level binding")
-            cod_v = eval_type(rho, e.cod)
-            if cod_v is None:
+            if not fits(rho, 0, e.cod):
                 return EvalError("fixpoint codomain refers to a term-level binding")
-            if not fits(rho, 2, e.body):
-                return EvalError("fixpoint body does not fit its environment")
-        return VClosFix(tuple(rho), e.f_hint, e.x_hint, dom_v, cod_v, e.body)
+            return EvalError("fixpoint body does not fit its environment")
+        return VClos(tuple(rho), e)
     if t is TyLam:
-        return VTyClos(tuple(rho), e.hint, e.body)
+        return VClos(tuple(rho), e)
     if t is TyAsExpr:
         ty_v = eval_type(rho, e.ty)
         if ty_v is None:
@@ -364,21 +340,8 @@ def wf_val(genv: GlobalEnv, v: Val) -> bool:
             if hit is None or len(args) > hit[2].num_params + len(hit[1].arg_tys):
                 return False
             return all(wf_val(genv, a) for a in args)
-        case VClosLam(env, _, dom, body):
-            return (
-                all(wf_val(genv, x) for x in env)
-                and closed_under(0, dom)
-                and fits(env, 1, body)
-            )
-        case VClosFix(env, _, _, dom, cod, body):
-            return (
-                all(wf_val(genv, x) for x in env)
-                and closed_under(0, dom)
-                and closed_under(0, cod)
-                and fits(env, 2, body)
-            )
-        case VTyClos(env, _, body):
-            return all(wf_val(genv, x) for x in env) and fits(env, 1, body)
+        case VClos(env, fn):
+            return all(wf_val(genv, x) for x in env) and fits(env, 0, fn)
         case VTy(ty):
             return closed_under(0, ty)
         case VPrim(_):
@@ -499,12 +462,8 @@ def from_val(v: Val) -> Optional[Expr]:
         e = Lit(v.prim)
     elif c is VTy:
         e = TyAsExpr(v.ty)
-    elif c is VClosFix:
-        e = close_env(v.env, Fix(v.f_hint, v.x_hint, v.dom, v.cod, v.body))
-    elif c is VClosLam:
-        e = close_env(v.env, Lam(v.hint, v.dom, v.body))
-    elif c is VTyClos:
-        e = close_env(v.env, TyLam(v.hint, v.body))
+    elif c is VClos:
+        e = close_env(v.env, v.fn)
     else:
         raise TypeError(f"not a value: {v!r}")
     object.__setattr__(v, "_expr", _NO_READBACK if e is None else e)

@@ -358,10 +358,12 @@ def _cbv(
                 if isinstance(out, bool):
                     return Construct("Bool", 0 if out else 1)
                 return PrimLit(out)
-        elif ch is not Ind:
+        elif ch is not Ind or not _type_like(va):
+            # an inductive takes only types: `[List] 3z` is not a value
             return EvalError("application of a non-function value")
-        # an inert value: a constructor, an inductive or a partial builtin
-        # applied to values, marked with the fuel its re-evaluation takes
+        # an inert value: a constructor or a partial builtin applied to
+        # values, or an inductive applied to a type, marked with the fuel
+        # its re-evaluation takes
         v = App(vf, va)
         s = kenv.stamp
         # each part's mark, read inline: an application without one is unknown

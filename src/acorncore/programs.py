@@ -95,12 +95,12 @@ def load_module(name_or_path: str) -> tuple[GlobalEnv, list[tuple[str, Expr]]]:
 
 @dataclass(frozen=True)
 class ContractProgram:
-    """A deployable program: its module plus the two wrapped entry points
-    (init: chain -> ctx -> setup -> Maybe state; receive: chain -> ctx ->
-    Maybe msg -> state -> Maybe (Prod state (List actions)))."""
+    """A deployable program: its name, which is also the name of the corpus
+    module it is written in, plus the two wrapped entry points (init: chain
+    -> ctx -> setup -> Maybe state; receive: chain -> ctx -> Maybe msg ->
+    state -> Maybe (Prod state (List actions)))."""
 
     name: str
-    module: str
     init_name: str
     receive_name: str
     make_setup: Callable[[dict], Val]
@@ -161,22 +161,16 @@ def _fwd_gen_call(rng, _slot: int) -> tuple[Optional[Val], int]:
 
 CONTRACTS: dict[str, ContractProgram] = {
     "crowdfunding": ContractProgram(
-        "crowdfunding", "crowdfunding", "cf_init", "cf_receive", _cf_setup, _cf_gen_call
+        "crowdfunding", "cf_init", "cf_receive", _cf_setup, _cf_gen_call
     ),
     "crowdfunding_overrecord": ContractProgram(
-        "crowdfunding_overrecord",
-        "crowdfunding_overrecord",
-        "cf_init",
-        "cf_receive",
-        _cf_setup,
-        _cf_gen_call,
+        "crowdfunding_overrecord", "cf_init", "cf_receive", _cf_setup, _cf_gen_call
     ),
     "counter": ContractProgram(
-        "counter", "counter", "counter_init", "counter_receive", _counter_setup,
-        _counter_gen_call,
+        "counter", "counter_init", "counter_receive", _counter_setup, _counter_gen_call
     ),
     "forwarder": ContractProgram(
-        "forwarder", "forwarder", "fwd_init", "fwd_receive", _fwd_setup, _fwd_gen_call
+        "forwarder", "fwd_init", "fwd_receive", _fwd_setup, _fwd_gen_call
     ),
 }
 
@@ -187,7 +181,7 @@ def contract(name: str) -> LoadedContract:
     if prog is None:
         raise ConversionError(f"unknown contract '{name}'")
     # never a file of that name in the working directory
-    env, _ = parse_module((corpus_dir() / f"{prog.module}.acorn").read_text(), stdlib_env())
+    env, _ = parse_module((corpus_dir() / f"{prog.name}.acorn").read_text(), stdlib_env())
     entries = {
         entry: mk_app(Const(entry), *map(Var, range(arity)))
         for entry, arity in ((prog.init_name, 3), (prog.receive_name, 4))

@@ -65,9 +65,9 @@ def val_samples() -> list:
     one = interp.VPrim(L.PInt(1))
     return [
         interp.VConstr("Bool", "True"),
-        interp.VClosLam((one,), "x", int_ty, L.Var(1)),
-        interp.VClosFix((one,), "f", "x", int_ty, int_ty, L.Var(2)),
-        interp.VTyClos((one,), "a", L.Var(1)),
+        interp.VClos((one,), L.Lam("x", int_ty, L.Var(1))),
+        interp.VClos((one,), L.Fix("f", "x", int_ty, int_ty, L.Var(2))),
+        interp.VClos((one,), L.TyLam("a", L.Var(1))),
         interp.VTy(int_ty),
         one,
         interp.VBuiltin("addInt", (one,)),

@@ -5,12 +5,10 @@ import pytest
 from acorncore.interp import (
     EnvTrace,
     VBuiltin,
-    VClosFix,
-    VClosLam,
+    VClos,
     VConstr,
     VPrim,
     VTy,
-    VTyClos,
     eval_expr,
     eval_type,
     fits,
@@ -147,14 +145,15 @@ def test_lambda_evaluates_domain_eagerly():
 def test_lambda_domain_resolves_through_type_entries():
     e = App(TyLam("A", Lam("x", TVar(0), Var(0))), TyAsExpr(INT))
     v = ok(e)
-    assert isinstance(v, VClosLam)
-    assert v.dom == INT  # the captured domain is already resolved
+    assert isinstance(v, VClos) and v.fn == Lam("x", TVar(0), Var(0))
+    # the captured domain resolves at read-back
+    assert from_val(v) == Lam("x", INT, Var(0))
 
 
 def test_tylam_defers_validation():
     # a type abstraction is inert: even a nonsense body is fine to build
     v = ok(TyLam("A", Var(42)))
-    assert isinstance(v, VTyClos)
+    assert v == VClos((), TyLam("A", Var(42)))
 
 
 def test_fix_validates_and_resolves_eagerly():
@@ -338,9 +337,10 @@ def test_a_misfit_part_reports_its_own_error(e, reason):
 def test_a_fitting_node_resolves_its_types_through_type_entries():
     rho = (VTy(INT), VPrim(PInt(0)))
     lam = ok(Lam("x", TVar(0), Var(2)), rho=rho)
-    assert lam.dom == INT and lam.env == rho
+    assert lam.env == rho
+    assert from_val(lam) == Lam("x", INT, Lit(PInt(0)))
     fix = ok(Fix("f", "x", TVar(0), TArr(TVar(0), INT), Var(3)), rho=rho)
-    assert (fix.dom, fix.cod) == (INT, TArr(INT, INT))
+    assert from_val(fix) == Fix("f", "x", INT, TArr(INT, INT), Lit(PInt(0)))
     case = _bool_case(ty_params=(TVar(0),), ret_ty=TVar(0), branch=Var(1))
     assert ok(case, rho=rho) == VPrim(PInt(0))
     assert err(case, rho=(VPrim(PInt(0)), VTy(INT))) == (
@@ -360,7 +360,7 @@ def test_a_kept_constant_value_still_needs_its_fuel():
     env = _with_k()
     assert ev(Const("k"), fuel=1, env=env) is NOT_ENOUGH_FUEL
     warm = ok(Const("k"), fuel=10, env=env)
-    assert isinstance(warm, VClosLam)
+    assert isinstance(warm, VClos)
     assert ev(Const("k"), fuel=1, env=env) is NOT_ENOUGH_FUEL
     assert ok(Const("k"), fuel=2, env=env) == warm
     assert ev(App(Const("k"), Lit(PInt(4))), fuel=2, env=env) is NOT_ENOUGH_FUEL
@@ -369,7 +369,7 @@ def test_a_kept_constant_value_still_needs_its_fuel():
 
 def test_define_after_an_evaluation_is_seen_by_the_next_one():
     env = _with_k()
-    assert isinstance(ok(Const("k"), env=env), VClosLam)
+    assert isinstance(ok(Const("k"), env=env), VClos)
     env.define("k", Lit(PInt(7)))
     assert ok(Const("k"), env=env) == VPrim(PInt(7))
     env.define("k", Const("addInt"))
@@ -560,8 +560,31 @@ def test_validate_counts_extra_binders():
 def test_wf_val_closures():
     v = ok(Lam("x", INT, Var(0)))
     assert wf_val(ENV, v)
-    bad = VClosLam((), "x", INT, Var(3))
+    bad = VClos((), Lam("x", INT, Var(3)))
     assert not wf_val(ENV, bad)
+
+
+ONE = (VPrim(PInt(1)),)
+
+
+@pytest.mark.parametrize(
+    "fits_env, misfit",
+    [
+        # a lambda whose domain reaches a term-level entry
+        (VClos(ONE, Lam("x", INT, Var(1))), VClos(ONE, Lam("x", TVar(0), Var(1)))),
+        # a fixpoint whose codomain reaches a term-level entry
+        (
+            VClos(ONE, Fix("f", "x", INT, INT, Var(2))),
+            VClos(ONE, Fix("f", "x", INT, TVar(0), Var(2))),
+        ),
+        # a type abstraction whose body reaches past the environment
+        (VClos(ONE, TyLam("A", Var(1))), VClos(ONE, TyLam("A", Var(2)))),
+    ],
+    ids=["Lam", "Fix", "TyLam"],
+)
+def test_wf_val_refuses_a_closure_whose_node_does_not_fit_its_environment(fits_env, misfit):
+    assert wf_val(ENV, fits_env)
+    assert not wf_val(ENV, misfit)
 
 
 def test_wf_val_constructors():
@@ -620,7 +643,7 @@ def test_from_val_substitutes_captured_environment():
 
 def test_from_val_fix_closure():
     v = ok(Const("sum_map"))
-    assert isinstance(v, VClosFix)
+    assert isinstance(v, VClos) and isinstance(v.fn, Fix)
     shell = from_val(v)
     assert isinstance(shell, Fix)
 
@@ -670,7 +693,7 @@ def test_subst_env_expr_keeps_closed_subtrees():
 
 def _no_readback():
     # the body's domain is a type position that reaches a term-level entry
-    return VClosLam((VPrim(PInt(1)),), "x", INT, Lam("y", TVar(1), Var(0)))
+    return VClos((VPrim(PInt(1)),), Lam("x", INT, Lam("y", TVar(1), Var(0))))
 
 
 def test_from_val_answers_a_repeated_call_alike():

@@ -632,6 +632,14 @@ def test_ind_headed_application_is_inert():
     assert ok(App(t, Ind("Bool"))) == App(t, Ind("Bool"))
 
 
+def test_an_inductive_applied_to_a_term_fails():
+    # `[List] 3z`: an inductive takes only types, as the interpreter's type
+    # value takes nothing
+    for arg in (zlit(3), Construct("Bool", 0), Lambda("x", INT, Rel(0))):
+        assert err(App(Ind("List"), arg)) == "application of a non-function value"
+        assert err(App(LIST_INT, arg)) == "application of a non-function value"
+
+
 def test_application_of_a_literal_fails():
     assert err(App(zlit(1), zlit(2))) == "application of a non-function value"
 

@@ -282,9 +282,9 @@ def _sample(kind, offset=0):
 
 
 def test_every_tree_node_class_is_listed():
-    # 2 literals, the pattern, 5 types, 11 expressions, 7 values and 12
+    # 2 literals, the pattern, 5 types, 11 expressions, 5 values and 12
     # kernel terms
-    assert len(TREE_NODES) == 38
+    assert len(TREE_NODES) == 36
 
 
 @pytest.mark.parametrize("kind", TREE_NODES, ids=_node_id)

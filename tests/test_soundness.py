@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from acorncore import kernel as k
-from acorncore.interp import EnvTrace, Val, VClosLam, VPrim, VTy, eval_expr
+from acorncore.interp import EnvTrace, Val, VClos, VPrim, VTy, eval_expr
 from acorncore.lang import (
     App,
     Const,
@@ -230,7 +230,7 @@ def test_subst_commutes_under_a_forall():
 def test_subst_commutes_is_silent_without_evidence():
     # the captured entry cannot be read back: its domain annotation points a
     # type position at a term-level entry
-    stuck = VClosLam((VPrim(PInt(1)),), "x", TVar(0), Var(0))
+    stuck = VClos((VPrim(PInt(1)),), Lam("x", TVar(0), Var(0)))
     e = App(Var(0), Lit(PInt(1)))
     assert subst_commutes(GENV, (stuck,), e) is None
     # a type position inside the body hits a term entry the same way
@@ -368,12 +368,13 @@ def test_a_fold_over_319_elements_agrees_at_the_default_limits():
 
 
 def test_a_type_abstraction_applied_to_a_term_fails_on_both_sides():
-    # `polyid True`, in a module of its own so that the packaged corpus and
-    # its golden report stay as they are
+    # `polyid True` and `[List] 3z`, in modules of their own so that the
+    # packaged corpus and its golden report stay as they are
     report = run_corpus(Path(__file__).parent / "ill_typed", gen_count=0)
     assert report.rows == [
         ("polyid.acorn:polyid", "agree"),
         ("polyid.acorn:bad", "agree (both err)"),
+        ("tyapp.acorn:tyapp", "agree (both err)"),
     ]
     assert report.ok
 

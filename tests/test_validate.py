@@ -293,7 +293,7 @@ def test_cached_footprint_leaves_equality_hash_and_repr_alone():
     [
         (lang, Ty, 5, {"_fp", "_term"}),
         (lang, Expr, 11, {"_fp", "_term"}),
-        (interp, Val, 7, {"_expr"}),
+        (interp, Val, 5, {"_expr"}),
     ],
 )
 def test_caches_live_in_the_base_class_slots(module, base, count, caches):
