@@ -6,13 +6,14 @@ another, this script
 
 - runs the golden commands (`CASES` in `tests/pinned.py`, which
   `tests/test_golden.py` runs too) as `python -m acorncore.cli` with this
-  checkout's `src` and `tests` on `PYTHONPATH`, and compares each output
-  with its file in `tests/golden/` byte for byte;
+  checkout's `src` and `tests` on `PYTHONPATH`, and `scripts/fuel_table.py`,
+  and compares each output with its file in `tests/golden/` byte for byte;
 - runs the depth probe of
   `tests/test_soundness.py::test_first_recursion_error_of_a_deep_fold_stays_put`
   (`first_recursion_error` in `tests/pinned.py`): the shortest `foldr addInt`
   list whose `diff_check` raises `RecursionError`, read in a new thread at
-  the default recursion limit, which should be `FIRST_RECURSION_ERROR`;
+  the default recursion limit, which should be the version's entry in
+  `FIRST_RECURSION_ERRORS`;
 - runs the intern probe of
   `tests/test_intern.py::test_a_collection_leaves_no_node_that_only_the_table_holds`
   (`intern_probe` in `tests/pinned.py`): after a `diff-eval` run and
@@ -52,7 +53,12 @@ TIMEOUT_S = 600
 # this checkout's package and the test helpers the commands come from
 SEARCH_PATH = [str(ROOT / "src"), str(TESTS)]
 sys.path[:0] = SEARCH_PATH
-from pinned import CASES, FIRST_RECURSION_ERROR  # noqa: E402
+from pinned import CASES, FIRST_RECURSION_ERRORS  # noqa: E402
+
+# (file in tests/golden/, arguments to the interpreter that print it)
+GOLDEN_RUNS = [(name, ["-m", "acorncore.cli", *argv]) for name, argv in CASES] + [
+    ("fuel_table.txt", [str(ROOT / "scripts" / "fuel_table.py")])
+]
 
 # Tier-1 as documented, run with this interpreter's pytest
 TIER1_ENV = {
@@ -98,8 +104,8 @@ def check(exe: str) -> tuple[str, str]:
     if version.returncode != 0:
         return "", ""
     differ = []
-    for name, argv in CASES:
-        out = _run(exe, ["-m", "acorncore.cli", *argv])
+    for name, args in GOLDEN_RUNS:
+        out = _run(exe, args)
         if out.returncode != 0 or out.stdout != (GOLDEN / name).read_bytes():
             differ.append(f"{name} (exit {out.returncode})")
     probe = _run(exe, ["-c", DEPTH_PROBE])
@@ -111,19 +117,20 @@ def check(exe: str) -> tuple[str, str]:
     else:
         intern = f"lone {counts[0]} duplicates {counts[1]}" if len(counts) == 2 else "crash"
     tests, tests_bad = tier1(exe)
-    problems = differ + ([] if depth == str(FIRST_RECURSION_ERROR) else [f"depth {depth}"])
+    want = FIRST_RECURSION_ERRORS.get(version.stdout.decode().strip().rpartition(".")[0])
+    problems = differ + ([] if depth == str(want) else [f"depth {depth}"])
     problems += [] if intern == "ok" else [f"intern {intern}"]
     problems += [tests] if tests_bad else []
     verdict = "MISMATCH: " + "; ".join(problems) if problems else "ok"
     row = (
-        f"golden {len(CASES) - len(differ)}/{len(CASES)}  depth {depth}  "
+        f"golden {len(GOLDEN_RUNS) - len(differ)}/{len(GOLDEN_RUNS)}  depth {depth}  "
         f"intern {intern}  {tests}  {verdict}"
     )
     return version.stdout.decode().strip(), row
 
 
 def main() -> int:
-    listed = sorted(name for name, _ in CASES)
+    listed = sorted(name for name, _ in GOLDEN_RUNS)
     on_disk = sorted(p.name for p in GOLDEN.glob("*.txt"))
     if listed != on_disk:
         print(f"golden commands {listed} do not match the files {on_disk}")

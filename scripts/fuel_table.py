@@ -13,10 +13,15 @@ with `fuel=none` when the evaluator is still out of fuel at `CAP`. A value
 is shown by the read-back expression (interpreter) or the result term
 (kernel), so the table does not depend on how values are represented. The
 programs are every definition of the packaged corpus, 400 `gen_expr`
-programs (`random.Random(4)`, size 12) and `foldr addInt 0z` over 0 to 60
-elements. Run it on two checkouts and `diff` the outputs: any line that
-differs is a change in what some fuel buys. Standard library only; it is
-not part of the test suite.
+programs (`random.Random(4)`, size 12), `foldr addInt 0z` over 0 to 60
+elements, and the distinct `init` and `receive` calls of four generated
+crowdfunding traces (`CHAIN_TRACES`), clean and mutant, each run in the
+environment `chainsim._call_entry` builds for it. A contract call has an
+interpreter row only: the kernel runs closed terms. Run it on two
+checkouts and `diff` the outputs: any line that differs is a change in what
+some fuel buys. Standard library only.
+`tests/test_golden.py::test_fuel_table_is_unchanged` compares its output
+with `tests/golden/fuel_table.txt`.
 
     python3 scripts/fuel_table.py > fuel.txt
 """
@@ -26,34 +31,58 @@ from __future__ import annotations
 import random
 import sys
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from acorncore.interp import eval_expr, from_val  # noqa: E402
+from acorncore import chainsim  # noqa: E402
+from acorncore.interp import Val, eval_expr, from_val  # noqa: E402
 from acorncore.kernel import cbv_eval  # noqa: E402
 from acorncore.lang import EvalError, Expr, GlobalEnv, NotEnoughFuel  # noqa: E402
-from acorncore.programs import corpus_dir, load_module, stdlib_env  # noqa: E402
+from acorncore.programs import CONTRACTS, contract, corpus_dir, load_module, stdlib_env  # noqa: E402
 from acorncore.soundness import corpus_files, gen_expr  # noqa: E402
 from acorncore.translate import expr_to_term, translate_env  # noqa: E402
 from pinned import foldr_add_int  # noqa: E402
 
 CAP = 10_000  # the default fuel of `acorn diff-eval`
 OUT_OF_FUEL = "out of fuel"
+# (contract, trace seed) of the traces whose calls the table holds, each of
+# `CHAIN_BLOCKS` blocks
+CHAIN_TRACES = [(c, seed) for c in ("crowdfunding", "crowdfunding_overrecord") for seed in (0, 1)]
+CHAIN_BLOCKS = 20
 
 
-def programs() -> Iterator[tuple[str, GlobalEnv, Expr]]:
+def programs() -> Iterator[tuple[str, GlobalEnv, Sequence[Val], Expr]]:
     for f in corpus_files(corpus_dir()):
         genv, defs = load_module(str(f))
         for name, body in defs:
-            yield f"{f.name}:{name}", genv, body
+            yield f"{f.name}:{name}", genv, (), body
     genv = stdlib_env()
     rng = random.Random(4)
     for i in range(400):
-        yield f"gen[{i}]", genv, gen_expr(rng, 12)
+        yield f"gen[{i}]", genv, (), gen_expr(rng, 12)
     for n in range(61):
-        yield f"foldr[{n}]", genv, foldr_add_int(n)
+        yield f"foldr[{n}]", genv, (), foldr_add_int(n)
+    yield from chain_calls()
+
+
+def chain_calls() -> Iterator[tuple[str, GlobalEnv, Sequence[Val], Expr]]:
+    """The distinct contract calls of each trace of `CHAIN_TRACES`, in the
+    order the trace first made them: the keys of the trace's call memo,
+    each turned back into the environment `chainsim._call_entry` builds."""
+    for name, seed in CHAIN_TRACES:
+        prog = CONTRACTS[name]
+        loaded = contract(name)
+        trace = chainsim.gen_trace(seed, CHAIN_BLOCKS, chainsim.crowdfunding_scenario(name=name))
+        for i, key in enumerate(trace.genesis.calls):
+            _, entry, _, slot, sender, amount, *args = key
+            if entry != prog.init_name:
+                args = (chainsim._maybe_val(args[0]), args[1])
+            at = chainsim.genesis({})
+            at.slot = slot
+            rho = (chainsim._chain_val(at), chainsim._ctx_val(sender, amount), *args)
+            yield f"{name}[{seed}].call[{i}]:{entry}", loaded.env, rho, loaded.entries[entry]
 
 
 def show(r: object, readback: Callable[[object], object]) -> str:
@@ -90,13 +119,15 @@ def least_fuel(run: Callable[[int], str]) -> str:
 
 def main() -> int:
     last = kenv = None
-    for name, genv, e in programs():
+    for name, genv, rho, e in programs():
+        interp = least_fuel(lambda f: show(eval_expr(genv, f, rho, e), from_val))
+        print(f"{name} interp {interp}")
+        if rho:
+            continue
         if genv is not last:
             last, kenv = genv, translate_env(genv)
         term = expr_to_term(genv, e)
-        interp = least_fuel(lambda f: show(eval_expr(genv, f, (), e), from_val))
         kernel = least_fuel(lambda f: show(cbv_eval(kenv, f, term), lambda t: t))
-        print(f"{name} interp {interp}")
         print(f"{name} kernel {kernel}")
     return 0
 

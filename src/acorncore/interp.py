@@ -14,9 +14,14 @@ call returns a `Val`, or the failure itself (an `EvalError` or
 `NOT_ENOUGH_FUEL`), and `eval_expr` builds the one `Ok` of a call from
 outside. It dispatches on the exact node class with an `is` chain ordered by
 how often each class is met (variables, applications, lambdas, constants,
-case), not through a table of handlers. The `App` arm applies the function
-value and the `Case` arm selects the branch in place, so an application
-holds one frame on the stack.
+case), not through a table of handlers. It is a loop: the body of the last
+application of a spine, the selected `Case` branch and a `Let` body go round
+it again rather than taking a frame, so only argument, scrutinee, let-bound
+and constant-body positions recurse. The `App` arm applies a whole spine
+`f a1 ... am` in one pass and builds no partial value on the way: a closure
+whose body is another abstraction is carried to the next argument as its
+environment and node, a constructor takes every remaining argument at once,
+and a builtin collects arguments until it is saturated.
 `Case`, `Lam` and `Fix` check the whole node with `fits` once; only on a miss
 do they check each part in turn, which names the first part that does not
 fit. `fits` and `_subst` each serve types and expressions alike, as
@@ -53,6 +58,7 @@ from .lang import (
     TApp,
     TArr,
     TForall,
+    TInd,
     TVar,
     Ty,
     TyAsExpr,
@@ -174,7 +180,11 @@ def eval_expr(
 
 
 # `_eval` returns a bare `Val` or the failure itself, which a caller tells
-# apart by `type(r) is EvalError or r is NOT_ENOUGH_FUEL`.
+# apart by `type(r) is EvalError or r is NOT_ENOUGH_FUEL`. It is one loop:
+# a position whose value is the value of the whole (the body of the last
+# application of a spine, the selected case branch, a let body) takes the
+# loop round again at the fuel its call would have had, so fuel still counts
+# depth as if each of them were a call.
 
 def _eval(
     genv: GlobalEnv,
@@ -183,151 +193,231 @@ def _eval(
     e: Expr,
     trace: Optional[EnvTrace],
 ) -> Union[Val, EvalError, NotEnoughFuel]:
-    if fuel <= 0:
-        return NOT_ENOUGH_FUEL
-    n = fuel - 1
-    t = type(e)
-    if t is Var:
-        ref = e.ref
-        if not 0 <= ref < len(rho):
-            return EvalError(f"unbound variable index {ref}")
-        return rho[ref]
-    if t is App:
-        # the argument evaluates first
-        va = _eval(genv, n, rho, e.arg, trace)
-        if type(va) is EvalError or va is NOT_ENOUGH_FUEL:
-            return va
-        vf = _eval(genv, n, rho, e.fn, trace)
-        if type(vf) is EvalError or vf is NOT_ENOUGH_FUEL:
-            return vf
-        # the function value applies at the fuel of this step
-        tf = type(vf)
-        if tf is VClos:
-            fn = vf.fn
-            tc = type(fn)
-            if tc is Lam:
-                rho2 = (va,) + vf.env
-            elif tc is Fix:
-                # primitive literals act as constructor forms for the fix guard
-                if not isinstance(va, (VConstr, VPrim)):
-                    return EvalError("fixpoint applied to a non-constructor value")
-                rho2 = (va, vf) + vf.env
+    while True:
+        if fuel <= 0:
+            return NOT_ENOUGH_FUEL
+        n = fuel - 1
+        t = type(e)
+        if t is Var:
+            ref = e.ref
+            if not 0 <= ref < len(rho):
+                return EvalError(f"unbound variable index {ref}")
+            return rho[ref]
+        if t is App:
+            # walk the spine `f a1 ... am` from the outside in: each level
+            # checks its fuel as the walk reaches it and evaluates its
+            # argument one unit lower, `am` first; a variable is read in
+            # place wherever its call would succeed
+            args = []
+            while True:
+                a = e.arg
+                if type(a) is Var and n > 0 and 0 <= a.ref < len(rho):
+                    va = rho[a.ref]
+                else:
+                    va = _eval(genv, n, rho, a, trace)
+                    if type(va) is EvalError or va is NOT_ENOUGH_FUEL:
+                        return va
+                args.append(va)
+                e = e.fn
+                if type(e) is not App:
+                    break
+                if n <= 0:
+                    return NOT_ENOUGH_FUEL
+                n -= 1
+            if type(e) is Var and n > 0 and 0 <= e.ref < len(rho):
+                vf = rho[e.ref]
             else:
-                if not isinstance(va, VTy):
-                    return EvalError("type abstraction applied to a term value")
-                rho2 = (va,) + vf.env
-            if trace is not None:
-                trace.record(rho2, fn.body)
-            return _eval(genv, n, rho2, fn.body, trace)
-        if tf is VConstr:
-            hit = genv.constrs.get((vf.ind, vf.ctor))
-            if hit is None:
-                return EvalError(f"unknown constructor '{vf.ctor}' of '{vf.ind}'")
-            if len(vf.args) >= hit[2].num_params + len(hit[1].arg_tys):
-                return EvalError(f"constructor '{vf.ctor}' applied to too many arguments")
-            return VConstr(vf.ind, vf.ctor, vf.args + (va,))
-        if tf is VBuiltin:
-            b = genv.constants.get(vf.name)
-            if not isinstance(b, Builtin):
-                return EvalError(f"unknown primitive '{vf.name}'")
-            args = vf.args + (va,)
-            if len(args) < len(b.arg_kinds):
-                return VBuiltin(vf.name, args)
-            out = delta(b, [a.prim if isinstance(a, VPrim) else None for a in args])
-            if isinstance(out, EvalError):
-                return out
-            if isinstance(out, bool):
-                return VConstr("Bool", "True" if out else "False")
-            return VPrim(out)
-        return EvalError("application of a non-function value")
-    if t is Lam:
-        if not fits(rho, 0, e):
-            if not fits(rho, 1, e.body):
-                return EvalError("lambda body does not fit its environment")
-            return EvalError("lambda domain refers to a term-level binding")
-        return VClos(tuple(rho), e)
-    if t is Const:
-        kept = genv.const_values.get(e.name)
-        if kept is not None:
-            return kept if n > 0 else NOT_ENOUGH_FUEL
-        defn = genv.constants.get(e.name)
-        if defn is None:
-            return EvalError(f"unknown constant '{e.name}'")
-        if isinstance(defn, Builtin):
-            return VBuiltin(e.name, ())
-        # constant bodies are closed, so they run in the empty environment
-        v = _eval(genv, n, (), defn, trace)
-        if type(v) is EvalError or v is NOT_ENOUGH_FUEL:
-            return v
-        if type(defn) in _VALUE_FORMS:
-            genv.const_values[e.name] = v
-        return v
-    if t is Case:
-        if not fits(rho, 0, e):
-            # some part misfits: report the first, in this order; when every
-            # check below passes, the misfit is in the scrutinee
-            if not all(fits(rho, len(p.binders), b) for p, b in e.branches):
-                return EvalError("case branch does not fit its environment")
-            if not fits(rho, 0, e.ret_ty):
-                return EvalError("case return type refers to a term-level binding")
-            for tp in e.ty_params:
-                if not fits(rho, 0, tp):
-                    return EvalError("case type parameter refers to a term-level binding")
-        v = _eval(genv, n, rho, e.scrut, trace)
-        if type(v) is not VConstr:
+                vf = _eval(genv, n, rho, e, trace)
+                if type(vf) is EvalError or vf is NOT_ENOUGH_FUEL:
+                    return vf
+            # then apply from the inside out, `args[i]` at the fuel `n` of
+            # its level; a closure whose body is another abstraction is
+            # carried to the next argument as `env` and `fn`, without the
+            # closure value its body would evaluate to
+            i = len(args) - 1
+            env = None
+            while True:
+                va = args[i]
+                if env is None and type(vf) is VClos:
+                    env, fn = vf.env, vf.fn
+                if env is not None:
+                    tc = type(fn)
+                    if tc is Lam:
+                        rho2 = (va,) + env
+                    elif tc is Fix:
+                        # primitive literals act as constructor forms for
+                        # the fix guard; a fixpoint is never carried, so
+                        # `vf` is its closure
+                        if not isinstance(va, (VConstr, VPrim)):
+                            return EvalError("fixpoint applied to a non-constructor value")
+                        rho2 = (va, vf) + env
+                    else:
+                        if not isinstance(va, VTy):
+                            return EvalError("type abstraction applied to a term value")
+                        rho2 = (va,) + env
+                    body = fn.body
+                    if trace is not None:
+                        trace.record(rho2, body)
+                    if not i:
+                        break
+                    tb = type(body)
+                    if tb is Lam or tb is TyLam:
+                        # what the `Lam` and `TyLam` arms check
+                        if n <= 0:
+                            return NOT_ENOUGH_FUEL
+                        if tb is Lam and not fits(rho2, 0, body):
+                            return _lam_misfit(rho2, body)
+                        env, fn = rho2, body
+                    else:
+                        env = None
+                        vf = _eval(genv, n, rho2, body, trace)
+                        if type(vf) is EvalError or vf is NOT_ENOUGH_FUEL:
+                            return vf
+                elif type(vf) is VConstr:
+                    # a constructor takes the `i + 1` arguments left at once
+                    hit = genv.constrs.get((vf.ind, vf.ctor))
+                    if hit is None:
+                        return EvalError(f"unknown constructor '{vf.ctor}' of '{vf.ind}'")
+                    if len(vf.args) + i >= hit[2].num_params + len(hit[1].arg_tys):
+                        return EvalError(f"constructor '{vf.ctor}' applied to too many arguments")
+                    return VConstr(vf.ind, vf.ctor, vf.args + tuple(args[i::-1]))
+                elif type(vf) is VBuiltin:
+                    # a builtin takes arguments until it is saturated, and
+                    # reduces at the level of the last one
+                    b = genv.constants.get(vf.name)
+                    if not isinstance(b, Builtin):
+                        return EvalError(f"unknown primitive '{vf.name}'")
+                    need = len(b.arg_kinds) - len(vf.args)
+                    if need > i + 1:
+                        return VBuiltin(vf.name, vf.args + tuple(args[i::-1]))
+                    bargs = vf.args + tuple(reversed(args[i - need + 1 : i + 1]))
+                    i -= need - 1
+                    n += need - 1
+                    out = delta(b, [a.prim if isinstance(a, VPrim) else None for a in bargs])
+                    if isinstance(out, EvalError):
+                        return out
+                    if isinstance(out, bool):
+                        vf = VConstr("Bool", "True" if out else "False")
+                    else:
+                        vf = VPrim(out)
+                elif type(vf) is VTy and type(va) is VTy and _ind_headed(vf.ty):
+                    # an inductive applied to a type is a type, as in the kernel
+                    vf = VTy(TApp(vf.ty, va.ty))
+                else:
+                    return EvalError("application of a non-function value")
+                if not i:
+                    return vf
+                i -= 1
+                n += 1
+            rho, e, fuel = rho2, body, n
+            continue
+        if t is Lam:
+            if not fits(rho, 0, e):
+                return _lam_misfit(rho, e)
+            return VClos(tuple(rho), e)
+        if t is Const:
+            kept = genv.const_values.get(e.name)
+            if kept is not None:
+                return kept if n > 0 else NOT_ENOUGH_FUEL
+            defn = genv.constants.get(e.name)
+            if defn is None:
+                return EvalError(f"unknown constant '{e.name}'")
+            if isinstance(defn, Builtin):
+                return VBuiltin(e.name, ())
+            # constant bodies are closed, so they run in the empty environment
+            v = _eval(genv, n, (), defn, trace)
             if type(v) is EvalError or v is NOT_ENOUGH_FUEL:
                 return v
-            return EvalError("case on a non-constructor value")
-        hit = genv.constrs.get((v.ind, v.ctor))
-        if hit is None:
-            return EvalError(f"unknown constructor '{v.ctor}' of '{v.ind}'")
-        if v.ind != e.ind:
-            return EvalError(f"scrutinee of '{v.ind}' matched against '{e.ind}'")
-        # the first branch for the constructor takes its arguments, after a
-        # prefix of at most `num_params` type arguments
-        args = v.args
-        for pat, body in e.branches:
-            if pat.ctor == v.ctor:
-                drop = len(args) - len(pat.binders)
-                if drop < 0 or drop > hit[2].num_params:
-                    break
-                if drop and not all(isinstance(a, VTy) for a in args[:drop]):
-                    break
-                rho2 = tuple(reversed(args[drop:])) + tuple(rho)
-                if trace is not None:
-                    trace.record(rho2, body)
-                return _eval(genv, n, rho2, body, trace)
-        return EvalError(f"no branch fits constructor '{v.ctor}'")
-    if t is Let:
-        v = _eval(genv, n, rho, e.bound, trace)
-        if type(v) is EvalError or v is NOT_ENOUGH_FUEL:
+            if type(defn) in _VALUE_FORMS:
+                genv.const_values[e.name] = v
             return v
-        rho2 = (v,) + tuple(rho)
-        if trace is not None:
-            trace.record(rho2, e.body)
-        return _eval(genv, n, rho2, e.body, trace)
-    if t is Constr:
-        if (e.ind, e.ctor) not in genv.constrs:
-            return EvalError(f"unknown constructor '{e.ctor}' of '{e.ind}'")
-        return VConstr(e.ind, e.ctor, ())
-    if t is Lit:
-        return VPrim(e.value)
-    if t is Fix:
-        if not fits(rho, 0, e):
-            if not fits(rho, 0, e.dom):
-                return EvalError("fixpoint domain refers to a term-level binding")
-            if not fits(rho, 0, e.cod):
-                return EvalError("fixpoint codomain refers to a term-level binding")
-            return EvalError("fixpoint body does not fit its environment")
-        return VClos(tuple(rho), e)
-    if t is TyLam:
-        return VClos(tuple(rho), e)
-    if t is TyAsExpr:
-        ty_v = eval_type(rho, e.ty)
-        if ty_v is None:
-            return EvalError("type argument refers to a term-level binding")
-        return VTy(ty_v)
-    raise TypeError(f"not an expression: {e!r}")
+        if t is Case:
+            if not fits(rho, 0, e):
+                # some part misfits: report the first, in this order; when
+                # every check below passes, the misfit is in the scrutinee
+                if not all(fits(rho, len(p.binders), b) for p, b in e.branches):
+                    return EvalError("case branch does not fit its environment")
+                if not fits(rho, 0, e.ret_ty):
+                    return EvalError("case return type refers to a term-level binding")
+                for tp in e.ty_params:
+                    if not fits(rho, 0, tp):
+                        return EvalError("case type parameter refers to a term-level binding")
+            s = e.scrut
+            if type(s) is Var and n > 0 and 0 <= s.ref < len(rho):
+                v = rho[s.ref]
+            else:
+                v = _eval(genv, n, rho, s, trace)
+            if type(v) is not VConstr:
+                if type(v) is EvalError or v is NOT_ENOUGH_FUEL:
+                    return v
+                return EvalError("case on a non-constructor value")
+            hit = genv.constrs.get((v.ind, v.ctor))
+            if hit is None:
+                return EvalError(f"unknown constructor '{v.ctor}' of '{v.ind}'")
+            if v.ind != e.ind:
+                return EvalError(f"scrutinee of '{v.ind}' matched against '{e.ind}'")
+            # the first branch for the constructor takes its arguments, after
+            # a prefix of at most `num_params` type arguments
+            for pat, body in e.branches:
+                if pat.ctor == v.ctor:
+                    break
+            else:
+                return EvalError(f"no branch fits constructor '{v.ctor}'")
+            args = v.args
+            drop = len(args) - len(pat.binders)
+            if drop < 0 or drop > hit[2].num_params or (
+                drop and not all(isinstance(a, VTy) for a in args[:drop])
+            ):
+                return EvalError(f"no branch fits constructor '{v.ctor}'")
+            rho = tuple(reversed(args[drop:])) + tuple(rho)
+            if trace is not None:
+                trace.record(rho, body)
+            e, fuel = body, n
+            continue
+        if t is Let:
+            v = _eval(genv, n, rho, e.bound, trace)
+            if type(v) is EvalError or v is NOT_ENOUGH_FUEL:
+                return v
+            rho = (v,) + tuple(rho)
+            e, fuel = e.body, n
+            if trace is not None:
+                trace.record(rho, e)
+            continue
+        if t is Constr:
+            if (e.ind, e.ctor) not in genv.constrs:
+                return EvalError(f"unknown constructor '{e.ctor}' of '{e.ind}'")
+            return VConstr(e.ind, e.ctor, ())
+        if t is Lit:
+            return VPrim(e.value)
+        if t is Fix:
+            if not fits(rho, 0, e):
+                if not fits(rho, 0, e.dom):
+                    return EvalError("fixpoint domain refers to a term-level binding")
+                if not fits(rho, 0, e.cod):
+                    return EvalError("fixpoint codomain refers to a term-level binding")
+                return EvalError("fixpoint body does not fit its environment")
+            return VClos(tuple(rho), e)
+        if t is TyLam:
+            return VClos(tuple(rho), e)
+        if t is TyAsExpr:
+            ty_v = eval_type(rho, e.ty)
+            if ty_v is None:
+                return EvalError("type argument refers to a term-level binding")
+            return VTy(ty_v)
+        raise TypeError(f"not an expression: {e!r}")
+
+
+def _lam_misfit(rho: Sequence[Val], e: Lam) -> EvalError:
+    # why a lambda that does not fit `rho` does not
+    if not fits(rho, 1, e.body):
+        return EvalError("lambda body does not fit its environment")
+    return EvalError("lambda domain refers to a term-level binding")
+
+
+def _ind_headed(ty: Ty) -> bool:
+    while type(ty) is TApp:
+        ty = ty.fn
+    return type(ty) is TInd
 
 
 # ---------------------------------------------------------------------------

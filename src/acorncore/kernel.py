@@ -9,8 +9,9 @@ often each class is met, as `interp.py`'s evaluator does. As there, the
 recursion is the one function `_cbv`, which passes bare values: each call
 returns a `Term`, or the failure itself (an `EvalError` or
 `NOT_ENOUGH_FUEL`), and `cbv_eval` builds the one `Ok` of a call from
-outside. Its `App` arm applies the function value in place, so an
-application holds one frame on the stack.
+outside. It is a loop, as `_eval` is: a beta step's substituted body, the
+selected match branch, a let body and a constant's body go round it again
+rather than taking a frame.
 """
 
 from __future__ import annotations
@@ -303,126 +304,143 @@ def cbv_eval(kenv: KernelEnv, fuel: int, t: Term) -> EvalResult:
 
 
 # `_cbv` returns a bare `Term` or the failure itself, which a caller tells
-# apart by `type(r) is EvalError or r is NOT_ENOUGH_FUEL`.
+# apart by `type(r) is EvalError or r is NOT_ENOUGH_FUEL`. It is one loop:
+# a position whose value is the value of the whole (a beta step's
+# substituted body, the selected match branch, a let body, a constant's
+# body) takes the loop round again at the fuel its call would have had, so
+# fuel still counts depth as if each of them were a call. An argument or
+# function that is already an atom is taken in place wherever its call
+# would return it.
+
+_ATOMS = frozenset((PrimLit, Construct, Lambda, Ind, Fix, Prod, SortSet))
+
 
 def _cbv(
     kenv: KernelEnv, fuel: int, t: Term
 ) -> Union[Term, EvalError, NotEnoughFuel]:
-    if fuel <= 0:
-        return NOT_ENOUGH_FUEL
-    n = fuel - 1
-    c = type(t)
-    if c is App:
-        mark = getattr(t, "_mark", None)
-        if mark is not None and mark[0] is kenv.stamp:
-            return t if fuel >= mark[1] else NOT_ENOUGH_FUEL
-        va = _cbv(kenv, n, t.arg)
-        if type(va) is EvalError or va is NOT_ENOUGH_FUEL:
-            return va
-        vf = _cbv(kenv, n, t.fn)
-        if type(vf) is EvalError or vf is NOT_ENOUGH_FUEL:
-            return vf
-        # the function value applies at the fuel of this step
-        cf = type(vf)
-        if cf is Lambda:
-            if vf.dom is SORT_SET and not _type_like(va):
-                return EvalError("type abstraction applied to a term value")
-            return _cbv(kenv, n, subst1(va, vf.body))
-        if cf is Fix:
-            if not _constr_headed(va):
-                return EvalError("fixpoint applied to a non-constructor value")
-            if type(vf.body) is not Lambda:
-                return EvalError("fixpoint body is not a lambda")
-            # argument for index 0, the fixpoint itself for index 1, in one walk
-            return _cbv(kenv, n, parallel_subst((va, vf), vf.body.body))
-        head, spine = spine_view(vf)
-        ch = type(head)
-        if ch is Construct:
-            ki = kenv.inductives.get(head.ind)
-            if ki is None or head.ctor_idx >= len(ki.ctors):
-                return EvalError(f"unknown constructor {head.ctor_idx} of '{head.ind}'")
-            if len(spine) >= ki.num_params + ki.ctors[head.ctor_idx].arity:
-                return EvalError(
-                    f"constructor '{ki.ctors[head.ctor_idx].name}' applied to too many arguments"
-                )
-        elif ch is Const and head.name in kenv.builtins:
-            # a builtin-headed value holds fewer arguments than the builtin
-            # takes, since a saturated one is reduced at once and every
-            # builtin takes at least one; so this one is partial or saturated
-            b = kenv.builtins[head.name]
-            if len(spine) + 1 == len(b.arg_kinds):
-                args = spine + (va,)
-                out = delta(b, [a.value if isinstance(a, PrimLit) else None for a in args])
-                if isinstance(out, EvalError):
-                    return out
-                if isinstance(out, bool):
-                    return Construct("Bool", 0 if out else 1)
-                return PrimLit(out)
-        elif ch is not Ind or not _type_like(va):
-            # an inductive takes only types: `[List] 3z` is not a value
-            return EvalError("application of a non-function value")
-        # an inert value: a constructor or a partial builtin applied to
-        # values, or an inductive applied to a type, marked with the fuel
-        # its re-evaluation takes
-        v = App(vf, va)
-        s = kenv.stamp
-        # each part's mark, read inline: an application without one is unknown
-        mf = getattr(vf, "_mark", None) if type(vf) is App else (s, 1)
-        ma = getattr(va, "_mark", None) if type(va) is App else (s, 1)
-        if mf is not None and ma is not None and mf[0] is s and ma[0] is s:
-            object.__setattr__(v, "_mark", (s, 1 + max(mf[1], ma[1])))
-        return v
-    if c is PrimLit or c is Construct:
-        return t
-    if c is Const:
-        name = t.name
-        if name in kenv.builtins:
+    while True:
+        if fuel <= 0:
+            return NOT_ENOUGH_FUEL
+        n = fuel - 1
+        c = type(t)
+        if c is App:
+            mark = getattr(t, "_mark", None)
+            if mark is not None and mark[0] is kenv.stamp:
+                return t if fuel >= mark[1] else NOT_ENOUGH_FUEL
+            va = t.arg
+            if n <= 0 or type(va) not in _ATOMS:
+                va = _cbv(kenv, n, va)
+                if type(va) is EvalError or va is NOT_ENOUGH_FUEL:
+                    return va
+            vf = t.fn
+            if n <= 0 or type(vf) not in _ATOMS:
+                vf = _cbv(kenv, n, vf)
+                if type(vf) is EvalError or vf is NOT_ENOUGH_FUEL:
+                    return vf
+            # the function value applies at the fuel of this step
+            cf = type(vf)
+            if cf is Lambda:
+                if vf.dom is SORT_SET and not _type_like(va):
+                    return EvalError("type abstraction applied to a term value")
+                t, fuel = subst1(va, vf.body), n
+                continue
+            if cf is Fix:
+                if not _constr_headed(va):
+                    return EvalError("fixpoint applied to a non-constructor value")
+                if type(vf.body) is not Lambda:
+                    return EvalError("fixpoint body is not a lambda")
+                # argument for index 0, the fixpoint itself for index 1, in one walk
+                t, fuel = parallel_subst((va, vf), vf.body.body), n
+                continue
+            head, spine = spine_view(vf)
+            ch = type(head)
+            if ch is Construct:
+                ki = kenv.inductives.get(head.ind)
+                if ki is None or head.ctor_idx >= len(ki.ctors):
+                    return EvalError(f"unknown constructor {head.ctor_idx} of '{head.ind}'")
+                if len(spine) >= ki.num_params + ki.ctors[head.ctor_idx].arity:
+                    return EvalError(
+                        f"constructor '{ki.ctors[head.ctor_idx].name}' applied to too many arguments"
+                    )
+            elif ch is Const and head.name in kenv.builtins:
+                # a builtin-headed value holds fewer arguments than the builtin
+                # takes, since a saturated one is reduced at once and every
+                # builtin takes at least one; so this one is partial or saturated
+                b = kenv.builtins[head.name]
+                if len(spine) + 1 == len(b.arg_kinds):
+                    args = spine + (va,)
+                    out = delta(b, [a.value if isinstance(a, PrimLit) else None for a in args])
+                    if isinstance(out, EvalError):
+                        return out
+                    if isinstance(out, bool):
+                        return Construct("Bool", 0 if out else 1)
+                    return PrimLit(out)
+            elif ch is not Ind or not _type_like(va):
+                # an inductive takes only types: `[List] 3z` is not a value
+                return EvalError("application of a non-function value")
+            # an inert value: a constructor or a partial builtin applied to
+            # values, or an inductive applied to a type, marked with the fuel
+            # its re-evaluation takes
+            v = App(vf, va)
+            s = kenv.stamp
+            # each part's mark, read inline: an application without one is unknown
+            mf = getattr(vf, "_mark", None) if type(vf) is App else (s, 1)
+            ma = getattr(va, "_mark", None) if type(va) is App else (s, 1)
+            if mf is not None and ma is not None and mf[0] is s and ma[0] is s:
+                object.__setattr__(v, "_mark", (s, 1 + max(mf[1], ma[1])))
+            return v
+        if c in _ATOMS:
             return t
-        body = kenv.constants.get(name)
-        if body is None:
-            return EvalError(f"unknown constant '{name}'")
-        return _cbv(kenv, n, body)
-    if c is Match:
-        v = _cbv(kenv, n, t.scrut)
-        if type(v) is EvalError or v is NOT_ENOUGH_FUEL:
-            return v
-        head, spine = spine_view(v)
-        ind = t.ind
-        if not isinstance(head, Construct):
-            return EvalError("match on a non-constructor value")
-        if head.ind != ind:
-            return EvalError(
-                f"scrutinee of '{head.ind}' matched against '{ind}'"
-            )
-        branches = t.branches
-        if head.ctor_idx >= len(branches):
-            return EvalError(f"no branch for constructor {head.ctor_idx} of '{ind}'")
-        arity, body = branches[head.ctor_idx]
-        drop = len(spine) - arity
-        if drop < 0 or drop > t.n_params:
-            return EvalError("constructor argument count does not fit the branch")
-        if not all(_type_like(a) for a in spine[:drop]):
-            return EvalError("non-type argument in the parameter prefix")
-        if arity:
-            # peel the branch's lambdas, then put the last argument at index
-            # 0 and the first at index arity-1 in one walk, as the `App` arm
-            # does for a fixpoint
-            for _ in range(arity):
-                if type(body) is not Lambda:
-                    return EvalError("branch shape does not match its arity")
-                body = body.body
-            body = parallel_subst(spine[drop:][::-1], body)
-        return _cbv(kenv, n, body)
-    if c is Lambda or c is Ind or c is Fix or c is Prod or c is SortSet:
-        return t
-    if c is LetIn:
-        v = _cbv(kenv, n, t.bound)
-        if type(v) is EvalError or v is NOT_ENOUGH_FUEL:
-            return v
-        return _cbv(kenv, n, subst1(v, t.body))
-    if c is Rel:
-        return EvalError(f"unbound index {t.index} in kernel evaluation")
-    raise TypeError(f"not a kernel term: {t!r}")
+        if c is Const:
+            name = t.name
+            if name in kenv.builtins:
+                return t
+            body = kenv.constants.get(name)
+            if body is None:
+                return EvalError(f"unknown constant '{name}'")
+            t, fuel = body, n
+            continue
+        if c is Match:
+            v = _cbv(kenv, n, t.scrut)
+            if type(v) is EvalError or v is NOT_ENOUGH_FUEL:
+                return v
+            head, spine = spine_view(v)
+            ind = t.ind
+            if not isinstance(head, Construct):
+                return EvalError("match on a non-constructor value")
+            if head.ind != ind:
+                return EvalError(
+                    f"scrutinee of '{head.ind}' matched against '{ind}'"
+                )
+            branches = t.branches
+            if head.ctor_idx >= len(branches):
+                return EvalError(f"no branch for constructor {head.ctor_idx} of '{ind}'")
+            arity, body = branches[head.ctor_idx]
+            drop = len(spine) - arity
+            if drop < 0 or drop > t.n_params:
+                return EvalError("constructor argument count does not fit the branch")
+            if not all(_type_like(a) for a in spine[:drop]):
+                return EvalError("non-type argument in the parameter prefix")
+            if arity:
+                # peel the branch's lambdas, then put the last argument at
+                # index 0 and the first at index arity-1 in one walk, as the
+                # `App` arm does for a fixpoint
+                for _ in range(arity):
+                    if type(body) is not Lambda:
+                        return EvalError("branch shape does not match its arity")
+                    body = body.body
+                body = parallel_subst(spine[drop:][::-1], body)
+            t, fuel = body, n
+            continue
+        if c is LetIn:
+            v = _cbv(kenv, n, t.bound)
+            if type(v) is EvalError or v is NOT_ENOUGH_FUEL:
+                return v
+            t, fuel = subst1(v, t.body), n
+            continue
+        if c is Rel:
+            return EvalError(f"unbound index {t.index} in kernel evaluation")
+        raise TypeError(f"not a kernel term: {t!r}")
 
 
 # ---------------------------------------------------------------------------

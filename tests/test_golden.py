@@ -9,8 +9,13 @@ the `chain` files run below that command's default.
 The `translate` reports print every variable by the binder its de Bruijn
 index points at, so they pin the indices the parser resolves.
 A `chain` report must not depend on the chain's call memo, so those cases
-also run with every contract call evaluated afresh."""
+also run with every contract call evaluated afresh. The fuel table is
+remade the same way:
 
+    python3 scripts/fuel_table.py > tests/golden/fuel_table.txt"""
+
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -40,3 +45,12 @@ def test_chain_report_is_the_same_cold_and_warm(capsys, monkeypatch, name, argv)
     monkeypatch.setattr(chainsim, "_call_entry", lambda st, *a: call_entry(replace(st, calls={}), *a))
     assert main(argv) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+def test_fuel_table_is_unchanged():
+    # the least fuel of each program of `scripts/fuel_table.py`, contract
+    # calls on generated chains among them: an evaluator change that keeps
+    # behaviour keeps every line
+    script = Path(__file__).parent.parent / "scripts" / "fuel_table.py"
+    out = subprocess.run([sys.executable, str(script)], capture_output=True, check=True).stdout
+    assert out == (GOLDEN / "fuel_table.txt").read_bytes()

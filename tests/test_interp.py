@@ -600,6 +600,88 @@ def test_wf_val_builtin_spine():
     assert not wf_val(ENV, VBuiltin("nosuch", ()))
 
 
+# -- application spines -------------------------------------------------------
+
+JUST, PAIR = Constr("Maybe", "Just"), Constr("Prod", "Pair")
+
+
+def z(n):
+    return Lit(PInt(n))
+
+
+# (expression, least fuel, result at that fuel): a spine is applied in one
+# pass, each step at its own level's fuel, so each runs out of fuel one below
+SPINES = {
+    "constructor over-applied": (
+        mk_app(JUST, TyAsExpr(INT), z(1), z(2)),
+        4, EvalError("constructor 'Just' applied to too many arguments"),
+    ),
+    "constructor over-applied through a closure": (
+        mk_app(Lam("x", INT, PAIR), z(0), TyAsExpr(INT), TyAsExpr(INT), z(1), z(2), z(3)),
+        7, EvalError("constructor 'Pair' applied to too many arguments"),
+    ),
+    "builtin over-applied": (
+        mk_app(Const("addInt"), z(1), z(2), z(3)),
+        4, EvalError("application of a non-function value"),
+    ),
+    "builtin's Bool over-applied": (
+        mk_app(Const("ltInt"), z(1), z(2), z(3)),
+        4, EvalError("constructor 'True' applied to too many arguments"),
+    ),
+    "partial constructor": (
+        mk_app(PAIR, TyAsExpr(INT), TyAsExpr(INT), z(1)),
+        4, Ok(VConstr("Prod", "Pair", (VTy(INT), VTy(INT), VPrim(PInt(1))))),
+    ),
+    "partial builtin": (
+        App(Const("addInt"), z(1)),
+        2, Ok(VBuiltin("addInt", (VPrim(PInt(1)),))),
+    ),
+    "partial builtin through a closure": (
+        mk_app(Lam("x", INT, Const("addInt")), z(0), z(1)),
+        3, Ok(VBuiltin("addInt", (VPrim(PInt(1)),))),
+    ),
+    "curried lambda whose domain does not fit": (
+        mk_app(Lam("x", INT, Lam("y", TVar(0), Var(0))), z(1), z(2)),
+        3, EvalError("lambda domain refers to a term-level binding"),
+    ),
+    "curried lambda whose body does not fit": (
+        mk_app(TyLam("A", Lam("x", TVar(0), Lam("y", INT, Var(5)))), TyAsExpr(INT), z(1), z(2)),
+        4, EvalError("lambda body does not fit its environment"),
+    ),
+    "type abstraction applied to a term mid-spine": (
+        mk_app(Lam("x", INT, TyLam("A", Lam("y", TVar(0), Var(0)))), z(1), z(2), z(3)),
+        4, EvalError("type abstraction applied to a term value"),
+    ),
+    "curried call of three": (
+        mk_app(
+            Lam("a", INT, Lam("b", INT, Lam("c", INT, mk_app(Const("addInt"), Var(2), Var(0))))),
+            z(1), z(2), z(3),
+        ),
+        4, Ok(VPrim(PInt(4))),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SPINES)
+def test_a_spine_finishes_at_its_least_fuel(name):
+    e, fuel, want = SPINES[name]
+    assert ev(e, fuel=fuel) == want
+    assert ev(e, fuel=fuel - 1) is NOT_ENOUGH_FUEL
+
+
+def test_a_curried_call_records_each_extension():
+    trace = EnvTrace()
+    e = SPINES["curried call of three"][0]
+    ok(e, trace=trace)
+    body = mk_app(Const("addInt"), Var(2), Var(0))
+    one, two, three = VPrim(PInt(1)), VPrim(PInt(2)), VPrim(PInt(3))
+    assert trace.pairs == [
+        ((one,), Lam("b", INT, Lam("c", INT, body))),
+        ((two, one), Lam("c", INT, body)),
+        ((three, two, one), body),
+    ]
+
+
 # -- trace --------------------------------------------------------------------
 
 def test_trace_records_environment_extensions():

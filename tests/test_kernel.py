@@ -4,6 +4,8 @@ normalizer's gating rules, and the printer."""
 import random
 from dataclasses import fields, replace
 
+import pytest
+
 from acorncore import kernel
 from acorncore.kernel import (
     App,
@@ -634,7 +636,7 @@ def test_ind_headed_application_is_inert():
 
 def test_an_inductive_applied_to_a_term_fails():
     # `[List] 3z`: an inductive takes only types, as the interpreter's type
-    # value takes nothing
+    # value headed by an inductive does
     for arg in (zlit(3), Construct("Bool", 0), Lambda("x", INT, Rel(0))):
         assert err(App(Ind("List"), arg)) == "application of a non-function value"
         assert err(App(LIST_INT, arg)) == "application of a non-function value"
@@ -642,6 +644,59 @@ def test_an_inductive_applied_to_a_term_fails():
 
 def test_application_of_a_literal_fails():
     assert err(App(zlit(1), zlit(2))) == "application of a non-function value"
+
+
+def _curried3():
+    body = mk_app(Const("addInt"), Rel(2), Rel(0))
+    return Lambda("a", INT, Lambda("b", INT, Lambda("c", INT, body)))
+
+
+# (term, least fuel, result at that fuel): a tail step is no call, yet each
+# step still runs at the fuel its call had, so each runs out of fuel one below
+SPINES = {
+    "constructor over-applied": (
+        mk_app(Construct("Maybe", 1), INT, zlit(1), zlit(2)),
+        4, EvalError("constructor 'Just' applied to too many arguments"),
+    ),
+    "constructor over-applied through a lambda": (
+        mk_app(Lambda("x", INT, Construct("Prod", 0)), zlit(0), INT, INT, zlit(1), zlit(2), zlit(3)),
+        7, EvalError("constructor 'Pair' applied to too many arguments"),
+    ),
+    "builtin over-applied": (
+        mk_app(Const("addInt"), zlit(1), zlit(2), zlit(3)),
+        4, EvalError("application of a non-function value"),
+    ),
+    "builtin's Bool over-applied": (
+        mk_app(Const("ltInt"), zlit(1), zlit(2), zlit(3)),
+        4, EvalError("constructor 'True' applied to too many arguments"),
+    ),
+    "partial constructor": (
+        mk_app(Construct("Prod", 0), INT, INT, zlit(1)),
+        4, Ok(mk_app(Construct("Prod", 0), INT, INT, zlit(1))),
+    ),
+    "partial builtin": (
+        App(Const("addInt"), zlit(1)),
+        2, Ok(App(Const("addInt"), zlit(1))),
+    ),
+    "partial builtin through a lambda": (
+        mk_app(Lambda("x", INT, Const("addInt")), zlit(0), zlit(1)),
+        3, Ok(App(Const("addInt"), zlit(1))),
+    ),
+    "type abstraction applied to a term mid-spine": (
+        mk_app(Lambda("x", INT, Lambda("A", SORT_SET, Lambda("y", Rel(0), Rel(0)))), zlit(1), zlit(2), zlit(3)),
+        4, EvalError("type abstraction applied to a term value"),
+    ),
+    "curried call of three": (mk_app(_curried3(), zlit(1), zlit(2), zlit(3)), 4, Ok(zlit(4))),
+}
+
+
+@pytest.mark.parametrize("name", SPINES)
+def test_a_spine_finishes_at_its_least_fuel(name):
+    t, fuel, want = SPINES[name]
+    # marks that earlier evaluations left on shared nodes do not hold
+    kenv = _unmarked(KENV)
+    assert cbv_eval(kenv, fuel, t) == want
+    assert cbv_eval(kenv, fuel - 1, t) is NOT_ENOUGH_FUEL
 
 
 def test_evaluation_is_deterministic():
@@ -774,8 +829,12 @@ def test_fold_substitutes_once_per_match(monkeypatch):
         seen.append(dict(calls))
     # 773 and 1,523 before tree nodes were interned: `_cbv` now rebuilds
     # each inert application of the input list as the very node it walked,
-    # so the mark lands on the input and later matches do not walk it again
-    assert [c["_cbv"] for c in seen] == [675, 1325], seen
+    # so the mark lands on the input and later matches do not walk it again.
+    # 675 and 1,325 before a tail step (a beta step's body, a match branch,
+    # a let body, a constant's body) went round `_cbv`'s loop rather than
+    # calling it, and an atom in argument or function position was taken in
+    # place rather than evaluated by a call
+    assert [c["_cbv"] for c in seen] == [410, 810], seen
     assert seen[0]["_subst"] <= 1229 and seen[1]["_subst"] <= 2329, seen
     assert seen[0]["term_bound"] <= 382 and seen[1]["term_bound"] <= 588, seen
 

@@ -23,6 +23,7 @@ from acorncore.lang import (
     NotEnoughFuel,
     Ok,
     PInt,
+    TApp,
     TArr,
     TForall,
     TInd,
@@ -377,6 +378,25 @@ def test_a_type_abstraction_applied_to_a_term_fails_on_both_sides():
         ("tyapp.acorn:tyapp", "agree (both err)"),
     ]
     assert report.ok
+
+
+def test_an_inductive_applied_to_a_type_agrees():
+    # the interpreter's `VTy(TApp(...))` against the kernel's inert
+    # `App(Ind ..., ...)`; a type of another head takes no argument, and an
+    # inductive takes no term, on either side
+    report = run_corpus(Path(__file__).parent / "type_apps", gen_count=0)
+    assert report.rows == [
+        ("tyapps.acorn:tt", "agree"),
+        ("tyapps.acorn:pair", "agree"),
+        ("tyapps.acorn:arrow", "agree (both err)"),
+        ("tyapps.acorn:term", "agree (both err)"),
+    ]
+    assert report.ok
+    genv, defs = load_module(str(Path(__file__).parent / "type_apps" / "tyapps.acorn"))
+    results = {name: eval_expr(genv, 10, (), body) for name, body in defs}
+    assert results["tt"] == Ok(VTy(TApp(TInd("List"), TInd("Int"))))
+    assert results["arrow"] == EvalError("application of a non-function value")
+    assert results["term"] == EvalError("application of a non-function value")
 
 
 def test_run_corpus_without_generation_has_no_gen_rows():
