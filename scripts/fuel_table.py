@@ -14,12 +14,13 @@ is shown by the read-back expression (interpreter) or the result term
 (kernel), so the table does not depend on how values are represented. The
 programs are every definition of the packaged corpus, 400 `gen_expr`
 programs (`random.Random(4)`, size 12), `foldr addInt 0z` over 0 to 60
-elements, and the distinct `init` and `receive` calls of four generated
-crowdfunding traces (`CHAIN_TRACES`), clean and mutant, each run in the
-environment `chainsim._call_entry` builds for it. A contract call has an
-interpreter row only: the kernel runs closed terms. Run it on two
-checkouts and `diff` the outputs: any line that differs is a change in what
-some fuel buys. Standard library only.
+elements and over `concat` of two lists of 0 to 20 elements in all
+(`CONCAT_CUTS`), where the fold's and `concat`'s fixpoints both unfold,
+and the distinct `init` and `receive` calls of four generated crowdfunding
+traces (`CHAIN_TRACES`), clean and mutant, each run in the environment
+`chainsim._call_entry` builds for it. A contract call has an interpreter
+row only: the kernel runs closed terms. Run it on two checkouts and `diff`
+the outputs: any line that differs is a change in what some fuel buys. Standard library only.
 `tests/test_golden.py::test_fuel_table_is_unchanged` compares its output
 with `tests/golden/fuel_table.txt`.
 
@@ -39,8 +40,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from acorncore import chainsim  # noqa: E402
 from acorncore.interp import Val, eval_expr, from_val  # noqa: E402
 from acorncore.kernel import cbv_eval  # noqa: E402
-from acorncore.lang import EvalError, Expr, GlobalEnv, NotEnoughFuel  # noqa: E402
-from acorncore.programs import CONTRACTS, contract, corpus_dir, load_module, stdlib_env  # noqa: E402
+from acorncore.lang import (  # noqa: E402
+    Const, EvalError, Expr, GlobalEnv, Lit, NotEnoughFuel, PInt, TInd, TyAsExpr, mk_app,
+)
+from acorncore.programs import (  # noqa: E402
+    CONTRACTS, contract, corpus_dir, int_list_expr, load_module, stdlib_env,
+)
 from acorncore.soundness import corpus_files, gen_expr  # noqa: E402
 from acorncore.translate import expr_to_term, translate_env  # noqa: E402
 from pinned import foldr_add_int  # noqa: E402
@@ -51,6 +56,8 @@ OUT_OF_FUEL = "out of fuel"
 # `CHAIN_BLOCKS` blocks
 CHAIN_TRACES = [(c, seed) for c in ("crowdfunding", "crowdfunding_overrecord") for seed in (0, 1)]
 CHAIN_BLOCKS = 20
+# (length, cut) of the lists `foldr_concat` folds
+CONCAT_CUTS = [(0, 0), (1, 0), (1, 1), (2, 1), (7, 0), (7, 3), (7, 7), (20, 1), (20, 10), (20, 20)]
 
 
 def programs() -> Iterator[tuple[str, GlobalEnv, Sequence[Val], Expr]]:
@@ -64,7 +71,17 @@ def programs() -> Iterator[tuple[str, GlobalEnv, Sequence[Val], Expr]]:
         yield f"gen[{i}]", genv, (), gen_expr(rng, 12)
     for n in range(61):
         yield f"foldr[{n}]", genv, (), foldr_add_int(n)
+    for n, cut in CONCAT_CUTS:
+        yield f"foldr_concat[{n}/{cut}]", genv, (), foldr_concat(n, cut)
     yield from chain_calls()
+
+
+def foldr_concat(n: int, cut: int) -> Expr:
+    """`foldr addInt 0z (concat l1 l2)`, where `l1` holds the integers 0
+    to cut - 1 and `l2` those from cut to n - 1."""
+    INT = TyAsExpr(TInd("Int"))
+    lst = mk_app(Const("concat"), INT, int_list_expr(range(cut)), int_list_expr(range(cut, n)))
+    return mk_app(Const("foldr"), INT, INT, Const("addInt"), Lit(PInt(0)), lst)
 
 
 def chain_calls() -> Iterator[tuple[str, GlobalEnv, Sequence[Val], Expr]]:

@@ -24,12 +24,15 @@ environment and node, a constructor takes every remaining argument at once,
 and a builtin collects arguments until it is saturated.
 `Case`, `Lam` and `Fix` check the whole node with `fits` once; only on a miss
 do they check each part in turn, which names the first part that does not
-fit. `fits` and `_subst` each serve types and expressions alike, as
-`lang.footprint` does. Constructors resolve through the one table
-`GlobalEnv.constrs`. A constant whose body is a value form (`_VALUE_FORMS`)
-is evaluated once per `GlobalEnv` and its value kept in
-`GlobalEnv.const_values`; a later reference returns it whenever the body
-would have had fuel to run.
+fit. `Case`, `Lam` and a lambda carried along a spine, met again and again
+in a contract or a fold, first read the node's cached footprint: a node
+closed under the environment's length with no type reference fits without
+the call. `fits` and `_subst`
+each serve types and expressions alike, as `lang.footprint` does.
+Constructors resolve through the one table `GlobalEnv.constrs`. A constant
+whose body is a value form (`_VALUE_FORMS`) is evaluated once per
+`GlobalEnv` and its value kept in `GlobalEnv.const_values`; a later
+reference returns it whenever the body would have had fuel to run.
 """
 
 from __future__ import annotations
@@ -265,8 +268,12 @@ def _eval(
                         # what the `Lam` and `TyLam` arms check
                         if n <= 0:
                             return NOT_ENOUGH_FUEL
-                        if tb is Lam and not fits(rho2, 0, body):
-                            return _lam_misfit(rho2, body)
+                        if tb is Lam:
+                            fp = getattr(body, "_fp", None)
+                            if fp is None:
+                                fp = footprint(body)
+                            if (fp[0] > len(rho2) or fp[1]) and not fits(rho2, 0, body):
+                                return _lam_misfit(rho2, body)
                         env, fn = rho2, body
                     else:
                         env = None
@@ -312,7 +319,10 @@ def _eval(
             rho, e, fuel = rho2, body, n
             continue
         if t is Lam:
-            if not fits(rho, 0, e):
+            fp = getattr(e, "_fp", None)
+            if fp is None:
+                fp = footprint(e)
+            if (fp[0] > len(rho) or fp[1]) and not fits(rho, 0, e):
                 return _lam_misfit(rho, e)
             return VClos(tuple(rho), e)
         if t is Const:
@@ -332,7 +342,10 @@ def _eval(
                 genv.const_values[e.name] = v
             return v
         if t is Case:
-            if not fits(rho, 0, e):
+            fp = getattr(e, "_fp", None)
+            if fp is None:
+                fp = footprint(e)
+            if (fp[0] > len(rho) or fp[1]) and not fits(rho, 0, e):
                 # some part misfits: report the first, in this order; when
                 # every check below passes, the misfit is in the scrutinee
                 if not all(fits(rho, len(p.binders), b) for p, b in e.branches):
@@ -365,11 +378,14 @@ def _eval(
                 return EvalError(f"no branch fits constructor '{v.ctor}'")
             args = v.args
             drop = len(args) - len(pat.binders)
-            if drop < 0 or drop > hit[2].num_params or (
-                drop and not all(isinstance(a, VTy) for a in args[:drop])
-            ):
+            if drop < 0 or drop > hit[2].num_params:
                 return EvalError(f"no branch fits constructor '{v.ctor}'")
-            rho = tuple(reversed(args[drop:])) + tuple(rho)
+            for j in range(drop):
+                if type(args[j]) is not VTy:
+                    return EvalError(f"no branch fits constructor '{v.ctor}'")
+            # the last argument at index 0, the first after the prefix at
+            # index len(binders) - 1
+            rho = (args[:drop - 1:-1] if drop else args[::-1]) + tuple(rho)
             if trace is not None:
                 trace.record(rho, body)
             e, fuel = body, n

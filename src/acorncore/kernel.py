@@ -265,6 +265,14 @@ class KernelEnv:
     # bare object, so that a mark on a shared node, which the environment's
     # own terms may hold, makes no cycle through the intern table
     stamp: object = field(default_factory=object, repr=False, compare=False)
+    # the last closed fixpoint `_cbv` unfolded, and its body's body with the
+    # fixpoint in place of index 1 (see `_cbv`). One entry, since a fold
+    # unfolds one fixpoint at each of its elements; a table of every
+    # fixpoint unfolded would keep alive each list it holds, such as the
+    # second list of every `concat`. Not on the fixpoint node either: kernel
+    # terms keep their caches in `vars()`, which the benchmark's node
+    # counter walks, and the entry holds the node it would sit on.
+    unfolded: Optional[tuple[Term, Term]] = field(default=None, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +319,15 @@ def cbv_eval(kenv: KernelEnv, fuel: int, t: Term) -> EvalResult:
 # fuel still counts depth as if each of them were a call. An argument or
 # function that is already an atom is taken in place wherever its call
 # would return it.
+#
+# A closed fixpoint applied to a value is unfolded in two walks: the
+# fixpoint goes in for index 1 of its body's body, then the value for index
+# 0. The environment keeps the first walk's result for the last fixpoint it
+# unfolded (`KernelEnv.unfolded`), so each later element of the same fold
+# takes the second walk alone. It keeps one, on the environment rather than
+# in a table or on the node, for the reasons given at the field. An open
+# fixpoint takes one walk for both: in two, the first would move its body's
+# free indices above 1 down onto index 0, where the value then goes.
 
 _ATOMS = frozenset((PrimLit, Construct, Lambda, Ind, Fix, Prod, SortSet))
 
@@ -347,10 +364,16 @@ def _cbv(
             if cf is Fix:
                 if not _constr_headed(va):
                     return EvalError("fixpoint applied to a non-constructor value")
-                if type(vf.body) is not Lambda:
-                    return EvalError("fixpoint body is not a lambda")
-                # argument for index 0, the fixpoint itself for index 1, in one walk
-                t, fuel = parallel_subst((va, vf), vf.body.body), n
+                hit = kenv.unfolded
+                if hit is None or hit[0] is not vf:
+                    if type(vf.body) is not Lambda:
+                        return EvalError("fixpoint body is not a lambda")
+                    if term_bound(vf):
+                        # argument for index 0, the fixpoint itself for index 1, in one walk
+                        t, fuel = parallel_subst((va, vf), vf.body.body), n
+                        continue
+                    hit = kenv.unfolded = (vf, parallel_subst((Rel(0), vf), vf.body.body))
+                t, fuel = subst1(va, hit[1]), n
                 continue
             head, spine = spine_view(vf)
             ch = type(head)

@@ -47,8 +47,9 @@ def foldr_add_int(n: int) -> Expr:
 
 # what `first_recursion_error` reads at the default recursion limit, by
 # Python version: the deepest recursion takes one frame per element, so the
-# frames each version keeps below a new thread's first one move it by one
-FIRST_RECURSION_ERRORS = {"3.10": 982, "3.11": 983, "3.12": 984, "3.13": 984}
+# frames each version keeps below a new thread's first one, and the frames
+# of the innermost step, move it by a few
+FIRST_RECURSION_ERRORS = {"3.10": 987, "3.11": 987, "3.12": 988, "3.13": 988}
 # the reading the depth test asserts, on 3.11
 FIRST_RECURSION_ERROR = FIRST_RECURSION_ERRORS["3.11"]
 

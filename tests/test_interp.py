@@ -246,6 +246,39 @@ def test_case_binder_count_must_match_value_arguments():
     assert "no branch fits" in err(_maybe_case(overfull, Lit(PInt(0)), Var(0)))
 
 
+def _pair_case(args, binders, body):
+    scrut = mk_app(Constr("Prod", "Pair"), *args)
+    return Case(scrut, "Prod", (INT, INT), INT, ((Pat("Pair", binders), body),))
+
+
+_Z1, _Z2, _TY = Lit(PInt(1)), Lit(PInt(2)), TyAsExpr(INT)
+_SUB = mk_app(Const("subInt"), Var(1), Var(0))
+
+# (case, least fuel, result at that fuel): `Pair` takes two type
+# parameters, which a value may carry or leave out
+PREFIXES = {
+    "second prefix argument not a type": (
+        _pair_case((_TY, Lit(PInt(5)), _Z1, _Z2), ("a", "b"), _SUB),
+        6, EvalError("no branch fits constructor 'Pair'"),
+    ),
+    "fewer arguments than binders": (
+        _pair_case((_Z1,), ("a", "b"), _SUB), 3, EvalError("no branch fits constructor 'Pair'"),
+    ),
+    "more type arguments than parameters": (
+        _pair_case((_TY, _TY, _TY), (), _Z1), 5, EvalError("no branch fits constructor 'Pair'"),
+    ),
+    "both type arguments": (_pair_case((_TY, _TY, _Z1, _Z2), ("a", "b"), _SUB), 6, Ok(VPrim(PInt(-1)))),
+    "no type argument": (_pair_case((_Z1, _Z2), ("a", "b"), _SUB), 4, Ok(VPrim(PInt(-1)))),
+}
+
+
+@pytest.mark.parametrize("name", PREFIXES)
+def test_case_prefix_finishes_at_its_least_fuel(name):
+    e, fuel, want = PREFIXES[name]
+    assert ev(e, fuel=fuel) == want
+    assert ev(e, fuel=fuel - 1) is NOT_ENOUGH_FUEL
+
+
 def test_case_matches_by_name_in_user_order():
     e = Case(Constr("Bool", "True"), "Bool", (), INT,
              ((Pat("False"), Lit(PInt(0))),

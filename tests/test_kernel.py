@@ -835,8 +835,96 @@ def test_fold_substitutes_once_per_match(monkeypatch):
     # calling it, and an atom in argument or function position was taken in
     # place rather than evaluated by a call
     assert [c["_cbv"] for c in seen] == [410, 810], seen
-    assert seen[0]["_subst"] <= 1229 and seen[1]["_subst"] <= 2329, seen
+    # 1,229 and 2,329 while each unfold of the fold's fixpoint put the
+    # fixpoint into its own body again: the environment now keeps that
+    # body, and each element walks it for the element alone
+    assert seen[0]["_subst"] <= 785 and seen[1]["_subst"] <= 1435, seen
     assert seen[0]["term_bound"] <= 382 and seen[1]["term_bound"] <= 588, seen
+
+
+# ---------------------------------------------------------------------------
+# evaluation: the unfolded fixpoint an environment keeps
+
+NAT = Ind("Nat")
+
+
+def natlit(n):
+    return PrimLit(PNat(n))
+
+
+def nat_map(pairs):
+    acc = mk_app(Construct("AcornMap", 0), NAT, INT)
+    for k, v in reversed(pairs):
+        acc = mk_app(Construct("AcornMap", 1), NAT, INT, natlit(k), zlit(v), acc)
+    return acc
+
+
+def _open_fix():
+    # under one outside binder: the `Nil` branch returns a lambda over that
+    # binder's index, the `Cons` branch recurses on the tail
+    nil_body = Lambda("y", INT, Rel(3))
+    cons_body = Lambda("hd", INT, Lambda("tl", LIST_INT, App(Rel(3), Rel(0))))
+    ret = Prod(None, INT, INT)
+    body = Lambda(
+        "xs", LIST_INT, Match("List", 1, (INT,), ret, Rel(0), ((0, nil_body), (2, cons_body)))
+    )
+    return Fix("rec", Prod(None, LIST_INT, ret), body)
+
+
+_MAP = nat_map([(1, 10), (2, 20), (1, 30), (3, 40), (2, 50)])
+
+# (term, least fuel, result at that fuel), each read before `_cbv` kept an
+# unfolded fixpoint on its environment
+UNFOLDS = {
+    # `sum_map` unfolds `mdel k`, a new fixpoint for each key, between two
+    # unfolds of its own
+    "sum_map": (mk_app(Const("sum_map"), _MAP), 24, Ok(zlit(70))),
+    "foldr over concat": (
+        _fold("addInt", mk_app(Const("concat"), INT, int_list([1, 2, 3]), int_list([4, 5]))),
+        19, Ok(zlit(22)),
+    ),
+    # the body of `mfind`'s fixpoint is a lambda over the key
+    "mfind, found": (mk_app(Const("mfind"), _MAP, natlit(3)), 18, Ok(App(Construct("Maybe", 1), zlit(40)))),
+    "mfind, missing": (mk_app(Const("mfind"), _MAP, natlit(9)), 20, Ok(Construct("Maybe", 0))),
+    # an open fixpoint unfolds with the argument and itself in one walk
+    "open fixpoint": (App(_open_fix(), int_list([1, 2])), 8, Ok(Lambda("y", INT, Rel(1)))),
+}
+
+
+@pytest.mark.parametrize("name", UNFOLDS)
+def test_an_unfolding_finishes_at_its_least_fuel(name):
+    t, fuel, want = UNFOLDS[name]
+    kenv = _unmarked(KENV)
+    # twice, so that the second round meets what the first left on `kenv`
+    for _ in range(2):
+        assert cbv_eval(kenv, fuel, t) == want
+        assert cbv_eval(kenv, fuel - 1, t) is NOT_ENOUGH_FUEL
+
+
+def test_two_fixpoints_applied_alternately():
+    kenv = _unmarked(KENV)
+    cases = (
+        (App(_sum_fix(), int_list([1, 2, 3])), 13, zlit(6)),
+        (_fold("maxInt", int_list([3, 9, 4])), 13, zlit(9)),
+    )
+    for _ in range(2):
+        for t, fuel, want in cases:
+            assert cbv_eval(kenv, fuel, t) == Ok(want)
+            assert cbv_eval(kenv, fuel - 1, t) is NOT_ENOUGH_FUEL
+
+
+def test_one_fixpoint_under_two_environments():
+    # the same fixpoint node, with `addInt` meaning subtraction in one
+    # environment; each environment keeps its own unfolding
+    swapped = KernelEnv(
+        KENV.inductives, KENV.constants, {**KENV.builtins, "addInt": KENV.builtins["subInt"]}
+    )
+    plain = _unmarked(KENV)
+    t = _fold("addInt", int_list([1, 2, 3, 4]))
+    for _ in range(2):
+        for kenv, want in ((plain, 17), (swapped, 5)):
+            assert cbv_eval(kenv, 16, t) == Ok(zlit(want))
+            assert cbv_eval(kenv, 15, t) is NOT_ENOUGH_FUEL
 
 
 # ---------------------------------------------------------------------------
