@@ -20,7 +20,8 @@ and the distinct `init` and `receive` calls of four generated crowdfunding
 traces (`CHAIN_TRACES`), clean and mutant, each run in the environment
 `chainsim._call_entry` builds for it. A contract call has an interpreter
 row only: the kernel runs closed terms. Run it on two checkouts and `diff`
-the outputs: any line that differs is a change in what some fuel buys. Standard library only.
+the outputs: any line that differs is a change in what some fuel buys.
+Standard library only.
 `tests/test_golden.py::test_fuel_table_is_unchanged` compares its output
 with `tests/golden/fuel_table.txt`.
 

@@ -27,12 +27,12 @@ do they check each part in turn, which names the first part that does not
 fit. `Case`, `Lam` and a lambda carried along a spine, met again and again
 in a contract or a fold, first read the node's cached footprint: a node
 closed under the environment's length with no type reference fits without
-the call. `fits` and `_subst`
-each serve types and expressions alike, as `lang.footprint` does.
-Constructors resolve through the one table `GlobalEnv.constrs`. A constant
-whose body is a value form (`_VALUE_FORMS`) is evaluated once per
-`GlobalEnv` and its value kept in `GlobalEnv.const_values`; a later
-reference returns it whenever the body would have had fuel to run.
+the call. `fits` and `_subst` each serve types and expressions alike, as
+`lang.footprint` does. Constructors resolve through the one table
+`GlobalEnv.constrs`. A constant whose body is a value form
+(`_VALUE_FORMS`) is evaluated once per `GlobalEnv` and its value kept in
+`GlobalEnv.const_values`; a later reference returns it whenever the body
+would have had fuel to run.
 """
 
 from __future__ import annotations
@@ -269,9 +269,7 @@ def _eval(
                         if n <= 0:
                             return NOT_ENOUGH_FUEL
                         if tb is Lam:
-                            fp = getattr(body, "_fp", None)
-                            if fp is None:
-                                fp = footprint(body)
+                            fp = footprint(body)
                             if (fp[0] > len(rho2) or fp[1]) and not fits(rho2, 0, body):
                                 return _lam_misfit(rho2, body)
                         env, fn = rho2, body
@@ -319,9 +317,7 @@ def _eval(
             rho, e, fuel = rho2, body, n
             continue
         if t is Lam:
-            fp = getattr(e, "_fp", None)
-            if fp is None:
-                fp = footprint(e)
+            fp = footprint(e)
             if (fp[0] > len(rho) or fp[1]) and not fits(rho, 0, e):
                 return _lam_misfit(rho, e)
             return VClos(tuple(rho), e)
@@ -342,9 +338,7 @@ def _eval(
                 genv.const_values[e.name] = v
             return v
         if t is Case:
-            fp = getattr(e, "_fp", None)
-            if fp is None:
-                fp = footprint(e)
+            fp = footprint(e)
             if (fp[0] > len(rho) or fp[1]) and not fits(rho, 0, e):
                 # some part misfits: report the first, in this order; when
                 # every check below passes, the misfit is in the scrutinee
@@ -378,14 +372,11 @@ def _eval(
                 return EvalError(f"no branch fits constructor '{v.ctor}'")
             args = v.args
             drop = len(args) - len(pat.binders)
-            if drop < 0 or drop > hit[2].num_params:
+            if drop < 0 or drop > hit[2].num_params or (
+                drop and not all(isinstance(a, VTy) for a in args[:drop])
+            ):
                 return EvalError(f"no branch fits constructor '{v.ctor}'")
-            for j in range(drop):
-                if type(args[j]) is not VTy:
-                    return EvalError(f"no branch fits constructor '{v.ctor}'")
-            # the last argument at index 0, the first after the prefix at
-            # index len(binders) - 1
-            rho = (args[:drop - 1:-1] if drop else args[::-1]) + tuple(rho)
+            rho = args[drop:][::-1] + tuple(rho)
             if trace is not None:
                 trace.record(rho, body)
             e, fuel = body, n

@@ -265,7 +265,7 @@ class KernelEnv:
     # bare object, so that a mark on a shared node, which the environment's
     # own terms may hold, makes no cycle through the intern table
     stamp: object = field(default_factory=object, repr=False, compare=False)
-    # the last closed fixpoint `_cbv` unfolded, and its body's body with the
+    # the last fixpoint `_cbv` unfolded, and its body's body with the
     # fixpoint in place of index 1 (see `_cbv`). One entry, since a fold
     # unfolds one fixpoint at each of its elements; a table of every
     # fixpoint unfolded would keep alive each list it holds, such as the
@@ -320,14 +320,16 @@ def cbv_eval(kenv: KernelEnv, fuel: int, t: Term) -> EvalResult:
 # function that is already an atom is taken in place wherever its call
 # would return it.
 #
-# A closed fixpoint applied to a value is unfolded in two walks: the
-# fixpoint goes in for index 1 of its body's body, then the value for index
-# 0. The environment keeps the first walk's result for the last fixpoint it
-# unfolded (`KernelEnv.unfolded`), so each later element of the same fold
-# takes the second walk alone. It keeps one, on the environment rather than
-# in a table or on the node, for the reasons given at the field. An open
-# fixpoint takes one walk for both: in two, the first would move its body's
-# free indices above 1 down onto index 0, where the value then goes.
+# A fixpoint applied to a value is unfolded in two walks: the fixpoint goes
+# in for index 1 of its body's body, then the value for index 0. The first
+# walk keeps index 0 in place and moves each index above 1 down by one, not
+# two, so that the second walk's move by one more lands it where a single
+# walk for both would; the fixpoint goes in lifted by one for the same
+# reason. A closed fixpoint's body has no index above 1 and lifts to
+# itself. The environment keeps the first walk's result for the last
+# fixpoint it unfolded (`KernelEnv.unfolded`), so each later element of the
+# same fold takes the second walk alone. It keeps one, on the environment
+# rather than in a table or on the node, for the reasons given at the field.
 
 _ATOMS = frozenset((PrimLit, Construct, Lambda, Ind, Fix, Prod, SortSet))
 
@@ -368,11 +370,8 @@ def _cbv(
                 if hit is None or hit[0] is not vf:
                     if type(vf.body) is not Lambda:
                         return EvalError("fixpoint body is not a lambda")
-                    if term_bound(vf):
-                        # argument for index 0, the fixpoint itself for index 1, in one walk
-                        t, fuel = parallel_subst((va, vf), vf.body.body), n
-                        continue
-                    hit = kenv.unfolded = (vf, parallel_subst((Rel(0), vf), vf.body.body))
+                    body = _subst((Rel(0), lift(1, 0, vf)), 1, 0, vf.body.body)
+                    hit = kenv.unfolded = (vf, body)
                 t, fuel = subst1(va, hit[1]), n
                 continue
             head, spine = spine_view(vf)

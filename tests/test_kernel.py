@@ -427,9 +427,11 @@ def test_fix_body_must_be_a_lambda():
 
 
 def test_fix_unfolds_in_one_walk_as_in_two():
-    # `_cbv` substitutes the argument and the fixpoint itself in one walk;
-    # it must build the term the two single substitutions did, also for a
-    # fixpoint that sits under binders and so is open
+    # `_cbv` puts the fixpoint into its body's body first, keeping index 0
+    # and moving the indices above 1 down by one, then the argument; this,
+    # and one walk for both, must build the term the two single
+    # substitutions did, also for a fixpoint that sits under binders and so
+    # is open
     fixes, values = [], []
     for f in corpus_files(corpus_dir()):
         kenv = translate_env(load_module(str(f))[0])
@@ -444,6 +446,7 @@ def test_fix_unfolds_in_one_walk_as_in_two():
         for home, va in values:
             two = subst1(va, subst1(vf, vf.body).body)
             assert parallel_subst((va, vf), vf.body.body) == two
+            assert subst1(va, kernel._subst((Rel(0), lift(1, 0, vf)), 1, 0, vf.body.body)) == two
             if term_bound(vf) == 0 and home is kenv:
                 # the application step runs the body one level down; the
                 # argument, a value of the same module, evaluates to itself
@@ -838,7 +841,7 @@ def test_fold_substitutes_once_per_match(monkeypatch):
     # 1,229 and 2,329 while each unfold of the fold's fixpoint put the
     # fixpoint into its own body again: the environment now keeps that
     # body, and each element walks it for the element alone
-    assert seen[0]["_subst"] <= 785 and seen[1]["_subst"] <= 1435, seen
+    assert seen[0]["_subst"] <= 786 and seen[1]["_subst"] <= 1436, seen
     assert seen[0]["term_bound"] <= 382 and seen[1]["term_bound"] <= 588, seen
 
 
@@ -886,7 +889,8 @@ UNFOLDS = {
     # the body of `mfind`'s fixpoint is a lambda over the key
     "mfind, found": (mk_app(Const("mfind"), _MAP, natlit(3)), 18, Ok(App(Construct("Maybe", 1), zlit(40)))),
     "mfind, missing": (mk_app(Const("mfind"), _MAP, natlit(9)), 20, Ok(Construct("Maybe", 0))),
-    # an open fixpoint unfolds with the argument and itself in one walk
+    # an open fixpoint: its body's index above 1, the outside binder's,
+    # must come out of the two walks where one walk for both puts it
     "open fixpoint": (App(_open_fix(), int_list([1, 2])), 8, Ok(Lambda("y", INT, Rel(1)))),
 }
 
