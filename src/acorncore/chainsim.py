@@ -40,11 +40,15 @@ class ChainError(Exception):
 
 @dataclass(frozen=True)
 class BlockHeader:
+    """A block's header: the slot the block is added at."""
+
     slot: int
 
 
 @dataclass(frozen=True)
 class Transfer:
+    """An action that moves `amount` from `sender` to the account `target`."""
+
     sender: int
     target: int
     amount: int
@@ -52,6 +56,8 @@ class Transfer:
 
 @dataclass(frozen=True)
 class Deploy:
+    """A deploy action: the contract's name, its setup value and its funds."""
+
     sender: int
     contract: str
     setup: Val
@@ -60,6 +66,8 @@ class Deploy:
 
 @dataclass(frozen=True)
 class Call:
+    """A call action: `msg` is None for a call without a message."""
+
     sender: int
     target: int
     msg: Optional[Val]
@@ -71,6 +79,8 @@ Action = Union[Transfer, Deploy, Call]
 
 @dataclass(frozen=True)
 class DeployedContract:
+    """A contract on the chain: the program's name and its current state."""
+
     program: str
     state: Val
 
@@ -268,6 +278,8 @@ def add_block(
 
 @dataclass(frozen=True)
 class TraceStep:
+    """One block of a trace: header, actions and whether it was accepted."""
+
     header: BlockHeader
     actions: tuple[Action, ...]
     accepted: bool
@@ -275,6 +287,8 @@ class TraceStep:
 
 @dataclass
 class Trace:
+    """A genesis state and the blocks proposed after it, in order."""
+
     genesis: ChainState
     steps: list[TraceStep] = field(default_factory=list)
 
@@ -301,6 +315,8 @@ def replay(trace: Trace, fuel: int = DEFAULT_CALL_FUEL) -> list[ChainState]:
 
 @dataclass(frozen=True)
 class Violation:
+    """An invariant that failed after the block at `block_index`."""
+
     block_index: int
     message: str
 
@@ -411,6 +427,8 @@ INVARIANTS: dict[str, Invariant] = {
 
 @dataclass(frozen=True)
 class DeployPlan:
+    """A contract a scenario deploys at genesis, with its deployer and setup."""
+
     contract: str
     deployer: int
     amount: int
@@ -419,6 +437,8 @@ class DeployPlan:
 
 @dataclass(frozen=True)
 class Scenario:
+    """The actors and their starting funds, and the contracts deployed at genesis."""
+
     actors: tuple[tuple[int, int], ...]  # (address, starting funds)
     deploys: tuple[DeployPlan, ...]
 

@@ -243,6 +243,8 @@ def subst1(s: Term, t: Term) -> Term:
 
 @dataclass(frozen=True)
 class KernelCtor:
+    """A constructor as the kernel sees it: arity, argument and result types."""
+
     name: str
     arity: int
     arg_tys: tuple[Term, ...]
@@ -251,6 +253,8 @@ class KernelCtor:
 
 @dataclass(frozen=True)
 class KernelInductive:
+    """An inductive as the kernel sees it: its parameter count and constructors."""
+
     name: str
     num_params: int
     ctors: tuple[KernelCtor, ...]
@@ -258,6 +262,8 @@ class KernelInductive:
 
 @dataclass
 class KernelEnv:
+    """The kernel's global environment: inductives, constants and builtins."""
+
     inductives: dict[str, KernelInductive]
     constants: dict[str, Term]
     builtins: dict[str, Builtin]

@@ -111,8 +111,15 @@ def tree_node(cls: type) -> type:
     runs `__post_init__` if there is one, and files the node. There is no
     generated `__init__`, so a hit returns the node with its caches as they
     are. Assigning or deleting any attribute raises `FrozenInstanceError`;
-    caches are written with `object.__setattr__`. Defaults hold, and repr
-    and `__match_args__` are the dataclass's.
+    caches are written with `object.__setattr__`. Defaults hold, and
+    `__match_args__` is the dataclass's.
+
+    `dataclass` generates no method here: `_frozen` does what `frozen=True`
+    would, and `__repr__`, which prints what the dataclass's repr prints,
+    is compiled with `__new__` in one `exec`. A class without a docstring
+    gets its name as one, which spares `dataclass` the signature it would
+    read to write one. The class stays a dataclass, so `fields`, `replace`
+    and `__dataclass_fields__` work on it.
 
     The table holds its nodes strongly. `_sweep`, a `gc.callbacks` hook run
     at the start of each cyclic garbage collection, drops the nodes that only
@@ -122,7 +129,9 @@ def tree_node(cls: type) -> type:
     sweep in one thread may drop a node that another has just looked up.
     """
     caches = [n for base in cls.__mro__[1:] for n in getattr(base, "__slots__", ())]
-    cls = dataclass(frozen=True, eq=False, init=False, slots=bool(caches))(cls)
+    if cls.__doc__ is None:
+        cls.__doc__ = cls.__name__
+    cls = dataclass(eq=False, init=False, repr=False, slots=bool(caches))(cls)
     scope: dict[str, object] = {
         "_get": _NODES.get,
         "_put": _NODES.setdefault,
@@ -151,6 +160,7 @@ def tree_node(cls: type) -> type:
     # `setdefault`, so that two threads building one node file one of them
     lines.append("node = _put(key, node)")
     body = "\n        ".join(lines)
+    shown = ", ".join(f"{f.name}={{self.{f.name}!r}}" for f in fields(cls) if f.repr)
     exec(
         f"def __new__({', '.join(['cls'] + params)}):\n"
         f"    key = ({', '.join(key)},)\n"
@@ -158,12 +168,15 @@ def tree_node(cls: type) -> type:
         f"    if node is None:\n"
         f"        node = _new(cls)\n"
         f"        {body}\n"
-        f"    return node",
+        f"    return node\n"
+        f"def __repr__(self):\n"
+        f'    return f"{{type(self).__qualname__}}({shown})"',
         scope,
     )
-    new = scope["__new__"]
-    new.__qualname__ = f"{cls.__qualname__}.__new__"
-    cls.__new__ = staticmethod(new)
+    for name in ("__new__", "__repr__"):
+        scope[name].__qualname__ = f"{cls.__qualname__}.{name}"
+    cls.__new__ = staticmethod(scope["__new__"])
+    cls.__repr__ = scope["__repr__"]
     cls.__setattr__ = cls.__delattr__ = _frozen
     cls.__reduce__ = _reduce
     return cls
@@ -358,12 +371,16 @@ def app_spine(e: Expr) -> tuple[Expr, tuple[Expr, ...]]:
 
 @dataclass(frozen=True)
 class ConstrDecl:
+    """A constructor declaration: its name and its argument types."""
+
     name: str
     arg_tys: tuple[Ty, ...] = ()
 
 
 @dataclass(frozen=True)
 class InductiveDecl:
+    """An inductive declaration: its name, parameter count and constructors."""
+
     name: str
     num_params: int
     constrs: tuple[ConstrDecl, ...]
@@ -593,16 +610,20 @@ def wf_global_errors(env: GlobalEnv) -> list[str]:
 
 @dataclass(frozen=True)
 class Ok:
+    """An evaluation that finished with `value`."""
+
     value: object
 
 
 @dataclass(frozen=True)
 class NotEnoughFuel:
-    pass
+    """An evaluation that ran out of fuel."""
 
 
 @dataclass(frozen=True)
 class EvalError:
+    """An evaluation that got stuck; `reason` says why."""
+
     reason: str
 
 

@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .lang import (
     App,
@@ -89,8 +88,9 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """A token and where it starts (line and column count from 1)."""
+
     kind: str  # 'ident', 'num', 'eof' or the punctuation itself
     text: str
     line: int
@@ -99,36 +99,36 @@ class Token:
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_']*"
 
+# `bad` matches any one character the others do not, so that every character
+# of the text is in exactly one match
 _TOKEN_RE = re.compile(
     rf"""
       (?P<skip>\s+|--[^\n]*)
     | (?P<num>-?[0-9]+z?)
     | (?P<ident>{_IDENT})
     | (?P<punct>/\\|->|[()\[\],:=|\#^.\\])
+    | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        lexeme, kind = m.group(0), m.lastgroup
-        if kind != "skip":
-            toks.append(Token(lexeme if kind == "punct" else kind, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    toks.append(Token("eof", "", line, col))
+    line, start = 1, 0  # the current line and the offset where it starts
+    for m in _TOKEN_RE.finditer(text):
+        kind, lexeme = m.lastgroup, m.group()
+        if kind == "skip":
+            newlines = lexeme.count("\n")
+            if newlines:
+                line += newlines
+                start = m.start() + lexeme.rfind("\n") + 1
+            continue
+        col = m.start() - start + 1
+        if kind == "bad":
+            raise ParseError(f"unexpected character {lexeme!r}", line, col)
+        toks.append(Token(lexeme if kind == "punct" else kind, lexeme, line, col))
+    toks.append(Token("eof", "", line, len(text) - start + 1))
     return toks
 
 

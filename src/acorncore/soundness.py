@@ -62,6 +62,8 @@ class Agree:
 
 @dataclass(frozen=True)
 class Disagree:
+    """The two sides finished with different results; `detail` says how."""
+
     interp: object
     kernel: object
     detail: str
@@ -69,6 +71,8 @@ class Disagree:
 
 @dataclass(frozen=True)
 class Inconclusive:
+    """A side ran out of fuel, so the two results cannot be compared."""
+
     side: str  # which side ran out of fuel: "interp", "kernel" or "both"
 
 
@@ -415,6 +419,8 @@ _TRACE_LIMIT_PER_DEF = 40
 
 @dataclass
 class Report:
+    """The counts and per-definition rows of a `run_corpus` check."""
+
     source: str
     fuel: int
     gen_count: int

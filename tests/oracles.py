@@ -3,13 +3,15 @@ through the interpreter, the minimal fuel search, a scenario for the counter
 contract, the trace generator that `chainsim.gen_trace` is checked against,
 the JSON encoders that `serialize`'s readers invert, the kernel application
 builder, the structural closedness walk that `kernel.term_bound` is
-checked against, and the structural equality that interned tree nodes are
-checked against."""
+checked against, the structural equality that interned tree nodes are
+checked against, and the match-at-a-time tokenizer that `parser.tokenize`
+is checked against."""
 
 from __future__ import annotations
 
 import dataclasses
 import random
+import re
 from typing import Optional, Sequence
 
 from acorncore import kernel as k
@@ -60,7 +62,7 @@ from acorncore.lang import (
     Var,
     mk_app,
 )
-from acorncore.parser import _pp_ty
+from acorncore.parser import ParseError, Token, _IDENT, _pp_ty
 from acorncore.programs import (
     CONTRACTS,
     ConversionError,
@@ -484,3 +486,53 @@ def struct_duplicates(roots: Sequence[object], kinds: tuple) -> list[tuple]:
         for b in group[i + 1:]
         if struct_eq(a, b)
     ]
+
+
+# ---------------------------------------------------------------------------
+# tokenizer
+
+# `parser.tokenize` as it was before it made one pass over `finditer`: one
+# `match` call per token and per run of whitespace, with the column carried
+# along rather than computed from the offset
+_TOKEN_RE = re.compile(
+    rf"""
+      (?P<skip>\s+|--[^\n]*)
+    | (?P<num>-?[0-9]+z?)
+    | (?P<ident>{_IDENT})
+    | (?P<punct>/\\|->|[()\[\],:=|\#^.\\])
+    """,
+    re.VERBOSE,
+)
+
+
+def tokenize(text: str) -> list[Token]:
+    toks: list[Token] = []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        lexeme, kind = m.group(0), m.lastgroup
+        if kind != "skip":
+            toks.append(Token(lexeme if kind == "punct" else kind, lexeme, line, col))
+        newlines = lexeme.count("\n")
+        if newlines:
+            line += newlines
+            col = len(lexeme) - lexeme.rfind("\n")
+        else:
+            col += len(lexeme)
+        pos = m.end()
+    toks.append(Token("eof", "", line, col))
+    return toks
+
+
+def token_spans(text: str) -> list[tuple[int, int]]:
+    """The offsets where each token of `text` starts and ends, found from
+    its line and column."""
+    starts = [0] + [i + 1 for i, c in enumerate(text) if c == "\n"]
+    spans = []
+    for t in tokenize(text)[:-1]:
+        start = starts[t.line - 1] + t.col - 1
+        spans.append((start, start + len(t.text)))
+    return spans

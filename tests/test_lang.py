@@ -312,6 +312,57 @@ def test_a_tree_node_is_the_frozen_dataclass_it_replaces(kind):
 
 
 @pytest.mark.parametrize("kind", TREE_NODES, ids=_node_id)
+def test_a_tree_node_class_has_no_method_dataclass_generated(kind):
+    # `tree_node` compiles `__new__` and `__repr__` itself and freezes with
+    # `_frozen`; dataclass's own methods (`__init__`, `__eq__`, the frozen
+    # `__setattr__`, the recursion-guarded `__repr__`) would each cost a
+    # compile at import
+    own = vars(kind)
+    assert "__init__" not in own and "__eq__" not in own
+    assert own["__setattr__"] is lang._frozen and own["__delattr__"] is lang._frozen
+    assert not hasattr(kind.__repr__, "__wrapped__")
+    assert kind.__repr__.__qualname__ == f"{kind.__qualname__}.__repr__"
+    # still a dataclass: `replace` builds through `__new__`, so it interns
+    node = kind(**_sample(kind))
+    assert dataclasses.replace(node) is node
+    if _sample(kind):
+        first = dataclasses.fields(kind)[0].name
+        other = dataclasses.replace(node, **{first: 90})
+        assert other is kind(**{**_sample(kind), first: 90}) and other is not node
+
+
+@pytest.mark.parametrize(
+    "kind", [c for c in TREE_NODES if c.__module__ == k.__name__], ids=_node_id
+)
+def test_a_kernel_node_shows_its_fields_as_the_benchmark_counts_them(kind):
+    # `bench/layers.py::term_nodes` counts an object as a kernel node when it
+    # has `__dataclass_fields__` and walks its children through `vars()`
+    assert hasattr(kind, "__dataclass_fields__")
+    args = _sample(kind, 8_000_000)
+    node = kind(**args)
+    assert {name: vars(node).get(name) for name in args} == args
+
+
+def test_no_class_has_a_docstring_that_dataclass_wrote():
+    # `dataclass` writes `Name(field: type, ...)` into a class without a
+    # docstring, and reads the class's signature to do it: every node and
+    # record brings its own docstring instead
+    import importlib
+    import pkgutil
+
+    import acorncore
+
+    written = []
+    for info in pkgutil.iter_modules(acorncore.__path__):
+        module = importlib.import_module(f"acorncore.{info.name}")
+        for c in vars(module).values():
+            if isinstance(c, type) and c.__module__ == module.__name__:
+                if (c.__doc__ or "").startswith(f"{c.__name__}("):
+                    written.append(f"{info.name}.{c.__name__}")
+    assert written == []
+
+
+@pytest.mark.parametrize("kind", TREE_NODES, ids=_node_id)
 def test_a_tree_node_starts_with_its_caches_empty(kind):
     # values no other test builds, so that the node is new here
     args = _sample(kind, 7_000_000)

@@ -1,4 +1,6 @@
+import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -31,9 +33,11 @@ from acorncore.parser import (
     parse_expr_text,
     parse_module,
     pretty_expr,
+    tokenize,
 )
-from acorncore.programs import base_env, load_module, stdlib_env
+from acorncore.programs import base_env, corpus_dir, load_module, stdlib_env
 
+import oracles
 from oracles import pretty_ty
 
 
@@ -190,6 +194,54 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as exc_info:
         parse("let x : Int = in x")
     assert "1:" in str(exc_info.value)
+
+
+ACORN_FILES = sorted(corpus_dir().glob("*.acorn")) + sorted(
+    Path(__file__).parent.glob("**/*.acorn")
+)
+
+
+def _lexed(tokenizer, text):
+    # the tokens as (kind, text, line, col), or the error the text raises
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in tokenizer(text)]
+    except ParseError as err:
+        return ("error", str(err), err.line, err.col)
+
+
+def _edits(text, rng):
+    yield text
+    yield text.replace("\n", "\r\n")
+    yield text.replace("    ", "\t").replace("  ", "\t ")
+    yield text.rstrip("\n") + "\n-- a comment at the end, with no newline"
+    yield ""
+    ends = [end for _, end in oracles.token_spans(text)]
+    for bad in "@$é":
+        # right after a token, so never inside a comment; and anywhere
+        for at in (rng.choice(ends), rng.randrange(len(text) + 1)):
+            yield text[:at] + bad + text[at:]
+
+
+@pytest.mark.parametrize("path", ACORN_FILES, ids=lambda p: p.name)
+def test_tokenize_matches_the_match_at_a_time_tokenizer(path):
+    # one pass over `finditer` gives the tokens, lines, columns and errors
+    # that a `match` call per token gave
+    rng = random.Random(path.name)
+    text = path.read_text()
+    errors = 0
+    for edited in _edits(text, rng):
+        expected = _lexed(oracles.tokenize, edited)
+        assert _lexed(tokenize, edited) == expected
+        errors += expected[0] == "error"
+    assert errors >= 3  # each stray character, at least after a token
+
+
+def test_tokenize_edge_cases_match_the_match_at_a_time_tokenizer():
+    cases = ["", "\n", "x", "-- only a comment", "a\r\nb", "\tx\n\t\ty", "1z -2z ->"]
+    cases += ["é", "x\n  $", "f @", "\u00a0x", "a\x0cb\x0bc", "--x\n--y\nz", "- 1"]
+    for text in cases:
+        assert _lexed(tokenize, text) == _lexed(oracles.tokenize, text), repr(text)
+    assert _lexed(tokenize, "x\n  $") == ("error", "2:3: unexpected character '$'", 2, 3)
 
 
 def test_input_nested_past_the_recursion_limit_is_a_parse_error():
