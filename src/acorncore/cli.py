@@ -91,9 +91,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_check(args: argparse.Namespace) -> int:
     env, defs = load_module(args.module)
     errors = wf_global_errors(env)
-    for msg in errors:
-        print(f"error: {msg}", file=sys.stderr)
     if errors:
+        more = f" (and {len(errors) - 1} more)" if len(errors) > 1 else ""
+        print(f"error: {errors[0]}{more}", file=sys.stderr)
         return 1
     try:
         translate_env(env)

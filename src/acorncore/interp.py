@@ -28,8 +28,9 @@ fit. `Case`, `Lam` and a lambda carried along a spine, met again and again
 in a contract or a fold, first read the node's cached footprint: a node
 closed under the environment's length with no type reference fits without
 the call. `fits` and `_subst` each serve types and expressions alike, as
-`lang.footprint` does. Constructors resolve through the one table
-`GlobalEnv.constrs`. A constant whose body is a value form
+`lang.footprint` does, and `_subst`'s compound arms are generated from
+`lang.BINDERS`, as `footprint`'s are. Constructors resolve through the one
+table `GlobalEnv.constrs`. A constant whose body is a value form
 (`_VALUE_FORMS`) is evaluated once per `GlobalEnv` and its value kept in
 `GlobalEnv.const_values`; a later reference returns it whenever the body
 would have had fuel to run.
@@ -42,6 +43,7 @@ from typing import Optional, Sequence, Union
 
 from .lang import (
     App,
+    BINDERS,
     Builtin,
     Case,
     Const,
@@ -67,6 +69,7 @@ from .lang import (
     TyAsExpr,
     TyLam,
     Var,
+    binder_walker,
     closed_under,
     delta,
     footprint,
@@ -477,6 +480,8 @@ def subst_env_expr(rho: Sequence[Expr], e: Expr) -> Optional[Expr]:
 # payload is closed. The footprint is read inline, as `kernel._subst` reads
 # the bound, and computed only when missing.
 
+_subst = binder_walker(globals(), BINDERS, "return c({fields})", (
+    "_subst(rho, depth, {x})", "_subst(rho, depth + {n}, {x})"), '''
 def _subst(
     rho: Sequence[Union[Expr, Val]], depth: int, node: Union[Ty, Expr]
 ) -> Union[Ty, Expr]:
@@ -486,50 +491,16 @@ def _subst(
     if fp[0] <= depth:
         return node
     c = type(node)
-    if c is App or c is TApp:
-        return c(_subst(rho, depth, node.fn), _subst(rho, depth, node.arg))
-    if c is Var:
+    <if App TApp>
+    elif c is Var:
         j = node.ref - depth
         return rho[j] if j < len(rho) else Var(node.ref - len(rho))
-    if c is TVar:
+    elif c is TVar:
         j = node.ref - depth
         return rho[j].ty if j < len(rho) else TVar(node.ref - len(rho))
-    if c is Case:
-        return Case(
-            _subst(rho, depth, node.scrut),
-            node.ind,
-            tuple(_subst(rho, depth, tp) for tp in node.ty_params),
-            _subst(rho, depth, node.ret_ty),
-            tuple(
-                (p, _subst(rho, depth + len(p.binders), b)) for p, b in node.branches
-            ),
-        )
-    if c is Lam:
-        return Lam(
-            node.hint, _subst(rho, depth, node.dom), _subst(rho, depth + 1, node.body)
-        )
-    if c is TArr:
-        return TArr(_subst(rho, depth, node.dom), _subst(rho, depth, node.cod))
-    if c is Fix:
-        return Fix(
-            node.f_hint,
-            node.x_hint,
-            _subst(rho, depth, node.dom),
-            _subst(rho, depth, node.cod),
-            _subst(rho, depth + 2, node.body),
-        )
-    if c is Let:
-        return Let(
-            node.hint,
-            _subst(rho, depth, node.ty),
-            _subst(rho, depth, node.bound),
-            _subst(rho, depth + 1, node.body),
-        )
-    if c is TyAsExpr:
-        return TyAsExpr(_subst(rho, depth, node.ty))
-    if c is TyLam or c is TForall:
-        return c(node.hint, _subst(rho, depth + 1, node.body))
+    <elif Case Lam TArr Fix Let TyAsExpr TyLam TForall>
     raise TypeError(f"not a type or expression: {node!r}")
+''')
 
 
 # kept in the `_expr` slot for "does not read back", which has to be told

@@ -3,9 +3,12 @@ parallel substitution and a fuel-limited call-by-value normalizer.
 
 This side of the pipeline is substitution-based and nameless throughout; it
 serves as the independent second semantics the differential harness compares
-the environment-passing interpreter against. `term_bound`, `_subst` and
-`_cbv` dispatch on the exact node class with an `is` chain ordered by how
-often each class is met, as `interp.py`'s evaluator does. As there, the
+the environment-passing interpreter against. How many binders each child of
+each term sits under is declared once, in `BINDERS`; `lang.binder_walker`
+generates the compound arms of `term_bound` and `_subst` from it, and only
+their `Rel` and closed-leaf arms are written here. Those two and `_cbv`
+dispatch on the exact node class with an `is` chain ordered by how often
+each class is met, as `interp.py`'s evaluator does. As there, the
 recursion is the one function `_cbv`, which passes bare values: each call
 returns a `Term`, or the failure itself (an `EvalError` or
 `NOT_ENOUGH_FUEL`), and `cbv_eval` builds the one `Ok` of a call from
@@ -28,6 +31,7 @@ from .lang import (
     Ok,
     PInt,
     PrimVal,
+    binder_walker,
     delta,
     tree_node,
 )
@@ -121,6 +125,19 @@ class PrimLit(Term):
 
 SORT_SET = SortSet()
 
+# The binding structure of kernel terms, as `lang.BINDERS` gives that of
+# types and expressions. A match's return type sits under the scrutinee's
+# binder, and its branches under none: each is a lambda over the constructor
+# arguments, which binds them itself.
+BINDERS: dict[type, dict[str, object]] = {
+    App: {"fn": 0, "arg": 0},
+    Lambda: {"dom": 0, "body": 1},
+    Match: {"ty_params": (0, ...), "ret_ty": 1, "scrut": 0, "branches": (0, ...)},
+    Prod: {"dom": 0, "cod": 1},
+    Fix: {"fty": 0, "body": 1},
+    LetIn: {"ty": 0, "bound": 0, "body": 1},
+}
+
 
 def spine_view(t: Term) -> tuple[Term, tuple[Term, ...]]:
     args: list[Term] = []
@@ -145,36 +162,25 @@ def spine_view(t: Term) -> tuple[Term, tuple[Term, ...]]:
 # returns a subterm with no index at or above its cutoff as it is, computing
 # the subterm's bound if it is missing, instead of rebuilding it.
 
+term_bound = binder_walker(globals(), BINDERS, "b = max({children})", (
+    "term_bound({x})", "term_bound({x}) - {n}"), '''
 def term_bound(t: Term) -> int:
     b = getattr(t, "_bound", None)
     if b is not None:
         return b
     c = type(t)
-    if c is App:
-        b = max(term_bound(t.fn), term_bound(t.arg))
-    elif c is Lambda:
-        b = max(term_bound(t.dom), term_bound(t.body) - 1)
+    <if App Lambda>
     elif c is PrimLit or c is Construct or c is Const or c is Ind or c is SortSet:
         b = 0
-    elif c is Match:
-        b = max(
-            term_bound(t.ret_ty) - 1,
-            term_bound(t.scrut),
-            *map(term_bound, t.ty_params),
-            *(term_bound(br) for _, br in t.branches),
-        )
-    elif c is Prod:
-        b = max(term_bound(t.dom), term_bound(t.cod) - 1)
+    <elif Match Prod>
     elif c is Rel:
         b = max(t.index + 1, 0)
-    elif c is Fix:
-        b = max(term_bound(t.fty), term_bound(t.body) - 1)
-    elif c is LetIn:
-        b = max(term_bound(t.ty), term_bound(t.bound), term_bound(t.body) - 1)
+    <elif Fix LetIn>
     else:
         raise TypeError(f"not a kernel term: {t!r}")
     object.__setattr__(t, "_bound", b)
     return b
+''')
 
 
 def lift(n: int, k: int, t: Term) -> Term:
@@ -188,6 +194,8 @@ def parallel_subst(ts: tuple[Term, ...], t: Term) -> Term:
     return _subst(ts, 0, 0, t)
 
 
+_subst = binder_walker(globals(), BINDERS, "return c({fields})", (
+    "_subst(ts, shift, k, {x})", "_subst(ts, shift, k + {n}, {x})"), '''
 def _subst(ts: tuple[Term, ...], shift: int, k: int, t: Term) -> Term:
     # Rel(k+i) becomes ts[i] lifted past the k binders above it; an index
     # past the block moves down by len(ts) and up by `shift`. The bound is
@@ -205,33 +213,9 @@ def _subst(ts: tuple[Term, ...], shift: int, k: int, t: Term) -> Term:
             # the lift, inline: `lift(k, 0, ts[j])` costs a frame more
             return ts[j] if k == 0 else _subst((), k, 0, ts[j])
         return Rel(i - len(ts) + shift)
-    if c is App:
-        return App(_subst(ts, shift, k, t.fn), _subst(ts, shift, k, t.arg))
-    if c is Lambda:
-        return Lambda(
-            t.hint, _subst(ts, shift, k, t.dom), _subst(ts, shift, k + 1, t.body)
-        )
-    if c is Match:
-        return Match(
-            t.ind,
-            t.n_params,
-            tuple(_subst(ts, shift, k, x) for x in t.ty_params),
-            _subst(ts, shift, k + 1, t.ret_ty),
-            _subst(ts, shift, k, t.scrut),
-            tuple((a, _subst(ts, shift, k, br)) for a, br in t.branches),
-        )
-    if c is Prod:
-        return Prod(t.hint, _subst(ts, shift, k, t.dom), _subst(ts, shift, k + 1, t.cod))
-    if c is LetIn:
-        return LetIn(
-            t.hint,
-            _subst(ts, shift, k, t.ty),
-            _subst(ts, shift, k, t.bound),
-            _subst(ts, shift, k + 1, t.body),
-        )
-    if c is Fix:
-        return Fix(t.hint, _subst(ts, shift, k, t.fty), _subst(ts, shift, k + 1, t.body))
+    <elif App Lambda Match Prod LetIn Fix>
     raise TypeError(f"not a kernel term: {t!r}")
+''')
 
 
 def subst1(s: Term, t: Term) -> Term:

@@ -7,12 +7,18 @@ delta reduction of primitive constants.
 
 Variables are de Bruijn indices sharing a single index space for term and
 type binders; the parser resolves every name to its index as it reads it.
+How many binders each child of a type or expression sits under is declared
+once, in `BINDERS`. `binder_walker` compiles the compound arms of `footprint`
+and `interp._subst` from it, and those of `kernel.term_bound` and
+`kernel._subst` from `kernel.BINDERS`.
 """
 
 from __future__ import annotations
 
 import gc
+import linecache
 import math
+import re
 from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from itertools import islice
 from sys import getrefcount
@@ -78,6 +84,9 @@ def _sweep(phase: str, info: dict) -> None:
     _swept = len(t)
 
 
+# a fresh import of this module drops the hook of the import before it,
+# which would keep that import's table alive
+gc.callbacks[:] = [f for f in gc.callbacks if getattr(f, "__module__", None) != __name__]
 gc.callbacks.append(_sweep)
 
 
@@ -180,6 +189,53 @@ def tree_node(cls: type) -> type:
     cls.__setattr__ = cls.__delattr__ = _frozen
     cls.__reduce__ = _reduce
     return cls
+
+
+def binder_walker(scope: dict, binders: dict, arm: str, child: tuple, source: str) -> Callable:
+    """Compile the walker `source` into `scope`, its module's globals, and
+    return it. `source` holds what is written by hand: the cache read, the
+    leaf arms and the end of an `is` chain on `c = type(node)`. A line
+    `<if A B>` or `<elif A B>` stands for the arms `c is A` and `c is B`,
+    generated from their classes' entries in `binders` (see `BINDERS`):
+    each is `arm` given `{children}`, the calls on the node's children, or
+    `{fields}`, its fields with those calls in place of the children.
+    `child` is the call on a child `{x}` under no binder and under `{n}`.
+    The walker compiles as `<binder_walker module.name>`, whose lines
+    `linecache` keeps for tracebacks."""
+    node = re.search(r"c = type\((\w+)\)", source)[1]
+    out: list[str] = []
+    for line in source.splitlines():
+        m = re.fullmatch(r"( *)<(if|elif) ([\w ]+)>", line)
+        if m is None:
+            out.append(line)
+            continue
+        kw = m[2]
+        for name in m[3].split():
+            every, kids = [], []  # the fields, and the calls on the children
+            for f in fields(scope[name]):
+                get, n = f"{node}.{f.name}", binders[scope[name]].get(f.name)
+                if n is None:
+                    every.append(get)
+                    continue
+                if type(n) is not tuple:
+                    every.append(child[bool(n)].format(x=get, n=n))
+                    kids.append(every[-1])
+                    continue
+                # `(n, ...)`: a tuple of children, or of (tag, child) branches
+                pair = str(f.type).startswith("tuple[tuple[")
+                call = child[bool(n[0])].format(x="b", n=n[0])
+                loop = f" for {'p, b' if pair else 'b'} in {get}"
+                every.append(f"tuple({f'(p, {call})' if pair else call}{loop})")
+                kids.append(f"*({call}{loop})")
+            out.append(f"{m[1]}{kw} c is {name}:")
+            out.append(f"{m[1]}    " + arm.format(fields=", ".join(every), children=", ".join(kids)))
+            kw = "elif"
+    text = "\n".join(out)
+    walker = re.search(r"def (\w+)", text)[1]
+    filename = f"<binder_walker {scope['__name__']}.{walker}>"
+    linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
+    exec(compile(text, filename, "exec"), scope)
+    return scope[walker]
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +404,24 @@ class Const(Expr):
 @tree_node
 class Lit(Expr):
     value: PrimVal
+
+
+# The binding structure of types and expressions: for each class with
+# children, each field that holds them and how many of the node's binders
+# they sit under; `(n, ...)` for a tuple of children, or of (tag, child)
+# branches, where `n` may be code over the tag `p`.
+BINDERS: dict[type, dict[str, object]] = {
+    App: {"fn": 0, "arg": 0},
+    Lam: {"dom": 0, "body": 1},
+    Case: {"scrut": 0, "ty_params": (0, ...), "ret_ty": 0, "branches": ("len(p.binders)", ...)},
+    Fix: {"dom": 0, "cod": 0, "body": 2},
+    Let: {"ty": 0, "bound": 0, "body": 1},
+    TyLam: {"body": 1},
+    TyAsExpr: {"ty": 0},
+    TApp: {"fn": 0, "arg": 0},
+    TArr: {"dom": 0, "cod": 0},
+    TForall: {"body": 1},
+}
 
 
 def mk_app(fn: Expr, *args: Expr) -> Expr:
@@ -520,6 +594,8 @@ def _join(*fps: Footprint) -> Footprint:
     return (bound, refs) if bound else _NO_FREE
 
 
+footprint = binder_walker(globals(), BINDERS, "fp = _join({children})", (
+    "footprint({x})", "_shift(footprint({x}), {n})"), '''
 def footprint(node: Union[Ty, Expr]) -> Footprint:
     """Free-index footprint of a type or expression (see `Footprint`). The
     node's class tells the position: a `TVar` is a type position and a `Var`
@@ -529,42 +605,22 @@ def footprint(node: Union[Ty, Expr]) -> Footprint:
     if hit is not None:
         return hit
     c = type(node)
-    if c is App or c is TApp:
-        fp = _join(footprint(node.fn), footprint(node.arg))
+    <if App TApp>
     elif c is Lit or c is Const or c is Constr or c is TInd:
         fp = _NO_FREE
     elif c is Var:
         ref = node.ref
         fp = (ref + 1, _NO_REFS) if ref >= 0 else _OPEN
-    elif c is Case:
-        parts = [footprint(node.scrut), footprint(node.ret_ty)]
-        parts += map(footprint, node.ty_params)
-        for p, b in node.branches:
-            parts.append(_shift(footprint(b), len(p.binders)))
-        fp = _join(*parts)
-    elif c is Fix:
-        fp = _join(
-            footprint(node.dom), footprint(node.cod), _shift(footprint(node.body), 2)
-        )
-    elif c is TyAsExpr:
-        fp = footprint(node.ty)
-    elif c is Lam:
-        fp = _join(footprint(node.dom), _shift(footprint(node.body), 1))
-    elif c is Let:
-        fp = _join(
-            footprint(node.ty), footprint(node.bound), _shift(footprint(node.body), 1)
-        )
+    <elif Case Fix TyAsExpr Lam Let>
     elif c is TVar:
         ref = node.ref
         fp = (ref + 1, frozenset((ref,))) if ref >= 0 else _OPEN
-    elif c is TyLam or c is TForall:
-        fp = _shift(footprint(node.body), 1)
-    elif c is TArr:
-        fp = _join(footprint(node.dom), footprint(node.cod))
+    <elif TyLam TForall TArr>
     else:
         raise TypeError(f"not a type or expression: {node!r}")
     object.__setattr__(node, "_fp", fp)
     return fp
+''')
 
 
 def closed_under(n: int, node: Union[Ty, Expr]) -> bool:

@@ -36,6 +36,15 @@ def test_check_flags_an_ill_formed_module(capsys, tmp_path):
     assert "declared in both" in err
 
 
+def test_check_prints_one_error_line_for_several_problems(capsys, tmp_path):
+    p = tmp_path / "dups.acorn"
+    p.write_text("data A #0 = C [] | C []\ndata B #0 = D [] | D []\n")
+    code, out, err = run_cli(capsys, "check", str(p))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: duplicate constructor 'C' in 'A' (and 1 more)"]
+
+
 def test_check_flags_the_shipped_broken_module(capsys):
     # resolves against the packaged corpus regardless of the working directory
     code, _, err = run_cli(capsys, "check", "corpus/bad-indices.acorn")

@@ -3,6 +3,8 @@ structurally equal are one object, the table keeps no node that only it
 holds once garbage is collected, and equality and hashing take no recursion."""
 
 import random
+import subprocess
+import sys
 import threading
 
 from acorncore import kernel as k
@@ -59,6 +61,21 @@ def test_a_collection_leaves_no_node_that_only_the_table_holds():
     assert entries > 0
     assert lone == 0
     assert duplicates == 0
+
+
+def test_a_fresh_import_replaces_the_earlier_sweep_hook():
+    # each stale hook would keep its import's whole intern table alive
+    code = """
+import gc, sys
+for _ in range(3):
+    for name in [m for m in sys.modules if m.split(".")[0] == "acorncore"]:
+        del sys.modules[name]
+    import acorncore.lang
+print(sum(getattr(f, "__name__", None) == "_sweep" for f in gc.callbacks))
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["1"]
 
 
 def test_equality_and_hash_take_no_recursion():
