@@ -27,7 +27,9 @@ do they check each part in turn, which names the first part that does not
 fit. `Case`, `Lam` and a lambda carried along a spine, met again and again
 in a contract or a fold, first read the node's cached footprint: a node
 closed under the environment's length with no type reference fits without
-the call. `fits` and `_subst` each serve types and expressions alike, as
+the call. A type argument reads it too: a closed one, such as the `[Int]`
+of each `Cons` in a list, is its own value, without `fits` or `_subst`.
+`fits` and `_subst` each serve types and expressions alike, as
 `lang.footprint` does, and `_subst`'s compound arms are generated from
 `lang.BINDERS`, as `footprint`'s are. Constructors resolve through the one
 table `GlobalEnv.constrs`. A constant whose body is a value form
@@ -410,6 +412,9 @@ def _eval(
         if t is TyLam:
             return VClos(tuple(rho), e)
         if t is TyAsExpr:
+            # a closed type, such as each `Cons`'s `[Int]`, is its own value
+            if footprint(e)[0] == 0:
+                return VTy(e.ty)
             ty_v = eval_type(rho, e.ty)
             if ty_v is None:
                 return EvalError("type argument refers to a term-level binding")

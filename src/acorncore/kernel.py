@@ -12,9 +12,12 @@ each class is met, as `interp.py`'s evaluator does. As there, the
 recursion is the one function `_cbv`, which passes bare values: each call
 returns a `Term`, or the failure itself (an `EvalError` or
 `NOT_ENOUGH_FUEL`), and `cbv_eval` builds the one `Ok` of a call from
-outside. It is a loop, as `_eval` is: a beta step's substituted body, the
-selected match branch, a let body and a constant's body go round it again
-rather than taking a frame.
+outside. It is a loop, as `_eval` is: a beta step's body, the selected match
+branch, a let body and a constant's body go round it again rather than
+taking a frame. A step that goes on with a match leaves its substitution
+pending on it rather than walking it, and the match puts that substitution
+into its scrutinee and the branch it takes alone. Every other body is
+substituted at once, so the machine stays a substitution machine.
 """
 
 from __future__ import annotations
@@ -303,12 +306,23 @@ def cbv_eval(kenv: KernelEnv, fuel: int, t: Term) -> EvalResult:
 
 # `_cbv` returns a bare `Term` or the failure itself, which a caller tells
 # apart by `type(r) is EvalError or r is NOT_ENOUGH_FUEL`. It is one loop:
-# a position whose value is the value of the whole (a beta step's
-# substituted body, the selected match branch, a let body, a constant's
-# body) takes the loop round again at the fuel its call would have had, so
-# fuel still counts depth as if each of them were a call. An argument or
-# function that is already an atom is taken in place wherever its call
-# would return it.
+# a position whose value is the value of the whole (a beta step's body,
+# the selected match branch, a let body, a constant's body) takes the loop
+# round again at the fuel its call would have had, so fuel still counts
+# depth as if each of them were a call. An argument or function that is
+# already an atom is taken in place wherever its call would return it.
+#
+# When the term a step goes on with is a match, the step's substitution is
+# not walked into it but kept as `pend`, the tuple `parallel_subst` would
+# take, and the loop stands for the match with `pend` put in. `pend` is
+# empty whenever `t` is not a match. The `Match` arm puts `pend` into the
+# scrutinee, which it evaluates, and into the branch it takes: after the
+# branch's `arity` lambdas are peeled, the pending entries sit at `arity`
+# and up, so one walk of the constructor arguments followed by `pend` does
+# what a walk of the whole match and then one of the branch would. A branch
+# that is a match itself keeps that tuple pending. The type parameters, the
+# return type and the branches not taken are never rebuilt, as nothing here
+# reads them.
 #
 # A fixpoint applied to a value is unfolded in two walks: the fixpoint goes
 # in for index 1 of its body's body, then the value for index 0. The first
@@ -327,6 +341,7 @@ _ATOMS = frozenset((PrimLit, Construct, Lambda, Ind, Fix, Prod, SortSet))
 def _cbv(
     kenv: KernelEnv, fuel: int, t: Term
 ) -> Union[Term, EvalError, NotEnoughFuel]:
+    pend = ()
     while True:
         if fuel <= 0:
             return NOT_ENOUGH_FUEL
@@ -351,7 +366,11 @@ def _cbv(
             if cf is Lambda:
                 if vf.dom is SORT_SET and not _type_like(va):
                     return EvalError("type abstraction applied to a term value")
-                t, fuel = subst1(va, vf.body), n
+                t, fuel = vf.body, n
+                if type(t) is Match:
+                    pend = (va,)
+                else:
+                    t = subst1(va, t)
                 continue
             if cf is Fix:
                 if not _constr_headed(va):
@@ -362,7 +381,11 @@ def _cbv(
                         return EvalError("fixpoint body is not a lambda")
                     body = _subst((Rel(0), lift(1, 0, vf)), 1, 0, vf.body.body)
                     hit = kenv.unfolded = (vf, body)
-                t, fuel = subst1(va, hit[1]), n
+                t, fuel = hit[1], n
+                if type(t) is Match:
+                    pend = (va,)
+                else:
+                    t = subst1(va, t)
                 continue
             head, spine = spine_view(vf)
             ch = type(head)
@@ -413,7 +436,7 @@ def _cbv(
             t, fuel = body, n
             continue
         if c is Match:
-            v = _cbv(kenv, n, t.scrut)
+            v = _cbv(kenv, n, parallel_subst(pend, t.scrut) if pend else t.scrut)
             if type(v) is EvalError or v is NOT_ENOUGH_FUEL:
                 return v
             head, spine = spine_view(v)
@@ -433,22 +456,27 @@ def _cbv(
                 return EvalError("constructor argument count does not fit the branch")
             if not all(_type_like(a) for a in spine[:drop]):
                 return EvalError("non-type argument in the parameter prefix")
-            if arity:
-                # peel the branch's lambdas, then put the last argument at
-                # index 0 and the first at index arity-1 in one walk, as the
-                # `App` arm does for a fixpoint
-                for _ in range(arity):
-                    if type(body) is not Lambda:
-                        return EvalError("branch shape does not match its arity")
-                    body = body.body
-                body = parallel_subst(spine[drop:][::-1], body)
+            # peel the branch's lambdas, then put the last argument at index
+            # 0, the first at index arity-1 and the pending entries above
+            # them in one walk, as the `App` arm does for a fixpoint
+            for _ in range(arity):
+                if type(body) is not Lambda:
+                    return EvalError("branch shape does not match its arity")
+                body = body.body
+            pend = spine[drop:][::-1] + pend
             t, fuel = body, n
+            if pend and type(t) is not Match:
+                t, pend = parallel_subst(pend, t), ()
             continue
         if c is LetIn:
             v = _cbv(kenv, n, t.bound)
             if type(v) is EvalError or v is NOT_ENOUGH_FUEL:
                 return v
-            t, fuel = subst1(v, t.body), n
+            t, fuel = t.body, n
+            if type(t) is Match:
+                pend = (v,)
+            else:
+                t = subst1(v, t)
             continue
         if c is Rel:
             return EvalError(f"unbound index {t.index} in kernel evaluation")

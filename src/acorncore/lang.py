@@ -52,6 +52,18 @@ def _drop(keys: list) -> None:
             del t[key]
 
 
+def _keys(t: dict, start: int, stop: int) -> list:
+    # the keys of `t` at positions `start` to `stop`, oldest first. `islice`
+    # skips every entry before the slice, so the slice is taken from
+    # whichever end of the table is nearer.
+    n = len(t)
+    if start <= n - stop:
+        return list(islice(t, start, stop))
+    keys = list(islice(reversed(t), n - stop, n - start))
+    keys.reverse()
+    return keys
+
+
 def _sweep(phase: str, info: dict) -> None:
     # Run at the start of every cyclic collection. It looks at the entries
     # filed since the last sweep, which is where most garbage is, and at as
@@ -75,11 +87,11 @@ def _sweep(phase: str, info: dict) -> None:
     else:
         old = _swept
         new = len(t) - old
-        _drop(list(islice(t, old, None)))
+        _drop(_keys(t, old, len(t)))
         if _lap <= 0:
             _lap = old
         below = max(0, _lap - new)
-        _drop(list(islice(t, below, _lap)))
+        _drop(_keys(t, below, _lap))
         _lap = below
     _swept = len(t)
 

@@ -8,6 +8,7 @@ import sys
 import threading
 
 from acorncore import kernel as k
+from acorncore import lang
 from acorncore.interp import eval_expr, from_val
 from acorncore.kernel import cbv_eval
 from acorncore.lang import Ok, PInt
@@ -61,6 +62,15 @@ def test_a_collection_leaves_no_node_that_only_the_table_holds():
     assert entries > 0
     assert lone == 0
     assert duplicates == 0
+
+
+def test_a_sweep_slice_from_either_end_holds_the_same_keys_in_order():
+    # the sweep takes each slice of the table from its nearer end
+    for n in (0, 1, 2, 7):
+        table = {("key", i): i for i in range(n)}
+        for start in range(n + 1):
+            for stop in range(start, n + 1):
+                assert lang._keys(table, start, stop) == list(table)[start:stop]
 
 
 def test_a_fresh_import_replaces_the_earlier_sweep_hook():

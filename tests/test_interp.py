@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from acorncore import interp
+
 from acorncore.interp import (
     EnvTrace,
     VBuiltin,
@@ -588,6 +590,30 @@ def test_validate_counts_extra_binders():
     # type positions must land on type entries
     assert fits((VTy(INT),), 0, TyAsExpr(TVar(0)))
     assert not fits((VPrim(PInt(1)),), 0, TyAsExpr(TVar(0)))
+
+
+def test_a_fold_takes_its_closed_type_arguments_without_a_fit_check(monkeypatch):
+    # a closed type argument, such as each `Cons`'s `[Int]`, is its own
+    # value: the `TyAsExpr` arm reads its cached footprint and calls neither
+    # `fits` nor `_subst`. With the calls, 100 elements took 207 `fits` and
+    # 103 `_subst` calls.
+    calls = dict.fromkeys(("fits", "_subst"), 0)
+    for name in calls:
+        def counting(*args, _name=name, _f=getattr(interp, name)):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(interp, name, counting)
+    seen = []
+    for n in (50, 100):
+        calls.update(dict.fromkeys(calls, 0))
+        e = mk_app(Const("foldr"), TyAsExpr(INT), TyAsExpr(INT), Const("addInt"),
+                   Lit(PInt(0)), int_list_expr(range(n)))
+        assert eval_expr(ENV, 10_000, (), e) == Ok(VPrim(PInt(n * (n - 1) // 2)))
+        seen.append(dict(calls))
+    # one `fits` per element is the `case`'s, whose type references keep it
+    # off the footprint path
+    assert seen == [{"fits": 54, "_subst": 0}, {"fits": 104, "_subst": 0}], seen
 
 
 def test_wf_val_closures():

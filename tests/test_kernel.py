@@ -478,9 +478,16 @@ def test_match_instantiates_in_one_walk_as_in_one_per_argument():
             chained = body
             for a in args:
                 chained = subst1(a, chained.body)
+            # a substitution left pending on the match, with open entries
+            # that the branch's lambdas lift
+            pend = tuple(Rel(7 + i) if i % 2 else zlit(i) for i in range(term_bound(m) + 1))
+            pended = parallel_subst(pend, m).branches[head.ctor_idx][1]
+            for a in args:
+                pended = subst1(a, pended.body)
             for _ in args:
                 body = body.body
             assert parallel_subst(args[::-1], body) == chained
+            assert parallel_subst(args[::-1] + pend, body) == pended
             # and `_cbv` goes on from it, with literals for the free indices
             closing = (zlit(0),) * term_bound(m)
             r = cbv_eval(kenv, 199, parallel_subst(closing, chained))
@@ -489,6 +496,132 @@ def test_match_instantiates_in_one_walk_as_in_one_per_argument():
             assert kernel._cbv(kenv, 200, closed) == bare
             checked += 1
     assert any(term_bound(m) > 0 for _, m in matches) and checked > 100, checked
+
+
+# ---------------------------------------------------------------------------
+# evaluation: a substitution left pending on a match
+
+def _lazy_equals_eager(kenv, m, values):
+    """For each value `v`, applying `fun _ => m` to `v` at fuel `f` reads
+    what evaluating `m` with `v` substituted reads at `f - 1`, once `v`
+    itself evaluates at `f - 1`, for every `f` from 1 to one past the least
+    fuel; and so do `let _ := v in m` and, for a constructor form `v`, a
+    fixpoint whose body is `fun _ => m`. Each of them leaves `v` pending on
+    the match; the substituted term puts it in first. `m` has no free index
+    but 0. Returns how many fuels were checked."""
+    checked = 0
+    for v in values:
+        eager = subst1(v, m)
+        least_v = _minimal_fuel(kenv, v)
+        lazies = [App(Lambda(None, INT, m), v), LetIn(None, INT, v, m)]
+        if kernel._constr_headed(v):
+            lazies.append(App(Fix(None, Prod(None, INT, INT), Lambda(None, INT, m)), v))
+        for lazy in lazies:
+            for f in range(1, _minimal_fuel(kenv, lazy) + 2):
+                want = cbv_eval(kenv, f - 1, eager) if f - 1 >= least_v else NOT_ENOUGH_FUEL
+                assert cbv_eval(kenv, f, lazy) == want, (pretty_term(lazy), f)
+                checked += 1
+    return checked
+
+
+def _match_bodied(t):
+    """The match under one binder of each lambda, let and fixpoint in `t`
+    whose body is a match: the let's bound value and, for a fixpoint, the
+    fixpoint itself already put in."""
+    for s in _subterms(t):
+        c = type(s)
+        if (c is Lambda or c is LetIn) and type(s.body) is Match:
+            yield s.body
+        elif c is Fix and type(s.body) is Lambda and type(s.body.body) is Match:
+            yield subst1(s, s.body).body
+
+
+def test_a_pending_match_reads_as_the_substituted_one_at_every_fuel():
+    # every match-bodied binder of the translated corpus, the stdlib among
+    # it, with its other free indices closed, applied to the atoms and the
+    # constructor values of the corpus
+    atoms = (zlit(3), Construct("Bool", 0), Construct("Bool", 1), INT, SORT_SET,
+             Lambda("x", INT, Rel(0)))
+    checked = seen = 0
+    for f in corpus_files(corpus_dir()):
+        kenv = translate_env(load_module(str(f))[0])
+        matches = {m for top in kenv.constants.values() for m in _match_bodied(top)}
+        heads = {}
+        for top in kenv.constants.values():
+            r = cbv_eval(kenv, 10_000, top)
+            if isinstance(r, Ok) and isinstance(spine_view(r.value)[0], Construct):
+                heads[r.value] = spine_view(r.value)[0]
+        for m in matches:
+            # index 0 stays the pending entry; the indices above it, bound
+            # further out, are closed by literals
+            closing = (Rel(0),) + (zlit(0),) * term_bound(m)
+            m = parallel_subst(closing, m)
+            fit = [v for v, h in heads.items() if h.ind == m.ind]
+            checked += _lazy_equals_eager(kenv, m, fit + list(atoms))
+            seen += 1
+    assert seen > 150 and checked > 5000, (seen, checked)
+
+
+def test_a_pending_match_reads_as_the_substituted_one_by_hand(monkeypatch):
+    nil = App(Construct("List", NIL), INT)
+    add = Const("addInt")
+    cases = [
+        # a branch reads the pending entry (index 0 outside the branch)
+        (_match_list(int_list([4]), ((0, Rel(0)), (2, _drop2(mk_app(add, Rel(1), Rel(2)))))),
+         [zlit(10)]),
+        (Match("Bool", 0, (), INT, Construct("Bool", 1), ((0, zlit(1)), (0, Rel(0)))),
+         [zlit(10)]),
+        # the scrutinee is the pending entry; arity-0 and arity-2 branches
+        (_match_list(Rel(0), ((0, zlit(0)), (2, _drop2(Rel(1))))),
+         [ok(int_list([])), ok(int_list([5, 6]))]),
+        (Match("Bool", 0, (), INT, Rel(0), ((0, zlit(1)), (0, zlit(2)))),
+         [Construct("Bool", 0), Construct("Bool", 1)]),
+        # a match nested in a branch: the constructor arguments and the
+        # pending entry stay pending on it together
+        (_match_list(int_list([1, 2]), ((0, Rel(0)), (2, _drop2(_match_list(Rel(0), (
+            (0, mk_app(add, Rel(1), Rel(2))),
+            (2, _drop2(mk_app(add, Rel(3), mk_app(add, Rel(1), Rel(4))))),
+        )))))),
+         [zlit(100)]),
+        # a parameter-prefix match on `List A`, with the pending entry `A`
+        (Match("List", 1, (Rel(0),), Rel(1),
+               mk_app(Construct("List", CONS), Rel(0), zlit(8), App(Construct("List", NIL), Rel(0))),
+               ((0, zlit(0)), (2, _drop2(Rel(1))))),
+         [INT, LIST_INT]),
+    ]
+    errors = [
+        (_match_list(Rel(0), ((0, zlit(1)),)), "match on a non-constructor value",
+         [zlit(3), Lambda("x", INT, Rel(0))]),
+        (_match_list(Rel(0), ((0, zlit(1)), (0, zlit(2)))),
+         "scrutinee of 'Bool' matched against 'List'", [Construct("Bool", 0)]),
+        (_match_list(Rel(0), ((0, Rel(0)), (2, Lambda("x", INT, Rel(1))))),
+         "branch shape does not match its arity", [ok(int_list([1]))]),
+        (_match_list(mk_app(Construct("List", CONS), Rel(0), zlit(1), nil),
+                     ((0, zlit(9)), (2, _drop2(Rel(2))))),
+         "non-type argument in the parameter prefix", [zlit(3)]),
+    ]
+    for m, values in cases:
+        _lazy_equals_eager(KENV, m, values)
+    # a lambda or let applied to its value rebuilds none of these matches,
+    # nested ones included: the value stays pending on each
+    built = 0
+    build = Match.__new__
+
+    def counting_match(cls, *args):
+        nonlocal built
+        built += 1
+        return build(cls, *args)
+
+    monkeypatch.setattr(Match, "__new__", counting_match)
+    for m, values in cases:
+        for v in values:
+            assert isinstance(run(App(Lambda(None, INT, m), v)), Ok), (m, v)
+            assert isinstance(run(LetIn(None, INT, v, m)), Ok), (m, v)
+    assert built == 0
+    for m, reason, values in errors:
+        _lazy_equals_eager(KENV, m, values)
+        for v in values:
+            assert err(App(Lambda(None, INT, m), v)) == reason, (m, v)
 
 
 # ---------------------------------------------------------------------------
@@ -813,13 +946,20 @@ def test_fold_substitutes_once_per_match(monkeypatch):
     # walk, so no intermediate branch is built, then walked for its bound;
     # one walk per argument made 1,529 and 2,929 `_subst` calls and 782 and
     # 1,388 `term_bound` calls
-    calls = dict.fromkeys(("_cbv", "_subst", "term_bound"), 0)
-    for name in calls:
+    calls = dict.fromkeys(("_cbv", "_subst", "term_bound", "Match"), 0)
+    for name in ("_cbv", "_subst", "term_bound"):
         def counting(*args, _name=name, _f=getattr(kernel, name)):
             calls[_name] += 1
             return _f(*args)
 
         monkeypatch.setattr(kernel, name, counting)
+    build = Match.__new__
+
+    def counting_match(cls, *args):
+        calls["Match"] += 1
+        return build(cls, *args)
+
+    monkeypatch.setattr(Match, "__new__", counting_match)
     seen = []
     for n in (50, 100):
         calls.update(dict.fromkeys(calls, 0))
@@ -840,8 +980,13 @@ def test_fold_substitutes_once_per_match(monkeypatch):
     assert [c["_cbv"] for c in seen] == [410, 810], seen
     # 1,229 and 2,329 while each unfold of the fold's fixpoint put the
     # fixpoint into its own body again: the environment now keeps that
-    # body, and each element walks it for the element alone
-    assert seen[0]["_subst"] <= 786 and seen[1]["_subst"] <= 1436, seen
+    # body, and each element walks it for the element alone. 786 and 1,436
+    # while a step that went on with a match (the unfold, a beta step, a let
+    # body, a match branch) put its substitution into the whole match: it is
+    # now left pending, and goes into the scrutinee and the taken branch
+    # alone, so the fold builds no match per element (56 and 106 then)
+    assert [c["_subst"] for c in seen] == [532, 932], seen
+    assert [c["Match"] for c in seen] == [5, 5], seen
     assert seen[0]["term_bound"] <= 382 and seen[1]["term_bound"] <= 588, seen
 
 
