@@ -38,6 +38,10 @@ class ChainError(Exception):
     pass
 
 
+class Rejected(Exception):
+    """An action failed, which rejects its block; `args[0]` says why."""
+
+
 @dataclass(frozen=True)
 class BlockHeader:
     """A block's header: the slot the block is added at."""
@@ -129,16 +133,13 @@ def _maybe_val(v: Optional[Val]) -> Val:
     return VConstr("Maybe", "Just", (v,))
 
 
-def _move(st: ChainState, sender: int, target: int, amount: int, log: list[str]) -> bool:
+def _move(st: ChainState, sender: int, target: int, amount: int) -> None:
     if amount < 0:
-        log.append(f"negative amount {amount} from {sender}")
-        return False
+        raise Rejected(f"negative amount {amount} from {sender}")
     if st.balances.get(sender, 0) < amount:
-        log.append(f"account {sender} holds {st.balances.get(sender, 0)}, needs {amount}")
-        return False
+        raise Rejected(f"account {sender} holds {st.balances.get(sender, 0)}, needs {amount}")
     st.balances[sender] = st.balances.get(sender, 0) - amount
     st.balances[target] = st.balances.get(target, 0) + amount
-    return True
 
 
 def _decode(result: EvalResult, init: bool) -> Outcome:
@@ -196,61 +197,51 @@ def _call_entry(
 
 def _run_entry(
     st: ChainState, prog: ContractProgram, address: int, entry: str, sender: int, amount: int,
-    args: tuple, depth: int, log: list[str], fuel: int,
-) -> bool:
+    args: tuple, depth: int, fuel: int,
+) -> None:
     """Pay `amount` from `sender` to `address`, call `entry` of `prog` there
     on `args` (as `_call_entry` takes them), commit the state it returns and
-    run the transfers it emits depth-first. Mutates `st`; the caller checks
-    `depth` against MAX_CALL_DEPTH and provides rollback."""
-    if not _move(st, sender, address, amount, log):
-        return False
+    run the transfers it emits depth-first. Mutates `st` and raises
+    `Rejected` at the first failure; the caller checks `depth` against
+    MAX_CALL_DEPTH and provides rollback."""
+    _move(st, sender, address, amount)
     out = _call_entry(st, prog, entry, fuel, sender, amount, *args)
     if isinstance(out, str):
         who = f"init of '{prog.name}'" if entry == prog.init_name else f"receive at {address}"
-        log.append(f"{who} {out}")
-        return False
+        raise Rejected(f"{who} {out}")
     new_state, emitted = out
     st.contracts[address] = DeployedContract(prog.name, new_state)
     for out_amount, recipient in emitted:
-        if not _exec_action(st, Transfer(address, recipient, out_amount), depth + 1, log, fuel):
-            return False
-    return True
+        _exec_action(st, Transfer(address, recipient, out_amount), depth + 1, fuel)
 
 
-def _exec_action(
-    st: ChainState, act: Action, depth: int, log: list[str], fuel: int
-) -> bool:
+def _exec_action(st: ChainState, act: Action, depth: int, fuel: int) -> None:
     if depth > MAX_CALL_DEPTH:
-        log.append(f"call depth above {MAX_CALL_DEPTH}")
-        return False
+        raise Rejected(f"call depth above {MAX_CALL_DEPTH}")
     match act:
         case Transfer(sender, target, amount):
             if target not in st.contracts:
-                return _move(st, sender, target, amount, log)
+                return _move(st, sender, target, amount)
             # paying a contract delivers an empty message
             msg = None
         case Call(sender, target, msg, amount):
             if target not in st.contracts:
-                log.append(f"no contract deployed at {target}")
-                return False
+                raise Rejected(f"no contract deployed at {target}")
         case Deploy(sender, name, setup, amount):
             prog = CONTRACTS.get(name)
             if prog is None:
-                log.append(f"unknown contract '{name}'")
-                return False
+                raise Rejected(f"unknown contract '{name}'")
             address = st.next_address
             st.next_address += 1
             # the endowment lands before init runs
             return _run_entry(
-                st, prog, address, prog.init_name, sender, amount, (setup,), depth, log, fuel
+                st, prog, address, prog.init_name, sender, amount, (setup,), depth, fuel
             )
         case _:
             raise TypeError(f"not an action: {act!r}")
     con = st.contracts[target]
     prog = CONTRACTS[con.program]
-    return _run_entry(
-        st, prog, target, prog.receive_name, sender, amount, (msg, con.state), depth, log, fuel
-    )
+    _run_entry(st, prog, target, prog.receive_name, sender, amount, (msg, con.state), depth, fuel)
 
 
 def add_block(
@@ -259,18 +250,19 @@ def add_block(
     actions: Sequence[Action],
     fuel: int = DEFAULT_CALL_FUEL,
 ) -> tuple[Optional[ChainState], list[str]]:
-    """Apply a block. Returns (new state, log) on success and (None, log)
-    when any action fails; `prev` is never modified."""
-    log: list[str] = []
+    """Apply a block. Returns (new state, []) on success and (None, [reason])
+    when the header or an action fails, with the `Rejected` reason of the
+    first failure; `prev` is never modified."""
     if header.slot <= prev.slot:
-        log.append(f"slot {header.slot} does not advance past {prev.slot}")
-        return None, log
+        return None, [f"slot {header.slot} does not advance past {prev.slot}"]
     st = clone(prev)
     st.slot = header.slot
-    for act in actions:
-        if not _exec_action(st, act, 0, log, fuel):
-            return None, log
-    return st, log
+    try:
+        for act in actions:
+            _exec_action(st, act, 0, fuel)
+    except Rejected as err:
+        return None, [err.args[0]]
+    return st, []
 
 
 # ---------------------------------------------------------------------------
@@ -568,9 +560,12 @@ def gen_trace(
         cur.slot = header.slot
         kept: list[Action] = []
         for act in actions:
-            if _exec_action(trial := clone(cur), act, 0, [], fuel):
-                kept.append(act)
-                cur = trial
+            try:
+                _exec_action(trial := clone(cur), act, 0, fuel)
+            except Rejected:
+                continue
+            kept.append(act)
+            cur = trial
         if len(kept) == len(actions):
             trace.steps.append(TraceStep(header, tuple(actions), True))
             st = cur

@@ -9,15 +9,15 @@ the closure is built, which keeps every value well-formed and makes the
 syntactic read-back `from_val` total on reachable values. The types inside
 a closure are resolved only at read-back.
 
-The recursion is the one function `_eval`, which passes bare values: each
-call returns a `Val`, or the failure itself (an `EvalError` or
-`NOT_ENOUGH_FUEL`), and `eval_expr` builds the one `Ok` of a call from
-outside. It dispatches on the exact node class with an `is` chain ordered by
-how often each class is met (variables, applications, lambdas, constants,
-case), not through a table of handlers. It is a loop: the body of the last
-application of a spine, the selected `Case` branch and a `Let` body go round
-it again rather than taking a frame, so only argument, scrutinee, let-bound
-and constant-body positions recurse. The `App` arm applies a whole spine
+The recursion is the one function `_eval`, which returns a bare `Val` and
+raises `lang.Stuck` or `lang.OutOfFuel` where it fails; `eval_expr` turns
+the value or the exception into the call's one result. It dispatches on the
+exact node class with an `is` chain ordered by how often each class is met
+(variables, applications, lambdas, constants, case), not through a table of
+handlers. It is a loop: the body of the last application of a spine, the
+selected `Case` branch and a `Let` body go round it again rather than
+taking a frame, so only argument, scrutinee, let-bound and constant-body
+positions recurse. The `App` arm applies a whole spine
 `f a1 ... am` in one pass and builds no partial value on the way: a closure
 whose body is another abstraction is carried to the next argument as its
 environment and node, a constructor takes every remaining argument at once,
@@ -41,7 +41,7 @@ would have had fuel to run.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Union
+from typing import NoReturn, Optional, Sequence, Union
 
 from .lang import (
     App,
@@ -59,9 +59,10 @@ from .lang import (
     Let,
     Lit,
     NOT_ENOUGH_FUEL,
-    NotEnoughFuel,
     Ok,
+    OutOfFuel,
     PrimVal,
+    Stuck,
     TApp,
     TArr,
     TForall,
@@ -181,18 +182,21 @@ def eval_expr(
     e: Expr,
     trace: Optional[EnvTrace] = None,
 ) -> EvalResult:
-    r = _eval(genv, fuel, rho, e, trace)
-    if type(r) is EvalError or r is NOT_ENOUGH_FUEL:
-        return r
-    return Ok(r)
+    try:
+        return Ok(_eval(genv, fuel, rho, e, trace))
+    except Stuck as err:
+        return EvalError(err.args[0])
+    except OutOfFuel:
+        return NOT_ENOUGH_FUEL
 
 
-# `_eval` returns a bare `Val` or the failure itself, which a caller tells
-# apart by `type(r) is EvalError or r is NOT_ENOUGH_FUEL`. It is one loop:
-# a position whose value is the value of the whole (the body of the last
-# application of a spine, the selected case branch, a let body) takes the
-# loop round again at the fuel its call would have had, so fuel still counts
-# depth as if each of them were a call.
+# `_eval` returns a bare `Val`. Where it gets stuck it raises `Stuck` with
+# the reason, and where its fuel runs out `OutOfFuel`; either passes through
+# every frame up to `eval_expr`, so no caller checks what a call returned. It
+# is one loop: a position whose value is the value of the whole (the body of
+# the last application of a spine, the selected case branch, a let body)
+# takes the loop round again at the fuel its call would have had, so fuel
+# still counts depth as if each of them were a call.
 
 def _eval(
     genv: GlobalEnv,
@@ -200,16 +204,16 @@ def _eval(
     rho: Sequence[Val],
     e: Expr,
     trace: Optional[EnvTrace],
-) -> Union[Val, EvalError, NotEnoughFuel]:
+) -> Val:
     while True:
         if fuel <= 0:
-            return NOT_ENOUGH_FUEL
+            raise OutOfFuel
         n = fuel - 1
         t = type(e)
         if t is Var:
             ref = e.ref
             if not 0 <= ref < len(rho):
-                return EvalError(f"unbound variable index {ref}")
+                raise Stuck(f"unbound variable index {ref}")
             return rho[ref]
         if t is App:
             # walk the spine `f a1 ... am` from the outside in: each level
@@ -223,21 +227,17 @@ def _eval(
                     va = rho[a.ref]
                 else:
                     va = _eval(genv, n, rho, a, trace)
-                    if type(va) is EvalError or va is NOT_ENOUGH_FUEL:
-                        return va
                 args.append(va)
                 e = e.fn
                 if type(e) is not App:
                     break
                 if n <= 0:
-                    return NOT_ENOUGH_FUEL
+                    raise OutOfFuel
                 n -= 1
             if type(e) is Var and n > 0 and 0 <= e.ref < len(rho):
                 vf = rho[e.ref]
             else:
                 vf = _eval(genv, n, rho, e, trace)
-                if type(vf) is EvalError or vf is NOT_ENOUGH_FUEL:
-                    return vf
             # then apply from the inside out, `args[i]` at the fuel `n` of
             # its level; a closure whose body is another abstraction is
             # carried to the next argument as `env` and `fn`, without the
@@ -257,11 +257,11 @@ def _eval(
                         # the fix guard; a fixpoint is never carried, so
                         # `vf` is its closure
                         if not isinstance(va, (VConstr, VPrim)):
-                            return EvalError("fixpoint applied to a non-constructor value")
+                            raise Stuck("fixpoint applied to a non-constructor value")
                         rho2 = (va, vf) + env
                     else:
                         if not isinstance(va, VTy):
-                            return EvalError("type abstraction applied to a term value")
+                            raise Stuck("type abstraction applied to a term value")
                         rho2 = (va,) + env
                     body = fn.body
                     if trace is not None:
@@ -272,31 +272,29 @@ def _eval(
                     if tb is Lam or tb is TyLam:
                         # what the `Lam` and `TyLam` arms check
                         if n <= 0:
-                            return NOT_ENOUGH_FUEL
+                            raise OutOfFuel
                         if tb is Lam:
                             fp = footprint(body)
                             if (fp[0] > len(rho2) or fp[1]) and not fits(rho2, 0, body):
-                                return _lam_misfit(rho2, body)
+                                _lam_misfit(rho2, body)
                         env, fn = rho2, body
                     else:
                         env = None
                         vf = _eval(genv, n, rho2, body, trace)
-                        if type(vf) is EvalError or vf is NOT_ENOUGH_FUEL:
-                            return vf
                 elif type(vf) is VConstr:
                     # a constructor takes the `i + 1` arguments left at once
                     hit = genv.constrs.get((vf.ind, vf.ctor))
                     if hit is None:
-                        return EvalError(f"unknown constructor '{vf.ctor}' of '{vf.ind}'")
+                        raise Stuck(f"unknown constructor '{vf.ctor}' of '{vf.ind}'")
                     if len(vf.args) + i >= hit[2].num_params + len(hit[1].arg_tys):
-                        return EvalError(f"constructor '{vf.ctor}' applied to too many arguments")
+                        raise Stuck(f"constructor '{vf.ctor}' applied to too many arguments")
                     return VConstr(vf.ind, vf.ctor, vf.args + tuple(args[i::-1]))
                 elif type(vf) is VBuiltin:
                     # a builtin takes arguments until it is saturated, and
                     # reduces at the level of the last one
                     b = genv.constants.get(vf.name)
                     if not isinstance(b, Builtin):
-                        return EvalError(f"unknown primitive '{vf.name}'")
+                        raise Stuck(f"unknown primitive '{vf.name}'")
                     need = len(b.arg_kinds) - len(vf.args)
                     if need > i + 1:
                         return VBuiltin(vf.name, vf.args + tuple(args[i::-1]))
@@ -304,8 +302,6 @@ def _eval(
                     i -= need - 1
                     n += need - 1
                     out = delta(b, [a.prim if isinstance(a, VPrim) else None for a in bargs])
-                    if isinstance(out, EvalError):
-                        return out
                     if isinstance(out, bool):
                         vf = VConstr("Bool", "True" if out else "False")
                     else:
@@ -314,7 +310,7 @@ def _eval(
                     # an inductive applied to a type is a type, as in the kernel
                     vf = VTy(TApp(vf.ty, va.ty))
                 else:
-                    return EvalError("application of a non-function value")
+                    raise Stuck("application of a non-function value")
                 if not i:
                     return vf
                 i -= 1
@@ -324,21 +320,21 @@ def _eval(
         if t is Lam:
             fp = footprint(e)
             if (fp[0] > len(rho) or fp[1]) and not fits(rho, 0, e):
-                return _lam_misfit(rho, e)
+                _lam_misfit(rho, e)
             return VClos(tuple(rho), e)
         if t is Const:
             kept = genv.const_values.get(e.name)
             if kept is not None:
-                return kept if n > 0 else NOT_ENOUGH_FUEL
+                if n <= 0:
+                    raise OutOfFuel
+                return kept
             defn = genv.constants.get(e.name)
             if defn is None:
-                return EvalError(f"unknown constant '{e.name}'")
+                raise Stuck(f"unknown constant '{e.name}'")
             if isinstance(defn, Builtin):
                 return VBuiltin(e.name, ())
             # constant bodies are closed, so they run in the empty environment
             v = _eval(genv, n, (), defn, trace)
-            if type(v) is EvalError or v is NOT_ENOUGH_FUEL:
-                return v
             if type(defn) in _VALUE_FORMS:
                 genv.const_values[e.name] = v
             return v
@@ -348,39 +344,37 @@ def _eval(
                 # some part misfits: report the first, in this order; when
                 # every check below passes, the misfit is in the scrutinee
                 if not all(fits(rho, len(p.binders), b) for p, b in e.branches):
-                    return EvalError("case branch does not fit its environment")
+                    raise Stuck("case branch does not fit its environment")
                 if not fits(rho, 0, e.ret_ty):
-                    return EvalError("case return type refers to a term-level binding")
+                    raise Stuck("case return type refers to a term-level binding")
                 for tp in e.ty_params:
                     if not fits(rho, 0, tp):
-                        return EvalError("case type parameter refers to a term-level binding")
+                        raise Stuck("case type parameter refers to a term-level binding")
             s = e.scrut
             if type(s) is Var and n > 0 and 0 <= s.ref < len(rho):
                 v = rho[s.ref]
             else:
                 v = _eval(genv, n, rho, s, trace)
             if type(v) is not VConstr:
-                if type(v) is EvalError or v is NOT_ENOUGH_FUEL:
-                    return v
-                return EvalError("case on a non-constructor value")
+                raise Stuck("case on a non-constructor value")
             hit = genv.constrs.get((v.ind, v.ctor))
             if hit is None:
-                return EvalError(f"unknown constructor '{v.ctor}' of '{v.ind}'")
+                raise Stuck(f"unknown constructor '{v.ctor}' of '{v.ind}'")
             if v.ind != e.ind:
-                return EvalError(f"scrutinee of '{v.ind}' matched against '{e.ind}'")
+                raise Stuck(f"scrutinee of '{v.ind}' matched against '{e.ind}'")
             # the first branch for the constructor takes its arguments, after
             # a prefix of at most `num_params` type arguments
             for pat, body in e.branches:
                 if pat.ctor == v.ctor:
                     break
             else:
-                return EvalError(f"no branch fits constructor '{v.ctor}'")
+                raise Stuck(f"no branch fits constructor '{v.ctor}'")
             args = v.args
             drop = len(args) - len(pat.binders)
             if drop < 0 or drop > hit[2].num_params or (
                 drop and not all(isinstance(a, VTy) for a in args[:drop])
             ):
-                return EvalError(f"no branch fits constructor '{v.ctor}'")
+                raise Stuck(f"no branch fits constructor '{v.ctor}'")
             rho = args[drop:][::-1] + tuple(rho)
             if trace is not None:
                 trace.record(rho, body)
@@ -388,8 +382,6 @@ def _eval(
             continue
         if t is Let:
             v = _eval(genv, n, rho, e.bound, trace)
-            if type(v) is EvalError or v is NOT_ENOUGH_FUEL:
-                return v
             rho = (v,) + tuple(rho)
             e, fuel = e.body, n
             if trace is not None:
@@ -397,17 +389,17 @@ def _eval(
             continue
         if t is Constr:
             if (e.ind, e.ctor) not in genv.constrs:
-                return EvalError(f"unknown constructor '{e.ctor}' of '{e.ind}'")
+                raise Stuck(f"unknown constructor '{e.ctor}' of '{e.ind}'")
             return VConstr(e.ind, e.ctor, ())
         if t is Lit:
             return VPrim(e.value)
         if t is Fix:
             if not fits(rho, 0, e):
                 if not fits(rho, 0, e.dom):
-                    return EvalError("fixpoint domain refers to a term-level binding")
+                    raise Stuck("fixpoint domain refers to a term-level binding")
                 if not fits(rho, 0, e.cod):
-                    return EvalError("fixpoint codomain refers to a term-level binding")
-                return EvalError("fixpoint body does not fit its environment")
+                    raise Stuck("fixpoint codomain refers to a term-level binding")
+                raise Stuck("fixpoint body does not fit its environment")
             return VClos(tuple(rho), e)
         if t is TyLam:
             return VClos(tuple(rho), e)
@@ -417,16 +409,16 @@ def _eval(
                 return VTy(e.ty)
             ty_v = eval_type(rho, e.ty)
             if ty_v is None:
-                return EvalError("type argument refers to a term-level binding")
+                raise Stuck("type argument refers to a term-level binding")
             return VTy(ty_v)
         raise TypeError(f"not an expression: {e!r}")
 
 
-def _lam_misfit(rho: Sequence[Val], e: Lam) -> EvalError:
+def _lam_misfit(rho: Sequence[Val], e: Lam) -> NoReturn:
     # why a lambda that does not fit `rho` does not
     if not fits(rho, 1, e.body):
-        return EvalError("lambda body does not fit its environment")
-    return EvalError("lambda domain refers to a term-level binding")
+        raise Stuck("lambda body does not fit its environment")
+    raise Stuck("lambda domain refers to a term-level binding")
 
 
 def _ind_headed(ty: Ty) -> bool:

@@ -9,31 +9,32 @@ generates the compound arms of `term_bound` and `_subst` from it, and only
 their `Rel` and closed-leaf arms are written here. Those two and `_cbv`
 dispatch on the exact node class with an `is` chain ordered by how often
 each class is met, as `interp.py`'s evaluator does. As there, the
-recursion is the one function `_cbv`, which passes bare values: each call
-returns a `Term`, or the failure itself (an `EvalError` or
-`NOT_ENOUGH_FUEL`), and `cbv_eval` builds the one `Ok` of a call from
-outside. It is a loop, as `_eval` is: a beta step's body, the selected match
-branch, a let body and a constant's body go round it again rather than
-taking a frame. A step that goes on with a match leaves its substitution
-pending on it rather than walking it, and the match puts that substitution
-into its scrutinee and the branch it takes alone. Every other body is
-substituted at once, so the machine stays a substitution machine.
+recursion is the one function `_cbv`, which returns a bare `Term` and
+raises `lang.Stuck` or `lang.OutOfFuel` where it fails; `cbv_eval` turns
+the term or the exception into the call's one result. It is a loop, as
+`_eval` is: a beta step's body, the selected match branch, a let body and
+a constant's body go round it again rather than taking a frame. A step
+that goes on with a match leaves its substitution pending on it rather than
+walking it, and the match puts that substitution into its scrutinee and the
+branch it takes alone. Every other body is substituted at once, so the
+machine stays a substitution machine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from .lang import (
     Builtin,
     EvalError,
     EvalResult,
     NOT_ENOUGH_FUEL,
-    NotEnoughFuel,
     Ok,
+    OutOfFuel,
     PInt,
     PrimVal,
+    Stuck,
     binder_walker,
     delta,
     tree_node,
@@ -298,14 +299,16 @@ def _type_like(t: Term) -> bool:
 
 def cbv_eval(kenv: KernelEnv, fuel: int, t: Term) -> EvalResult:
     """Weak call-by-value normalization; fuel bounds the call depth."""
-    r = _cbv(kenv, fuel, t)
-    if type(r) is EvalError or r is NOT_ENOUGH_FUEL:
-        return r
-    return Ok(r)
+    try:
+        return Ok(_cbv(kenv, fuel, t))
+    except Stuck as err:
+        return EvalError(err.args[0])
+    except OutOfFuel:
+        return NOT_ENOUGH_FUEL
 
 
-# `_cbv` returns a bare `Term` or the failure itself, which a caller tells
-# apart by `type(r) is EvalError or r is NOT_ENOUGH_FUEL`. It is one loop:
+# `_cbv` returns a bare `Term` and fails by raising, as `interp._eval` does:
+# `Stuck` with the reason, or `OutOfFuel`, up to `cbv_eval`. It is one loop:
 # a position whose value is the value of the whole (a beta step's body,
 # the selected match branch, a let body, a constant's body) takes the loop
 # round again at the fuel its call would have had, so fuel still counts
@@ -338,34 +341,30 @@ def cbv_eval(kenv: KernelEnv, fuel: int, t: Term) -> EvalResult:
 _ATOMS = frozenset((PrimLit, Construct, Lambda, Ind, Fix, Prod, SortSet))
 
 
-def _cbv(
-    kenv: KernelEnv, fuel: int, t: Term
-) -> Union[Term, EvalError, NotEnoughFuel]:
+def _cbv(kenv: KernelEnv, fuel: int, t: Term) -> Term:
     pend = ()
     while True:
         if fuel <= 0:
-            return NOT_ENOUGH_FUEL
+            raise OutOfFuel
         n = fuel - 1
         c = type(t)
         if c is App:
             mark = getattr(t, "_mark", None)
             if mark is not None and mark[0] is kenv.stamp:
-                return t if fuel >= mark[1] else NOT_ENOUGH_FUEL
+                if fuel < mark[1]:
+                    raise OutOfFuel
+                return t
             va = t.arg
             if n <= 0 or type(va) not in _ATOMS:
                 va = _cbv(kenv, n, va)
-                if type(va) is EvalError or va is NOT_ENOUGH_FUEL:
-                    return va
             vf = t.fn
             if n <= 0 or type(vf) not in _ATOMS:
                 vf = _cbv(kenv, n, vf)
-                if type(vf) is EvalError or vf is NOT_ENOUGH_FUEL:
-                    return vf
             # the function value applies at the fuel of this step
             cf = type(vf)
             if cf is Lambda:
                 if vf.dom is SORT_SET and not _type_like(va):
-                    return EvalError("type abstraction applied to a term value")
+                    raise Stuck("type abstraction applied to a term value")
                 t, fuel = vf.body, n
                 if type(t) is Match:
                     pend = (va,)
@@ -374,11 +373,11 @@ def _cbv(
                 continue
             if cf is Fix:
                 if not _constr_headed(va):
-                    return EvalError("fixpoint applied to a non-constructor value")
+                    raise Stuck("fixpoint applied to a non-constructor value")
                 hit = kenv.unfolded
                 if hit is None or hit[0] is not vf:
                     if type(vf.body) is not Lambda:
-                        return EvalError("fixpoint body is not a lambda")
+                        raise Stuck("fixpoint body is not a lambda")
                     body = _subst((Rel(0), lift(1, 0, vf)), 1, 0, vf.body.body)
                     hit = kenv.unfolded = (vf, body)
                 t, fuel = hit[1], n
@@ -392,9 +391,9 @@ def _cbv(
             if ch is Construct:
                 ki = kenv.inductives.get(head.ind)
                 if ki is None or head.ctor_idx >= len(ki.ctors):
-                    return EvalError(f"unknown constructor {head.ctor_idx} of '{head.ind}'")
+                    raise Stuck(f"unknown constructor {head.ctor_idx} of '{head.ind}'")
                 if len(spine) >= ki.num_params + ki.ctors[head.ctor_idx].arity:
-                    return EvalError(
+                    raise Stuck(
                         f"constructor '{ki.ctors[head.ctor_idx].name}' applied to too many arguments"
                     )
             elif ch is Const and head.name in kenv.builtins:
@@ -405,14 +404,12 @@ def _cbv(
                 if len(spine) + 1 == len(b.arg_kinds):
                     args = spine + (va,)
                     out = delta(b, [a.value if isinstance(a, PrimLit) else None for a in args])
-                    if isinstance(out, EvalError):
-                        return out
                     if isinstance(out, bool):
                         return Construct("Bool", 0 if out else 1)
                     return PrimLit(out)
             elif ch is not Ind or not _type_like(va):
                 # an inductive takes only types: `[List] 3z` is not a value
-                return EvalError("application of a non-function value")
+                raise Stuck("application of a non-function value")
             # an inert value: a constructor or a partial builtin applied to
             # values, or an inductive applied to a type, marked with the fuel
             # its re-evaluation takes
@@ -432,36 +429,32 @@ def _cbv(
                 return t
             body = kenv.constants.get(name)
             if body is None:
-                return EvalError(f"unknown constant '{name}'")
+                raise Stuck(f"unknown constant '{name}'")
             t, fuel = body, n
             continue
         if c is Match:
             v = _cbv(kenv, n, parallel_subst(pend, t.scrut) if pend else t.scrut)
-            if type(v) is EvalError or v is NOT_ENOUGH_FUEL:
-                return v
             head, spine = spine_view(v)
             ind = t.ind
             if not isinstance(head, Construct):
-                return EvalError("match on a non-constructor value")
+                raise Stuck("match on a non-constructor value")
             if head.ind != ind:
-                return EvalError(
-                    f"scrutinee of '{head.ind}' matched against '{ind}'"
-                )
+                raise Stuck(f"scrutinee of '{head.ind}' matched against '{ind}'")
             branches = t.branches
             if head.ctor_idx >= len(branches):
-                return EvalError(f"no branch for constructor {head.ctor_idx} of '{ind}'")
+                raise Stuck(f"no branch for constructor {head.ctor_idx} of '{ind}'")
             arity, body = branches[head.ctor_idx]
             drop = len(spine) - arity
             if drop < 0 or drop > t.n_params:
-                return EvalError("constructor argument count does not fit the branch")
+                raise Stuck("constructor argument count does not fit the branch")
             if not all(_type_like(a) for a in spine[:drop]):
-                return EvalError("non-type argument in the parameter prefix")
+                raise Stuck("non-type argument in the parameter prefix")
             # peel the branch's lambdas, then put the last argument at index
             # 0, the first at index arity-1 and the pending entries above
             # them in one walk, as the `App` arm does for a fixpoint
             for _ in range(arity):
                 if type(body) is not Lambda:
-                    return EvalError("branch shape does not match its arity")
+                    raise Stuck("branch shape does not match its arity")
                 body = body.body
             pend = spine[drop:][::-1] + pend
             t, fuel = body, n
@@ -470,8 +463,6 @@ def _cbv(
             continue
         if c is LetIn:
             v = _cbv(kenv, n, t.bound)
-            if type(v) is EvalError or v is NOT_ENOUGH_FUEL:
-                return v
             t, fuel = t.body, n
             if type(t) is Match:
                 pend = (v,)
@@ -479,7 +470,7 @@ def _cbv(
                 t = subst1(v, t)
             continue
         if c is Rel:
-            return EvalError(f"unbound index {t.index} in kernel evaluation")
+            raise Stuck(f"unbound index {t.index} in kernel evaluation")
         raise TypeError(f"not a kernel term: {t!r}")
 
 

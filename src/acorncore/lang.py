@@ -483,23 +483,21 @@ class Builtin:
     fn: Callable[..., object] = field(compare=False)
 
 
-def delta(
-    b: Builtin, prims: Sequence[Optional[PrimVal]]
-) -> Union[PrimVal, bool, EvalError]:
+def delta(b: Builtin, prims: Sequence[Optional[PrimVal]]) -> Union[PrimVal, bool]:
     """Delta-reduce a saturated primitive. `prims` holds each argument's
-    literal, or None where the argument is not a literal. A "bool" result is
-    returned as a Python bool, which each evaluator wraps in its own form of
-    the `Bool` constructors."""
+    literal, or None where the argument is not a literal; either misfit
+    raises `Stuck`. A "bool" result is returned as a Python bool, which each
+    evaluator wraps in its own form of the `Bool` constructors."""
     raw: list[int] = []
     for kind, p in zip(b.arg_kinds, prims):
         if p is None:
-            return EvalError(f"primitive '{b.name}' applied to a non-literal")
+            raise Stuck(f"primitive '{b.name}' applied to a non-literal")
         if kind == "int" and isinstance(p, PInt):
             raw.append(p.value)
         elif kind == "nat" and isinstance(p, PNat):
             raw.append(p.value)
         else:
-            return EvalError(f"primitive '{b.name}' applied to the wrong literal kind")
+            raise Stuck(f"primitive '{b.name}' applied to the wrong literal kind")
     out = b.fn(*raw)
     if b.result_kind == "bool":
         return bool(out)
@@ -698,6 +696,19 @@ class EvalError:
 EvalResult = Union[Ok, NotEnoughFuel, EvalError]
 
 NOT_ENOUGH_FUEL = NotEnoughFuel()
+
+
+# How an evaluator fails inside its recursion: it raises, and its entry point
+# (`interp.eval_expr`, `kernel.cbv_eval`) turns the one exception into an
+# `EvalError` or `NOT_ENOUGH_FUEL`. The results are not raised themselves, as
+# a raised singleton would keep the frames of its last traceback alive.
+
+class Stuck(Exception):
+    """An evaluation got stuck; `args[0]` is the `EvalError` reason."""
+
+
+class OutOfFuel(Exception):
+    """An evaluation ran out of fuel."""
 
 
 # ---------------------------------------------------------------------------

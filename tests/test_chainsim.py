@@ -344,10 +344,10 @@ def test_gen_trace_runs_each_generated_action_once(monkeypatch):
     counts = {"actions": 0, "blocks": 0}
     exec_action, add_block_ = chainsim._exec_action, chainsim.add_block
 
-    def counting_exec(st, act, depth, log, fuel):
+    def counting_exec(st, act, depth, fuel):
         if depth == 0:
             counts["actions"] += 1
-        return exec_action(st, act, depth, log, fuel)
+        return exec_action(st, act, depth, fuel)
 
     def counting_add_block(*args, **kwargs):
         counts["blocks"] += 1
@@ -398,6 +398,24 @@ def test_replay_tracks_recorded_acceptance():
         if i and not step.accepted:
             # a rejected step repeats the previous state
             assert states[i].balances == states[i - 1].balances
+
+
+def test_a_rejected_block_logs_one_reason_and_an_accepted_one_none():
+    # a block is rejected by its first failing action, whose reason is the
+    # one line of the log
+    rejected = 0
+    for seed in range(20):
+        t = gen_trace(seed, 50, crowdfunding_scenario())
+        st = clone(t.genesis)
+        for step in t.steps:
+            new, log = add_block(st, step.header, step.actions)
+            if step.accepted:
+                assert new is not None and log == [], (seed, log)
+                st = new
+            else:
+                assert new is None and len(log) == 1 and log[0], (seed, log)
+                rejected += 1
+    assert rejected > 100, rejected
 
 
 def test_replay_rejects_a_tampered_flag():

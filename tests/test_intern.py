@@ -2,6 +2,7 @@
 structurally equal are one object, the table keeps no node that only it
 holds once garbage is collected, and equality and hashing take no recursion."""
 
+import gc
 import random
 import subprocess
 import sys
@@ -11,7 +12,9 @@ from acorncore import kernel as k
 from acorncore import lang
 from acorncore.interp import eval_expr, from_val
 from acorncore.kernel import cbv_eval
-from acorncore.lang import Ok, PInt
+from acorncore.lang import (
+    NOT_ENOUGH_FUEL, App, Const, Constr, EvalError, Lit, Ok, PInt, PNat, TInd, TyAsExpr, mk_app,
+)
 from acorncore.programs import corpus_dir, load_module, stdlib_env
 from acorncore.soundness import corpus_files, gen_expr
 from acorncore.translate import expr_to_term, translate_env
@@ -114,3 +117,49 @@ def test_equality_and_hash_take_no_recursion():
     t.start()
     t.join()
     assert results == {"list": (True, True, True, "list"), "ledger": (True, True, True, "ledger")}
+
+
+def _foldr_add_int(heads):
+    # `foldr addInt 0z` over a list of the literals `heads`
+    INT = TyAsExpr(TInd("Int"))
+    lst = App(Constr("List", "Nil"), INT)
+    for h in reversed(heads):
+        lst = mk_app(Constr("List", "Cons"), INT, Lit(h), lst)
+    return mk_app(Const("foldr"), INT, INT, Const("addInt"), Lit(PInt(0)), lst)
+
+
+def test_a_failed_evaluation_leaves_nothing_alive():
+    # a failure raises from the deepest frame, and the exception's traceback
+    # holds every frame's environment, arguments and terms; once an entry
+    # point has turned it into its result, nothing may keep it
+    genv = stdlib_env()
+    kenv = translate_env(genv)
+    n = 300
+
+    def evaluate(heads, fuel_i, fuel_k):
+        e = _foldr_add_int(heads)
+        return eval_expr(genv, fuel_i, (), e), cbv_eval(kenv, fuel_k, expr_to_term(genv, e))
+
+    # what the environments keep (a constant's value, the fixpoint last
+    # unfolded) is made before the count
+    assert all(isinstance(r, Ok) for r in evaluate([PInt(1)], 100, 100))
+    gc.collect()
+    gc.collect()
+    baseline = len(lang._NODES)
+
+    def fail():
+        # a fresh list, whose nodes the table holds for this call alone
+        heads = [PInt(1_000_000 + i) for i in range(n)]
+        # one unit below each evaluator's least fuel, out of fuel at the
+        # deepest element
+        assert evaluate(heads, 3 * n + 2, 3 * n + 3) == (NOT_ENOUGH_FUEL, NOT_ENOUGH_FUEL)
+        assert all(isinstance(r, Ok) for r in evaluate(heads, 3 * n + 3, 3 * n + 4))
+        # stuck at the deepest element, which is not an integer
+        stuck = EvalError("primitive 'addInt' applied to the wrong literal kind")
+        assert evaluate(heads[:-1] + [PNat(0)], 10_000, 10_000) == (stuck, stuck)
+
+    fail()
+    gc.collect()
+    gc.collect()
+    assert len(lang._NODES) == baseline
+    assert sys.exc_info() == (None, None, None)
