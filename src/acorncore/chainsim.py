@@ -15,6 +15,7 @@ from typing import Any, Callable, Optional, Sequence, Union
 
 from .interp import Ok, VConstr, VPrim, Val, eval_expr
 from .lang import EvalResult, PInt, PNat
+from .parser import read_source
 from .programs import (
     CONTRACTS,
     ContractProgram,
@@ -23,11 +24,12 @@ from .programs import (
     contract,
     from_acorn_list,
     native_sum_map,
+    scenario_dir,
     val_to_bool,
     val_to_int,
     val_to_nat,
 )
-from .serialize import JsonError, _index, _list, _need, _str, parse_json
+from .serialize import JsonError, _index, _int, _list, _need, _str, parse_json
 
 CONTRACT_BASE = 1000
 DEFAULT_CALL_FUEL = 100_000
@@ -97,22 +99,26 @@ Outcome = Union[tuple[Val, tuple[tuple[int, int], ...]], str]
 class ChainState:
     """`calls` is the chain's call memo, keyed on each call's plain inputs
     and holding each call's decoded outcome (see `_call_entry`): every
-    clone of a state shares it, and each `genesis` makes a new one."""
+    clone of a state shares it, and each `genesis` makes a new one. `fuel`
+    is the fuel every contract call on this chain is evaluated at."""
 
     slot: int
     balances: dict[int, int]
     contracts: dict[int, DeployedContract]
     next_address: int
     calls: dict[tuple, Outcome] = field(repr=False, compare=False)
+    fuel: int = DEFAULT_CALL_FUEL
 
 
-def genesis(balances: dict[int, int]) -> ChainState:
-    return ChainState(0, dict(balances), {}, CONTRACT_BASE, {})
+def genesis(balances: dict[int, int], fuel: int = DEFAULT_CALL_FUEL) -> ChainState:
+    return ChainState(0, dict(balances), {}, CONTRACT_BASE, {}, fuel)
 
 
 def clone(st: ChainState) -> ChainState:
     # contract records are immutable, so the two dicts are all there is to copy
-    return ChainState(st.slot, dict(st.balances), dict(st.contracts), st.next_address, st.calls)
+    return ChainState(
+        st.slot, dict(st.balances), dict(st.contracts), st.next_address, st.calls, st.fuel
+    )
 
 
 def _chain_val(st: ChainState) -> Val:
@@ -169,10 +175,10 @@ def _decode(result: EvalResult, init: bool) -> Outcome:
 
 
 def _call_entry(
-    st: ChainState, prog: ContractProgram, entry: str, fuel: int, sender: int, amount: int, *args
+    st: ChainState, prog: ContractProgram, entry: str, sender: int, amount: int, *args
 ) -> Outcome:
     """The outcome of the entry point `entry` of `prog`, called by `sender`
-    with `amount` at the slot of `st` and evaluated at `fuel`; `args` are
+    with `amount` at the slot of `st` and evaluated at its fuel; `args` are
     init's setup, or receive's message (None for a bare payment) and state.
 
     The chain value depends only on the slot and the context only on sender
@@ -182,7 +188,7 @@ def _call_entry(
     arguments are built only on a miss. The state and message are tree
     nodes, which hash and compare by identity, so a key costs the same
     however deep the state nests."""
-    key = (prog.name, entry, fuel, st.slot, sender, amount, *args)
+    key = (prog.name, entry, st.fuel, st.slot, sender, amount, *args)
     out = st.calls.get(key)
     if out is None:
         loaded = contract(prog.name)
@@ -190,14 +196,14 @@ def _call_entry(
         if not init:
             args = (_maybe_val(args[0]), args[1])
         rho = (_chain_val(st), _ctx_val(sender, amount), *args)
-        out = _decode(eval_expr(loaded.env, fuel, rho, loaded.entries[entry]), init)
+        out = _decode(eval_expr(loaded.env, st.fuel, rho, loaded.entries[entry]), init)
         st.calls[key] = out
     return out
 
 
 def _run_entry(
     st: ChainState, prog: ContractProgram, address: int, entry: str, sender: int, amount: int,
-    args: tuple, depth: int, fuel: int,
+    args: tuple, depth: int,
 ) -> None:
     """Pay `amount` from `sender` to `address`, call `entry` of `prog` there
     on `args` (as `_call_entry` takes them), commit the state it returns and
@@ -205,17 +211,17 @@ def _run_entry(
     `Rejected` at the first failure; the caller checks `depth` against
     MAX_CALL_DEPTH and provides rollback."""
     _move(st, sender, address, amount)
-    out = _call_entry(st, prog, entry, fuel, sender, amount, *args)
+    out = _call_entry(st, prog, entry, sender, amount, *args)
     if isinstance(out, str):
         who = f"init of '{prog.name}'" if entry == prog.init_name else f"receive at {address}"
         raise Rejected(f"{who} {out}")
     new_state, emitted = out
     st.contracts[address] = DeployedContract(prog.name, new_state)
     for out_amount, recipient in emitted:
-        _exec_action(st, Transfer(address, recipient, out_amount), depth + 1, fuel)
+        _exec_action(st, Transfer(address, recipient, out_amount), depth + 1)
 
 
-def _exec_action(st: ChainState, act: Action, depth: int, fuel: int) -> None:
+def _exec_action(st: ChainState, act: Action, depth: int) -> None:
     if depth > MAX_CALL_DEPTH:
         raise Rejected(f"call depth above {MAX_CALL_DEPTH}")
     match act:
@@ -234,35 +240,30 @@ def _exec_action(st: ChainState, act: Action, depth: int, fuel: int) -> None:
             address = st.next_address
             st.next_address += 1
             # the endowment lands before init runs
-            return _run_entry(
-                st, prog, address, prog.init_name, sender, amount, (setup,), depth, fuel
-            )
+            return _run_entry(st, prog, address, prog.init_name, sender, amount, (setup,), depth)
         case _:
             raise TypeError(f"not an action: {act!r}")
     con = st.contracts[target]
     prog = CONTRACTS[con.program]
-    _run_entry(st, prog, target, prog.receive_name, sender, amount, (msg, con.state), depth, fuel)
+    _run_entry(st, prog, target, prog.receive_name, sender, amount, (msg, con.state), depth)
 
 
 def add_block(
-    prev: ChainState,
-    header: BlockHeader,
-    actions: Sequence[Action],
-    fuel: int = DEFAULT_CALL_FUEL,
-) -> tuple[Optional[ChainState], list[str]]:
-    """Apply a block. Returns (new state, []) on success and (None, [reason])
+    prev: ChainState, header: BlockHeader, actions: Sequence[Action]
+) -> Union[tuple[ChainState, None], tuple[None, str]]:
+    """Apply a block. Returns (new state, None) on success and (None, reason)
     when the header or an action fails, with the `Rejected` reason of the
     first failure; `prev` is never modified."""
     if header.slot <= prev.slot:
-        return None, [f"slot {header.slot} does not advance past {prev.slot}"]
+        return None, f"slot {header.slot} does not advance past {prev.slot}"
     st = clone(prev)
     st.slot = header.slot
     try:
         for act in actions:
-            _exec_action(st, act, 0, fuel)
+            _exec_action(st, act, 0)
     except Rejected as err:
-        return None, [err.args[0]]
-    return st, []
+        return None, err.args[0]
+    return st, None
 
 
 # ---------------------------------------------------------------------------
@@ -289,14 +290,14 @@ class ReplayError(Exception):
     pass
 
 
-def replay(trace: Trace, fuel: int = DEFAULT_CALL_FUEL) -> list[ChainState]:
-    """Re-run a trace, returning the state after each step (rejected steps
-    repeat the previous state). A mismatch with the recorded acceptance flags
-    is an error."""
+def replay(trace: Trace) -> list[ChainState]:
+    """Re-run a trace at the fuel of its genesis, returning the state after
+    each step (rejected steps repeat the previous state). A mismatch with the
+    recorded acceptance flags is an error."""
     st = clone(trace.genesis)
     states: list[ChainState] = []
     for i, step in enumerate(trace.steps):
-        new, _ = add_block(st, step.header, step.actions, fuel)
+        new, _ = add_block(st, step.header, step.actions)
         if (new is not None) != step.accepted:
             raise ReplayError(f"step {i} acceptance changed on replay")
         if new is not None:
@@ -317,16 +318,13 @@ Invariant = Callable[[Trace, int, ChainState], Optional[str]]
 
 
 def check_invariants(
-    trace: Trace,
-    invs: Sequence[Invariant],
-    fuel: int = DEFAULT_CALL_FUEL,
-    states: Optional[list[ChainState]] = None,
+    trace: Trace, invs: Sequence[Invariant], states: Optional[list[ChainState]] = None
 ) -> list[Optional[Violation]]:
     """For each invariant, the first step (by index) whose post-state
     violates it, or None. The trace is replayed once for all of them, or not
     at all when `states` already holds its replay."""
     if states is None:
-        states = replay(trace, fuel)
+        states = replay(trace)
     found: list[Optional[Violation]] = [None] * len(invs)
     for i, st in enumerate(states):
         for j, inv in enumerate(invs):
@@ -337,9 +335,9 @@ def check_invariants(
     return found
 
 
-def check_invariant(trace: Trace, inv: Invariant, fuel: int = DEFAULT_CALL_FUEL) -> Optional[Violation]:
+def check_invariant(trace: Trace, inv: Invariant) -> Optional[Violation]:
     """First step (by index) whose post-state violates the invariant."""
-    return check_invariants(trace, (inv,), fuel)[0]
+    return check_invariants(trace, (inv,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +465,8 @@ def scenario_from_json(data: Any) -> Scenario:
         setup = d.get("setup", {})
         if not isinstance(setup, dict):
             raise JsonError(f"setup of '{name}' must be an object")
+        for key, value in setup.items():
+            _int(value, f"setup field '{key}' of '{name}'")
         try:
             CONTRACTS[name].make_setup(setup)
         except KeyError as err:
@@ -486,8 +486,6 @@ def scenario_from_json(data: Any) -> Scenario:
 
 def load_scenario(name_or_path: str) -> Scenario:
     """Scenario from a JSON file; bare names resolve to the packaged set."""
-    from .programs import scenario_dir
-
     # a directory of the same name does not shadow a packaged scenario
     p = Path(name_or_path)
     if not p.is_file() and "/" not in name_or_path:
@@ -496,7 +494,7 @@ def load_scenario(name_or_path: str) -> Scenario:
             p = cand
     if not p.is_file():
         raise FileNotFoundError(f"no scenario at '{name_or_path}'")
-    return scenario_from_json(parse_json(p.read_text(), f"scenario '{p}'"))
+    return scenario_from_json(parse_json(read_source(p), f"scenario '{p}'"))
 
 
 def _rand_action(rng: random.Random, st: ChainState, actors: list[int]) -> Action:
@@ -520,13 +518,11 @@ def _rand_action(rng: random.Random, st: ChainState, actors: list[int]) -> Actio
 
 
 def gen_trace(
-    seed: int,
-    max_blocks: int,
-    scenario: Scenario,
-    fuel: int = DEFAULT_CALL_FUEL,
+    seed: int, max_blocks: int, scenario: Scenario, fuel: int = DEFAULT_CALL_FUEL
 ) -> Trace:
     """A reproducible random trace of `max_blocks` blocks (at least 1, as
-    are the actors): one deployment block, then random blocks.
+    are the actors): one deployment block, then random blocks, on a chain
+    whose contract calls run at `fuel`.
 
     Each random block is run once, action by action, each action on a clone
     of the state after the actions kept before it. An action that fails is
@@ -540,16 +536,16 @@ def gen_trace(
         # every generated action draws its sender from the actors
         raise ValueError("a trace needs at least 1 actor")
     rng = random.Random(seed)
-    st = genesis(dict(scenario.actors))
+    st = genesis(dict(scenario.actors), fuel)
     trace = Trace(clone(st))
     deploy_acts: list[Action] = [
         Deploy(p.deployer, p.contract, CONTRACTS[p.contract].make_setup(p.setup), p.amount)
         for p in scenario.deploys
     ]
     header = BlockHeader(st.slot + 1)
-    new, log = add_block(st, header, deploy_acts, fuel)
+    new, reason = add_block(st, header, deploy_acts)
     if new is None:
-        raise ChainError(f"deployment block failed: {log}")
+        raise ChainError(f"deployment block failed: {reason}")
     trace.steps.append(TraceStep(header, tuple(deploy_acts), True))
     st = new
     actors = [a for a, _ in scenario.actors]
@@ -561,7 +557,7 @@ def gen_trace(
         kept: list[Action] = []
         for act in actions:
             try:
-                _exec_action(trial := clone(cur), act, 0, fuel)
+                _exec_action(trial := clone(cur), act, 0)
             except Rejected:
                 continue
             kept.append(act)
@@ -577,6 +573,6 @@ def gen_trace(
     return trace
 
 
-def final_state(trace: Trace, fuel: int = DEFAULT_CALL_FUEL) -> ChainState:
-    states = replay(trace, fuel)
+def final_state(trace: Trace) -> ChainState:
+    states = replay(trace)
     return states[-1] if states else clone(trace.genesis)

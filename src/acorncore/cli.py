@@ -180,7 +180,7 @@ def _cmd_chain(args: argparse.Namespace) -> int:
     trace = gen_trace(args.seed, args.blocks, scenario, fuel=args.fuel)
     accepted = sum(1 for s in trace.steps if s.accepted)
     print(f"blocks: {len(trace.steps)} ({accepted} accepted)")
-    states = replay(trace, fuel=args.fuel)
+    states = replay(trace)
     st = states[-1] if states else trace.genesis
     print(f"final slot: {st.slot}")
     for addr in sorted(st.balances):

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
+from pathlib import Path
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .lang import (
@@ -86,6 +87,18 @@ class ParseError(Exception):
         super().__init__(f"{line}:{col}: {msg}")
         self.line = line
         self.col = col
+
+
+def read_source(path: Path) -> str:
+    """A user's file as UTF-8 text. Bytes that do not decode are a ParseError
+    at the first of them; `read_text` decodes the whole file in one call, so
+    the error's offset counts from the file's start."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        before = err.object[: err.start]
+        line, col = before.count(b"\n") + 1, err.start - before.rfind(b"\n")
+        raise ParseError(f"'{path}' is not UTF-8 text", line, col) from None
 
 
 class Token(NamedTuple):

@@ -29,7 +29,7 @@ from .lang import (
     Var,
     mk_app,
 )
-from .parser import parse_module
+from .parser import parse_module, read_source
 from .serialize import module_from_json, parse_json
 
 
@@ -53,7 +53,7 @@ def base_env() -> GlobalEnv:
 @functools.lru_cache(maxsize=None)
 def stdlib_env() -> GlobalEnv:
     """The shared prelude. Treated as read-only; modules parse on a copy."""
-    text = (corpus_dir() / "stdlib.acorn").read_text()
+    text = (corpus_dir() / "stdlib.acorn").read_text(encoding="utf-8")
     env, _ = parse_module(text, base_env())
     return env
 
@@ -80,17 +80,17 @@ def load_module(name_or_path: str) -> tuple[GlobalEnv, list[tuple[str, Expr]]]:
     path = resolve_module_path(name_or_path)
     if path.resolve() == (corpus_dir() / "stdlib.acorn").resolve():
         # the prelude itself sits on the bare builtins
-        return parse_module(path.read_text(), base_env())
+        return parse_module(read_source(path), base_env())
     if path.suffix == ".json":
         what = f"module '{path}'"
-        decls, defs = module_from_json(parse_json(path.read_text(), what), what)
+        decls, defs = module_from_json(parse_json(read_source(path), what), what)
         env = stdlib_env().copy()
         for d in decls:
             env.add_inductive(d)
         for name, body in defs:
             env.define(name, body)
         return env, defs
-    return parse_module(path.read_text(), stdlib_env())
+    return parse_module(read_source(path), stdlib_env())
 
 
 @dataclass(frozen=True)
@@ -181,7 +181,8 @@ def contract(name: str) -> LoadedContract:
     if prog is None:
         raise ConversionError(f"unknown contract '{name}'")
     # never a file of that name in the working directory
-    env, _ = parse_module((corpus_dir() / f"{prog.name}.acorn").read_text(), stdlib_env())
+    text = (corpus_dir() / f"{prog.name}.acorn").read_text(encoding="utf-8")
+    env, _ = parse_module(text, stdlib_env())
     entries = {
         entry: mk_app(Const(entry), *map(Var, range(arity)))
         for entry, arity in ((prog.init_name, 3), (prog.receive_name, 4))

@@ -4,14 +4,17 @@ contract, the trace generator that `chainsim.gen_trace` is checked against,
 the JSON encoders that `serialize`'s readers invert, the kernel application
 builder, the structural closedness walk that `kernel.term_bound` is
 checked against, the structural equality that interned tree nodes are
-checked against, and the match-at-a-time tokenizer that `parser.tokenize`
-is checked against."""
+checked against, the match-at-a-time tokenizer that `parser.tokenize`
+is checked against, and the environment of a child Python that imports
+this checkout's package."""
 
 from __future__ import annotations
 
 import dataclasses
+import os
 import random
 import re
+from pathlib import Path
 from typing import Optional, Sequence
 
 from acorncore import kernel as k
@@ -196,9 +199,9 @@ def counter_scenario(start: int = 0) -> Scenario:
     )
 
 
-def funded_outcome(trace: Trace, fuel: int = DEFAULT_CALL_FUEL) -> bool:
+def funded_outcome(trace: Trace) -> bool:
     """True when some crowdfunding instance ended with the funds collected."""
-    st = final_state(trace, fuel)
+    st = final_state(trace)
     return any(cf_state_fields(con.state)[4] for _, con in _cf_contracts(st))
 
 
@@ -210,23 +213,23 @@ def gen_trace_by_retries(
     again behind the actions kept so far, and the kept ones are committed
     by a third `add_block`."""
     rng = random.Random(seed)
-    st = genesis(dict(scenario.actors))
+    st = genesis(dict(scenario.actors), fuel)
     trace = Trace(clone(st))
     deploy_acts: list[Action] = [
         Deploy(p.deployer, p.contract, CONTRACTS[p.contract].make_setup(p.setup), p.amount)
         for p in scenario.deploys
     ]
     header = BlockHeader(st.slot + 1)
-    new, log = add_block(st, header, deploy_acts, fuel)
+    new, reason = add_block(st, header, deploy_acts)
     if new is None:
-        raise ChainError(f"deployment block failed: {log}")
+        raise ChainError(f"deployment block failed: {reason}")
     trace.steps.append(TraceStep(header, tuple(deploy_acts), True))
     st = new
     actors = [a for a, _ in scenario.actors]
     while len(trace.steps) < max_blocks:
         header = BlockHeader(st.slot + rng.choice((1, 1, 2, 3)))
         actions = [_rand_action(rng, st, actors) for _ in range(rng.randint(1, 3))]
-        new, log = add_block(st, header, actions, fuel)
+        new, _ = add_block(st, header, actions)
         if new is not None:
             trace.steps.append(TraceStep(header, tuple(actions), True))
             st = new
@@ -236,11 +239,11 @@ def gen_trace_by_retries(
             break
         kept: list[Action] = []
         for act in actions:
-            trial, _ = add_block(st, header, kept + [act], fuel)
+            trial, _ = add_block(st, header, kept + [act])
             if trial is not None:
                 kept.append(act)
         if kept:
-            new, _ = add_block(st, header, kept, fuel)
+            new, _ = add_block(st, header, kept)
             trace.steps.append(TraceStep(header, tuple(kept), True))
             st = new
     return trace
@@ -536,3 +539,14 @@ def token_spans(text: str) -> list[tuple[int, int]]:
         start = starts[t.line - 1] + t.col - 1
         spans.append((start, start + len(t.text)))
     return spans
+
+
+# ---------------------------------------------------------------------------
+# child processes
+
+def child_env() -> dict[str, str]:
+    """The environment for a child Python that imports this checkout's
+    `acorncore`: its `src` goes first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    rest = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + rest if rest else src}

@@ -2,7 +2,7 @@
 behavior under deterministic scenarios, random traces, replay, and the
 ledger invariants."""
 
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -67,15 +67,15 @@ CF = CONTRACT_BASE  # first deployed address
 
 
 def _accept(prev, slot, actions):
-    new, log = add_block(prev, BlockHeader(slot), actions)
-    assert new is not None, log
+    new, reason = add_block(prev, BlockHeader(slot), actions)
+    assert new is not None, reason
     return new
 
 
 def _reject(prev, slot, actions):
-    new, log = add_block(prev, BlockHeader(slot), actions)
+    new, reason = add_block(prev, BlockHeader(slot), actions)
     assert new is None
-    return log
+    return reason
 
 
 def _cf_deploy(goal=60, deadline=12, name="crowdfunding"):
@@ -105,9 +105,9 @@ def test_clone_is_independent():
 def test_block_must_advance_the_slot():
     st = genesis({1: 10})
     for bad in (0, -1):
-        new, log = add_block(st, BlockHeader(bad), [])
+        new, reason = add_block(st, BlockHeader(bad), [])
         assert new is None
-        assert "does not advance" in log[0]
+        assert "does not advance" in reason
     assert _accept(st, 1, []).slot == 1
 
 
@@ -120,16 +120,15 @@ def test_transfer_between_accounts():
 
 def test_blocks_apply_atomically():
     st = genesis({1: 100, 2: 0})
-    log = _reject(st, 1, [Transfer(1, 2, 30), Transfer(2, 1, 500)])
-    assert any("holds" in line for line in log)
+    assert "holds" in _reject(st, 1, [Transfer(1, 2, 30), Transfer(2, 1, 500)])
     # the successful first action must not leak
     assert st.balances == {1: 100, 2: 0}
 
 
 def test_transfers_reject_negative_and_overdraft():
     st = genesis({1: 10})
-    assert any("negative amount" in l for l in _reject(st, 1, [Transfer(1, 2, -1)]))
-    assert any("holds 10" in l for l in _reject(st, 1, [Transfer(1, 2, 11)]))
+    assert "negative amount" in _reject(st, 1, [Transfer(1, 2, -1)])
+    assert "holds 10" in _reject(st, 1, [Transfer(1, 2, 11)])
 
 
 # ---------------------------------------------------------------------------
@@ -149,20 +148,20 @@ def test_deploy_allocates_addresses_and_moves_the_endowment():
 
 def test_deploy_unknown_contract():
     st = genesis({1: 10})
-    assert any("unknown contract" in l for l in _reject(st, 1, [Deploy(1, "nope", int_val(0), 0)]))
+    assert "unknown contract" in _reject(st, 1, [Deploy(1, "nope", int_val(0), 0)])
 
 
 def test_deploy_with_a_bad_setup_shape_fails():
     st = genesis({1: 10})
     # crowdfunding expects a pair, not a bare integer
-    log = _reject(st, 1, [Deploy(1, "crowdfunding", int_val(3), 0)])
-    assert any("init of 'crowdfunding' failed" in l for l in log)
+    reason = _reject(st, 1, [Deploy(1, "crowdfunding", int_val(3), 0)])
+    assert "init of 'crowdfunding' failed" in reason
 
 
 def test_deploy_needs_the_endowment_in_hand():
     st = genesis({1: 10})
     setup = CONTRACTS["counter"].make_setup({})
-    assert any("needs 50" in l for l in _reject(st, 1, [Deploy(1, "counter", setup, 50)]))
+    assert "needs 50" in _reject(st, 1, [Deploy(1, "counter", setup, 50)])
 
 
 # ---------------------------------------------------------------------------
@@ -194,21 +193,18 @@ def test_repeat_donation_accumulates_in_the_ledger():
 def test_claim_before_the_deadline_is_rejected():
     st = _cf_deploy()
     st = _accept(st, 2, [Call(2, CF, DONATE, 50)])
-    log = _reject(st, 3, [Call(2, CF, CLAIM, 0)])
-    assert any("rejected the call" in l for l in log)
+    assert "rejected the call" in _reject(st, 3, [Call(2, CF, CLAIM, 0)])
 
 
 def test_bare_payment_to_crowdfunding_is_rejected():
     st = _cf_deploy()
-    log = _reject(st, 2, [Transfer(3, CF, 10)])
-    assert log == [f"receive at {CF} rejected the call"]
+    assert _reject(st, 2, [Transfer(3, CF, 10)]) == f"receive at {CF} rejected the call"
 
 
 def test_stranger_cannot_collect():
     st = _cf_deploy()
     st = _accept(st, 2, [Call(2, CF, DONATE, 80)])
-    log = _reject(st, 13, [Call(2, CF, GETFUNDS, 0)])
-    assert any("rejected the call" in l for l in log)
+    assert "rejected the call" in _reject(st, 13, [Call(2, CF, GETFUNDS, 0)])
 
 
 def test_refund_after_the_deadline_when_unfunded():
@@ -226,8 +222,7 @@ def test_refund_after_the_deadline_when_unfunded():
 def test_claim_by_a_non_donor_is_rejected():
     st = _cf_deploy(goal=100)
     st = _accept(st, 2, [Call(2, CF, DONATE, 75)])
-    log = _reject(st, 13, [Call(3, CF, CLAIM, 0)])
-    assert any("rejected the call" in l for l in log)
+    assert "rejected the call" in _reject(st, 13, [Call(3, CF, CLAIM, 0)])
 
 
 def test_owner_collects_when_funded_and_later_claims_stop():
@@ -239,8 +234,7 @@ def test_owner_collects_when_funded_and_later_claims_stop():
     fields = cf_state_fields(st.contracts[CF].state)
     assert fields[0] == 0 and fields[4] is True
     # the completion flag blocks refunds afterwards
-    log = _reject(st, 14, [Call(2, CF, CLAIM, 0)])
-    assert any("rejected the call" in l for l in log)
+    assert "rejected the call" in _reject(st, 14, [Call(2, CF, CLAIM, 0)])
     assert funded_outcome(_trace_of(st)) is True
 
 
@@ -301,9 +295,9 @@ def test_forwarder_pair_hits_the_call_depth_limit():
         [Deploy(1, "forwarder", nat_val(CF + 1), 0), Deploy(1, "forwarder", nat_val(CF), 0)],
     )
     before = repr(st)
-    new, log = add_block(st, BlockHeader(2), [Transfer(1, CF, 5)])
+    new, reason = add_block(st, BlockHeader(2), [Transfer(1, CF, 5)])
     assert new is None
-    assert any("call depth above 10" in l for l in log)
+    assert "call depth above 10" in reason
     assert repr(st) == before
 
 
@@ -344,10 +338,10 @@ def test_gen_trace_runs_each_generated_action_once(monkeypatch):
     counts = {"actions": 0, "blocks": 0}
     exec_action, add_block_ = chainsim._exec_action, chainsim.add_block
 
-    def counting_exec(st, act, depth, fuel):
+    def counting_exec(st, act, depth):
         if depth == 0:
             counts["actions"] += 1
-        return exec_action(st, act, depth, fuel)
+        return exec_action(st, act, depth)
 
     def counting_add_block(*args, **kwargs):
         counts["blocks"] += 1
@@ -402,18 +396,18 @@ def test_replay_tracks_recorded_acceptance():
 
 def test_a_rejected_block_logs_one_reason_and_an_accepted_one_none():
     # a block is rejected by its first failing action, whose reason is the
-    # one line of the log
+    # one string returned beside no state
     rejected = 0
     for seed in range(20):
         t = gen_trace(seed, 50, crowdfunding_scenario())
         st = clone(t.genesis)
         for step in t.steps:
-            new, log = add_block(st, step.header, step.actions)
+            new, reason = add_block(st, step.header, step.actions)
             if step.accepted:
-                assert new is not None and log == [], (seed, log)
+                assert new is not None and reason is None, (seed, reason)
                 st = new
             else:
-                assert new is None and len(log) == 1 and log[0], (seed, log)
+                assert new is None and isinstance(reason, str) and reason, (seed, reason)
                 rejected += 1
     assert rejected > 100, rejected
 
@@ -494,9 +488,9 @@ def test_a_kept_call_result_equals_a_cold_evaluation(monkeypatch):
     evaluated = _count_evaluations(monkeypatch)
     kinds = {"calls": 0, "hits": 0}
 
-    def checked(st, prog, entry, fuel, sender, amount, *args):
+    def checked(st, prog, entry, sender, amount, *args):
         before = len(evaluated)
-        out = call_entry(st, prog, entry, fuel, sender, amount, *args)
+        out = call_entry(st, prog, entry, sender, amount, *args)
         kinds["hits"] += len(evaluated) == before
         kinds["calls"] += 1
         # the entry point applied to its arguments, built here afresh
@@ -511,7 +505,7 @@ def test_a_kept_call_result_equals_a_cold_evaluation(monkeypatch):
             args = (VConstr("Maybe", "Nothing") if msg is None else VConstr("Maybe", "Just", (msg,)), state)
         rho = (chain, ctx, *args)
         env = contract(prog.name).env
-        cold = eval_expr(env, fuel, rho, mk_app(Const(entry), *map(Var, range(len(rho)))))
+        cold = eval_expr(env, st.fuel, rho, mk_app(Const(entry), *map(Var, range(len(rho)))))
         assert out == chainsim._decode(cold, entry == prog.init_name), (prog.name, entry, rho)
         return out
 
@@ -628,16 +622,18 @@ def test_programs_that_share_entry_names_share_no_results():
 
 def test_errors_are_kept_and_logged_as_evaluated(monkeypatch):
     # 5 units of fuel cannot run init; the shortfall is kept like a value
-    st = genesis({1: 0})
-    new, log = add_block(st, BlockHeader(1), [Deploy(1, "counter", int_val(0), 0)], fuel=5)
-    assert new is None and log == ["init of 'counter' failed: NotEnoughFuel()"]
+    st = genesis({1: 0}, fuel=5)
+    deploy = [Deploy(1, "counter", int_val(0), 0)]
+    new, reason = add_block(st, BlockHeader(1), deploy)
+    assert new is None and reason == "init of 'counter' failed: NotEnoughFuel()"
     assert len(st.calls) == 1
-    # a kept failure is not evaluated again, and logs as it did
+    # a kept failure is not evaluated again, and reads as it did
     monkeypatch.setattr(chainsim, "eval_expr", lambda *a: EvalError("evaluated again"))
-    assert add_block(st, BlockHeader(1), [Deploy(1, "counter", int_val(0), 0)], fuel=5) == (None, log)
-    # another fuel is another call
-    new, log = add_block(st, BlockHeader(1), [Deploy(1, "counter", int_val(0), 0)], fuel=6)
-    assert log == ["init of 'counter' failed: EvalError(reason='evaluated again')"]
+    assert add_block(st, BlockHeader(1), deploy) == (None, reason)
+    # another fuel on the same memo is another call
+    new, reason = add_block(replace(st, fuel=6), BlockHeader(1), deploy)
+    assert reason == "init of 'counter' failed: EvalError(reason='evaluated again')"
+    assert len(st.calls) == 2
 
 
 def test_a_call_on_a_ledger_too_deep_for_structural_hashing_is_kept(monkeypatch):
@@ -647,13 +643,13 @@ def test_a_call_on_a_ledger_too_deep_for_structural_hashing_is_kept(monkeypatch)
     st = ChainState(5, {2: 10, CF: 3000}, {CF: DeployedContract("crowdfunding", ledger)}, CF + 1, {})
     evaluated = _count_evaluations(monkeypatch)
     block = [Call(2, CF, VConstr("Msg", "Donate"), 7)]
-    new, log = add_block(st, BlockHeader(6), block)
-    assert new is not None, log
+    new, reason = add_block(st, BlockHeader(6), block)
+    assert new is not None, reason
     assert cf_state_fields(new.contracts[CF].state)[0] == 3007
     assert len(st.calls) == 1 and len(evaluated) == 1
-    again, log_again = add_block(st, BlockHeader(6), block)
+    again, reason_again = add_block(st, BlockHeader(6), block)
     assert len(evaluated) == 1
-    assert again.contracts[CF].state is new.contracts[CF].state and log_again == log
+    assert again.contracts[CF].state is new.contracts[CF].state and reason_again is None
 
 
 def _cf_state(balance, pairs, done=False, goal=60):
@@ -736,5 +732,6 @@ def test_final_state_and_funded_outcome_on_a_counter_trace():
 
 def test_deployment_failure_raises():
     bad = Scenario(((1, 0),), (DeployPlan("counter", 1, 50, {}),))
-    with pytest.raises(ChainError, match="deployment block failed"):
+    # the message ends with the deployment block's one reason
+    with pytest.raises(ChainError, match=r"^deployment block failed: account 1 holds 0, needs 50$"):
         gen_trace(1, 5, bad)

@@ -10,6 +10,8 @@ import pytest
 
 from acorncore.cli import main
 
+from oracles import child_env
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -310,6 +312,7 @@ def test_diff_eval_too_deep_for_the_recursion_limit_is_one_error_line():
         [sys.executable, "-m", "acorncore.cli", "diff-eval", "--gen", "30", "--size", "2000"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert out.returncode == 1
     assert "Traceback" not in out.stderr
@@ -428,6 +431,48 @@ def test_chain_rejects_a_bad_scenario_file(capsys, tmp_path, text, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("deadline", "1e400"), ("deadline", "Infinity"), ("deadline", "true"),
+     ("goal", '"60"'), ("goal", "1.5"), ("goal", "null")],
+)
+def test_chain_setup_fields_must_be_json_integers(capsys, tmp_path, field, value):
+    # infinity would overflow `int`, and the others would be quietly coerced
+    setup = {"deadline": "12", "goal": "60", field: value}
+    p = tmp_path / "setup.json"
+    p.write_text(
+        '{"actors": [[1, 100]], "deploys": [{"contract": "crowdfunding", "deployer": 1,'
+        ' "setup": {' + ", ".join(f'"{k}": {v}' for k, v in setup.items()) + "}}]}"
+    )
+    code, out, err = run_cli(capsys, "chain", "--scenario", str(p))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: setup field '{field}' of 'crowdfunding' must be an integer"]
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["check", "FILE"], "bad.acorn"),
+        (["check", "FILE"], "bad.json"),
+        (["run", "FILE", "--entry", "x"], "bad.acorn"),
+        (["translate", "FILE"], "bad.json"),
+        (["diff-eval", "--corpus", "DIR"], "bad.acorn"),
+        (["chain", "--scenario", "FILE"], "bad.json"),
+    ],
+    ids=["check-acorn", "check-json", "run", "translate", "diff-eval", "chain"],
+)
+def test_a_file_that_is_not_utf8_is_one_error_line(capsys, tmp_path, argv, name):
+    p = tmp_path / name
+    # the byte 0xff never occurs in UTF-8; it sits at line 2, column 5
+    p.write_bytes(b'{\n  "a\xff": 1}\n')
+    where = {"FILE": str(p), "DIR": str(tmp_path)}
+    code, out, err = run_cli(capsys, *(where.get(a, a) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: 2:5: '{p}' is not UTF-8 text"]
+
+
 def test_chain_rejects_a_scenario_without_actors(capsys, tmp_path):
     # generation draws each action's sender from the actors
     p = tmp_path / "no_actors.json"
@@ -488,6 +533,7 @@ def test_module_entry_point_runs():
          "--args", "1z 2z"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert mod.returncode == 0
     assert mod.stdout.strip() == "2z"

@@ -19,7 +19,7 @@ from acorncore.programs import corpus_dir, load_module, stdlib_env
 from acorncore.soundness import corpus_files, gen_expr
 from acorncore.translate import expr_to_term, translate_env
 
-from oracles import forged_copy, struct_duplicates, to_acorn_map
+from oracles import child_env, forged_copy, struct_duplicates, to_acorn_map
 from pinned import TREE_NODE_KINDS, intern_probe
 
 
@@ -86,7 +86,9 @@ for _ in range(3):
     import acorncore.lang
 print(sum(getattr(f, "__name__", None) == "_sweep" for f in gc.callbacks))
 """
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["1"]
 
