@@ -14,6 +14,11 @@ another, this script
   list whose `diff_check` raises `RecursionError`, read in a new thread at
   the default recursion limit, which should be the version's entry in
   `FIRST_RECURSION_ERRORS`;
+- runs the printer probe of
+  `tests/test_soundness.py::test_first_recursion_error_of_the_printers_stays_put`
+  (`first_printer_recursion_error` in `tests/pinned.py`): the shortest `Int`
+  list that `pretty_expr` or `pretty_term` cannot print, read the same way,
+  which should be the version's entry in `FIRST_PRINTER_RECURSION_ERRORS`;
 - runs the intern probe of
   `tests/test_intern.py::test_a_collection_leaves_no_node_that_only_the_table_holds`
   (`intern_probe` in `tests/pinned.py`): after a `diff-eval` run and
@@ -53,7 +58,7 @@ TIMEOUT_S = 600
 # this checkout's package and the test helpers the commands come from
 SEARCH_PATH = [str(ROOT / "src"), str(TESTS)]
 sys.path[:0] = SEARCH_PATH
-from pinned import CASES, FIRST_RECURSION_ERRORS  # noqa: E402
+from pinned import CASES, FIRST_PRINTER_RECURSION_ERRORS, FIRST_RECURSION_ERRORS  # noqa: E402
 
 # (file in tests/golden/, arguments to the interpreter that print it)
 GOLDEN_RUNS = [(name, ["-m", "acorncore.cli", *argv]) for name, argv in CASES] + [
@@ -67,10 +72,14 @@ TIER1_ENV = {
 }
 TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
 
-# the probe the depth test asserts on, given half the time of a run
+# the probes the two depth tests assert on, each given half the time of a run
 DEPTH_PROBE = f"""
 from pinned import first_recursion_error
 print(first_recursion_error(timeout={TIMEOUT_S // 2}) or "none")
+"""
+PRINTER_PROBE = f"""
+from pinned import first_printer_recursion_error
+print(first_printer_recursion_error(timeout={TIMEOUT_S // 2}) or "none")
 """
 # the probe the intern test asserts on: lone entries and duplicate pairs
 INTERN_PROBE = """
@@ -110,6 +119,8 @@ def check(exe: str) -> tuple[str, str]:
             differ.append(f"{name} (exit {out.returncode})")
     probe = _run(exe, ["-c", DEPTH_PROBE])
     depth = probe.stdout.decode().strip() if probe.returncode == 0 else "crash"
+    probe = _run(exe, ["-c", PRINTER_PROBE])
+    printer = probe.stdout.decode().strip() if probe.returncode == 0 else "crash"
     probe = _run(exe, ["-c", INTERN_PROBE])
     counts = probe.stdout.decode().split() if probe.returncode == 0 else []
     if counts == ["0", "0"]:
@@ -117,14 +128,17 @@ def check(exe: str) -> tuple[str, str]:
     else:
         intern = f"lone {counts[0]} duplicates {counts[1]}" if len(counts) == 2 else "crash"
     tests, tests_bad = tier1(exe)
-    want = FIRST_RECURSION_ERRORS.get(version.stdout.decode().strip().rpartition(".")[0])
-    problems = differ + ([] if depth == str(want) else [f"depth {depth}"])
+    minor = version.stdout.decode().strip().rpartition(".")[0]
+    problems = list(differ)
+    problems += [] if depth == str(FIRST_RECURSION_ERRORS.get(minor)) else [f"depth {depth}"]
+    want = str(FIRST_PRINTER_RECURSION_ERRORS.get(minor))
+    problems += [] if printer == want else [f"printer {printer}"]
     problems += [] if intern == "ok" else [f"intern {intern}"]
     problems += [tests] if tests_bad else []
     verdict = "MISMATCH: " + "; ".join(problems) if problems else "ok"
     row = (
         f"golden {len(GOLDEN_RUNS) - len(differ)}/{len(GOLDEN_RUNS)}  depth {depth}  "
-        f"intern {intern}  {tests}  {verdict}"
+        f"printer {printer}  intern {intern}  {tests}  {verdict}"
     )
     return version.stdout.decode().strip(), row
 

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional, Sequence, Union
 
 from .interp import Ok, VConstr, VPrim, Val, eval_expr
-from .lang import EvalResult, PInt, PNat
+from .lang import EvalError, EvalResult, PInt, PNat
 from .parser import read_source
 from .programs import (
     CONTRACTS,
@@ -148,12 +148,15 @@ def _move(st: ChainState, sender: int, target: int, amount: int) -> None:
     st.balances[target] = st.balances.get(target, 0) + amount
 
 
-def _decode(result: EvalResult, init: bool) -> Outcome:
+def _decode(result: EvalResult, init: bool, fuel: int) -> Outcome:
     """A call's outcome: its new state and emitted (amount, recipient)
-    transfers, or why it failed. init returns Maybe state and emits nothing;
-    receive returns Maybe (Prod state (List SimpleActionBody))."""
+    transfers, or why it failed, worded as `acorn run` words it at `fuel`.
+    init returns Maybe state and emits nothing; receive returns
+    Maybe (Prod state (List SimpleActionBody))."""
+    if isinstance(result, EvalError):
+        return f"failed: {result.reason}"
     if not isinstance(result, Ok):
-        return f"failed: {result!r}"
+        return f"failed: out of fuel ({fuel})"
     out = result.value
     try:
         if not isinstance(out, VConstr) or out.ind != "Maybe":
@@ -196,7 +199,7 @@ def _call_entry(
         if not init:
             args = (_maybe_val(args[0]), args[1])
         rho = (_chain_val(st), _ctx_val(sender, amount), *args)
-        out = _decode(eval_expr(loaded.env, st.fuel, rho, loaded.entries[entry]), init)
+        out = _decode(eval_expr(loaded.env, st.fuel, rho, loaded.entries[entry]), init, st.fuel)
         st.calls[key] = out
     return out
 

@@ -14,10 +14,10 @@ raises `lang.Stuck` or `lang.OutOfFuel` where it fails; `cbv_eval` turns
 the term or the exception into the call's one result. It is a loop, as
 `_eval` is: a beta step's body, the selected match branch, a let body and
 a constant's body go round it again rather than taking a frame. A step
-that goes on with a match leaves its substitution pending on it rather than
-walking it, and the match puts that substitution into its scrutinee and the
-branch it takes alone. Every other body is substituted at once, so the
-machine stays a substitution machine.
+that goes on with a body hands its substitution on pending, as an explicit
+substitution of the lambda-sigma calculus; the loop walks it in at its top,
+unless the body is a match, which puts it into its scrutinee and the branch
+it takes alone. So the machine stays a substitution machine.
 """
 
 from __future__ import annotations
@@ -222,10 +222,6 @@ def _subst(ts: tuple[Term, ...], shift: int, k: int, t: Term) -> Term:
 ''')
 
 
-def subst1(s: Term, t: Term) -> Term:
-    return parallel_subst((s,), t)
-
-
 # ---------------------------------------------------------------------------
 # kernel-side environment
 
@@ -259,14 +255,6 @@ class KernelEnv:
     # bare object, so that a mark on a shared node, which the environment's
     # own terms may hold, makes no cycle through the intern table
     stamp: object = field(default_factory=object, repr=False, compare=False)
-    # the last fixpoint `_cbv` unfolded, and its body's body with the
-    # fixpoint in place of index 1 (see `_cbv`). One entry, since a fold
-    # unfolds one fixpoint at each of its elements; a table of every
-    # fixpoint unfolded would keep alive each list it holds, such as the
-    # second list of every `concat`. Not on the fixpoint node either: kernel
-    # terms keep their caches in `vars()`, which the benchmark's node
-    # counter walks, and the entry holds the node it would sit on.
-    unfolded: Optional[tuple[Term, Term]] = field(default=None, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -315,28 +303,21 @@ def cbv_eval(kenv: KernelEnv, fuel: int, t: Term) -> EvalResult:
 # depth as if each of them were a call. An argument or function that is
 # already an atom is taken in place wherever its call would return it.
 #
-# When the term a step goes on with is a match, the step's substitution is
-# not walked into it but kept as `pend`, the tuple `parallel_subst` would
-# take, and the loop stands for the match with `pend` put in. `pend` is
-# empty whenever `t` is not a match. The `Match` arm puts `pend` into the
-# scrutinee, which it evaluates, and into the branch it takes: after the
-# branch's `arity` lambdas are peeled, the pending entries sit at `arity`
-# and up, so one walk of the constructor arguments followed by `pend` does
-# what a walk of the whole match and then one of the branch would. A branch
-# that is a match itself keeps that tuple pending. The type parameters, the
-# return type and the branches not taken are never rebuilt, as nothing here
-# reads them.
-#
-# A fixpoint applied to a value is unfolded in two walks: the fixpoint goes
-# in for index 1 of its body's body, then the value for index 0. The first
-# walk keeps index 0 in place and moves each index above 1 down by one, not
-# two, so that the second walk's move by one more lands it where a single
-# walk for both would; the fixpoint goes in lifted by one for the same
-# reason. A closed fixpoint's body has no index above 1 and lifts to
-# itself. The environment keeps the first walk's result for the last
-# fixpoint it unfolded (`KernelEnv.unfolded`), so each later element of the
-# same fold takes the second walk alone. It keeps one, on the environment
-# rather than in a table or on the node, for the reasons given at the field.
+# A step that goes on with a body (a beta step, a fixpoint's unfold, a let
+# body, the taken branch) does not walk its substitution into it but hands
+# it on as `pend`, the tuple `parallel_subst` would take. The loop walks
+# `pend` in at its top unless `t` is a match, so `pend` is empty in every
+# arm but `Match`'s. That arm puts `pend` into the scrutinee, which it
+# evaluates, and into the branch it takes: after the branch's `arity`
+# lambdas are peeled, the pending entries sit at `arity` and up, so one walk
+# of the constructor arguments followed by `pend` does what a walk of the
+# whole match and then one of the branch would. A branch that is a match
+# itself keeps that tuple pending. The type parameters, the return type and
+# the branches not taken are never rebuilt, as nothing here reads them. A
+# fixpoint applied to a value goes on with its body's body and `pend` holds
+# the value for index 0 and the fixpoint for index 1, so one walk puts both
+# in; an open fixpoint is lifted by `_subst`'s `Rel` arm, as any pending
+# entry is.
 
 _ATOMS = frozenset((PrimLit, Construct, Lambda, Ind, Fix, Prod, SortSet))
 
@@ -344,6 +325,8 @@ _ATOMS = frozenset((PrimLit, Construct, Lambda, Ind, Fix, Prod, SortSet))
 def _cbv(kenv: KernelEnv, fuel: int, t: Term) -> Term:
     pend = ()
     while True:
+        if pend and type(t) is not Match:
+            t, pend = parallel_subst(pend, t), ()
         if fuel <= 0:
             raise OutOfFuel
         n = fuel - 1
@@ -365,26 +348,14 @@ def _cbv(kenv: KernelEnv, fuel: int, t: Term) -> Term:
             if cf is Lambda:
                 if vf.dom is SORT_SET and not _type_like(va):
                     raise Stuck("type abstraction applied to a term value")
-                t, fuel = vf.body, n
-                if type(t) is Match:
-                    pend = (va,)
-                else:
-                    t = subst1(va, t)
+                t, fuel, pend = vf.body, n, (va,)
                 continue
             if cf is Fix:
                 if not _constr_headed(va):
                     raise Stuck("fixpoint applied to a non-constructor value")
-                hit = kenv.unfolded
-                if hit is None or hit[0] is not vf:
-                    if type(vf.body) is not Lambda:
-                        raise Stuck("fixpoint body is not a lambda")
-                    body = _subst((Rel(0), lift(1, 0, vf)), 1, 0, vf.body.body)
-                    hit = kenv.unfolded = (vf, body)
-                t, fuel = hit[1], n
-                if type(t) is Match:
-                    pend = (va,)
-                else:
-                    t = subst1(va, t)
+                if type(vf.body) is not Lambda:
+                    raise Stuck("fixpoint body is not a lambda")
+                t, fuel, pend = vf.body.body, n, (va, vf)
                 continue
             head, spine = spine_view(vf)
             ch = type(head)
@@ -449,25 +420,17 @@ def _cbv(kenv: KernelEnv, fuel: int, t: Term) -> Term:
                 raise Stuck("constructor argument count does not fit the branch")
             if not all(_type_like(a) for a in spine[:drop]):
                 raise Stuck("non-type argument in the parameter prefix")
-            # peel the branch's lambdas, then put the last argument at index
+            # peel the branch's lambdas; the last argument goes in at index
             # 0, the first at index arity-1 and the pending entries above
-            # them in one walk, as the `App` arm does for a fixpoint
+            # them, in one walk
             for _ in range(arity):
                 if type(body) is not Lambda:
                     raise Stuck("branch shape does not match its arity")
                 body = body.body
-            pend = spine[drop:][::-1] + pend
-            t, fuel = body, n
-            if pend and type(t) is not Match:
-                t, pend = parallel_subst(pend, t), ()
+            t, fuel, pend = body, n, spine[drop:][::-1] + pend
             continue
         if c is LetIn:
-            v = _cbv(kenv, n, t.bound)
-            t, fuel = t.body, n
-            if type(t) is Match:
-                pend = (v,)
-            else:
-                t = subst1(v, t)
+            t, fuel, pend = t.body, n, (_cbv(kenv, n, t.bound),)
             continue
         if c is Rel:
             raise Stuck(f"unbound index {t.index} in kernel evaluation")
@@ -504,7 +467,10 @@ def _pp(t: Term, ctx: list[str], prec: int) -> str:
             return f"({s})" if prec > 0 else s
         case App(_, _):
             head, spine = spine_view(t)
-            parts = [_pp(head, ctx, 1)] + [_pp(a, ctx, 1) for a in spine]
+            # a loop, as in `parser._pp`: a comprehension is a frame more
+            parts = [_pp(head, ctx, 1)]
+            for a in spine:
+                parts.append(_pp(a, ctx, 1))
             s = " ".join(parts)
             return f"({s})" if prec > 0 else s
         case LetIn(h, _, bound, body):

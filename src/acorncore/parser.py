@@ -563,7 +563,11 @@ def _pp(e: Expr, ctx: list[str], prec: int, avoid: frozenset[str]) -> str:
             return f"[{_pp_ty(ty, ctx, 0)}]"
         case App(_, _):
             head, args = app_spine(e)
-            parts = [_pp(head, ctx, 1, avoid)] + [_pp(a, ctx, 1, avoid) for a in args]
+            # a loop, not a comprehension, which takes a frame of its own
+            # before 3.12 and so a second frame per level of a list
+            parts = [_pp(head, ctx, 1, avoid)]
+            for a in args:
+                parts.append(_pp(a, ctx, 1, avoid))
             s = " ".join(parts)
             return f"({s})" if prec >= 1 else s
         case Lam(hint, dom, body):

@@ -2,11 +2,11 @@
 through the interpreter, the minimal fuel search, a scenario for the counter
 contract, the trace generator that `chainsim.gen_trace` is checked against,
 the JSON encoders that `serialize`'s readers invert, the kernel application
-builder, the structural closedness walk that `kernel.term_bound` is
-checked against, the structural equality that interned tree nodes are
-checked against, the match-at-a-time tokenizer that `parser.tokenize`
-is checked against, and the environment of a child Python that imports
-this checkout's package."""
+builder, an `Int` list term and single substitution, the structural
+closedness walk that `kernel.term_bound` is checked against, the structural
+equality that interned tree nodes are checked against, the match-at-a-time
+tokenizer that `parser.tokenize` is checked against, and the environment of
+a child Python that imports this checkout's package."""
 
 from __future__ import annotations
 
@@ -371,6 +371,21 @@ def kernel_app(fn: k.Term, *args: k.Term) -> k.Term:
     for a in args:
         fn = k.App(fn, a)
     return fn
+
+
+def kernel_int_list(xs: Sequence[int]) -> k.Term:
+    """The kernel term of `xs` as a `List Int`, built here rather than
+    translated, since translation has a depth of its own."""
+    int_ty = k.Ind("Int")
+    t = kernel_app(k.Construct("List", 0), int_ty)
+    for x in reversed(xs):
+        t = kernel_app(k.Construct("List", 1), int_ty, k.PrimLit(PInt(x)), t)
+    return t
+
+
+def subst1(s: k.Term, t: k.Term) -> k.Term:
+    """Index 0 of `t` becomes `s`, and every index above it moves down by one."""
+    return k.parallel_subst((s,), t)
 
 
 def term_closed_under(n: int, t: k.Term) -> bool:

@@ -2,8 +2,9 @@
 free of pytest so that `scripts/check_pythons.py` runs the very same
 commands and probes under every installed Python: the CLI commands whose
 output `tests/golden/` holds, the search for the first `foldr addInt` list
-whose `diff_check` overflows Python's stack, with the length it should
-find, and the check of the intern table after a `diff-eval` run."""
+whose `diff_check` overflows Python's stack and the first list the two
+printers cannot print, each with the length it should find, and the check
+of the intern table after a `diff-eval` run."""
 
 from __future__ import annotations
 
@@ -15,10 +16,11 @@ from typing import Optional
 from acorncore import kernel, lang
 from acorncore.interp import Val
 from acorncore.lang import Const, Expr, Lit, Pat, PInt, PNat, TInd, Ty, TyAsExpr, mk_app
+from acorncore.parser import pretty_expr
 from acorncore.programs import corpus_dir, int_list_expr, stdlib_env
 from acorncore.soundness import diff_check, run_corpus
 from acorncore.translate import translate_env
-from oracles import struct_duplicates
+from oracles import kernel_int_list, struct_duplicates
 
 # the classes `lang.tree_node` makes, by their bases
 TREE_NODE_KINDS = (Ty, Expr, Val, kernel.Term, PInt, PNat, Pat)
@@ -79,6 +81,49 @@ def first_recursion_error(timeout: float) -> Optional[int]:
     t.join(timeout=timeout)
     if t.is_alive():
         raise TimeoutError(f"depth probe still running after {timeout} s")
+    return found[0] if found else None
+
+
+# what `first_printer_recursion_error` reads at the default recursion limit,
+# by Python version: each printer takes one frame per element of a list, on
+# every version as long as its `App` arm holds no comprehension, which is a
+# frame of its own before 3.12
+FIRST_PRINTER_RECURSION_ERRORS = {"3.10": 992, "3.11": 992, "3.12": 992, "3.13": 992}
+
+
+def first_printer_recursion_error(timeout: float) -> Optional[int]:
+    """The shortest `Int` list, of 1 to 4,095 elements, that `pretty_expr`
+    or `pretty_term` cannot print for `RecursionError`, or None if both
+    print every one. Found by bisection, as a longer list takes no fewer
+    frames, in a new daemon thread as `first_recursion_error` is."""
+    found = []
+
+    def overflows(n: int) -> bool:
+        try:
+            pretty_expr(int_list_expr(range(n)))
+            kernel.pretty_term(kernel_int_list(range(n)))
+        except RecursionError:
+            return True
+        return False
+
+    def probe():
+        # the empty list prints; the answer is above `lo` and at most `hi`
+        lo, hi = 0, 4095
+        if not overflows(hi):
+            return
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if overflows(mid):
+                hi = mid
+            else:
+                lo = mid
+        found.append(hi)
+
+    t = threading.Thread(target=probe, daemon=True)
+    t.start()
+    t.join(timeout=timeout)
+    if t.is_alive():
+        raise TimeoutError(f"printer depth probe still running after {timeout} s")
     return found[0] if found else None
 
 

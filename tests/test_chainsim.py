@@ -506,7 +506,7 @@ def test_a_kept_call_result_equals_a_cold_evaluation(monkeypatch):
         rho = (chain, ctx, *args)
         env = contract(prog.name).env
         cold = eval_expr(env, st.fuel, rho, mk_app(Const(entry), *map(Var, range(len(rho)))))
-        assert out == chainsim._decode(cold, entry == prog.init_name), (prog.name, entry, rho)
+        assert out == chainsim._decode(cold, entry == prog.init_name, st.fuel), (prog.name, entry, rho)
         return out
 
     monkeypatch.setattr(chainsim, "_call_entry", checked)
@@ -625,14 +625,14 @@ def test_errors_are_kept_and_logged_as_evaluated(monkeypatch):
     st = genesis({1: 0}, fuel=5)
     deploy = [Deploy(1, "counter", int_val(0), 0)]
     new, reason = add_block(st, BlockHeader(1), deploy)
-    assert new is None and reason == "init of 'counter' failed: NotEnoughFuel()"
+    assert new is None and reason == "init of 'counter' failed: out of fuel (5)"
     assert len(st.calls) == 1
     # a kept failure is not evaluated again, and reads as it did
     monkeypatch.setattr(chainsim, "eval_expr", lambda *a: EvalError("evaluated again"))
     assert add_block(st, BlockHeader(1), deploy) == (None, reason)
     # another fuel on the same memo is another call
     new, reason = add_block(replace(st, fuel=6), BlockHeader(1), deploy)
-    assert reason == "init of 'counter' failed: EvalError(reason='evaluated again')"
+    assert reason == "init of 'counter' failed: evaluated again"
     assert len(st.calls) == 2
 
 

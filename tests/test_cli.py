@@ -358,6 +358,13 @@ def test_chain_skips_checks_when_asked(capsys):
     assert "invariant" not in out
 
 
+def test_chain_words_a_failed_deployment_as_run_does(capsys):
+    # 5 units of fuel cannot run the crowdfunding init
+    code, out, err = run_cli(capsys, "chain", "--fuel", "5", "--blocks", "3", "--seed", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: deployment block failed: init of 'crowdfunding' failed: out of fuel (5)\n"
+
+
 def test_chain_unknown_invariant(capsys):
     code, out, err = run_cli(capsys, "chain", "--blocks", "4", "--check", "bogus")
     assert code == 2

@@ -142,8 +142,8 @@ def test_a_failed_evaluation_leaves_nothing_alive():
         e = _foldr_add_int(heads)
         return eval_expr(genv, fuel_i, (), e), cbv_eval(kenv, fuel_k, expr_to_term(genv, e))
 
-    # what the environments keep (a constant's value, the fixpoint last
-    # unfolded) is made before the count
+    # what the environments keep (a constant's value) is made before the
+    # count
     assert all(isinstance(r, Ok) for r in evaluate([PInt(1)], 100, 100))
     gc.collect()
     gc.collect()

@@ -2,6 +2,7 @@
 normalizer's gating rules, and the printer."""
 
 import random
+import threading
 from dataclasses import fields, replace
 
 import pytest
@@ -27,15 +28,22 @@ from acorncore.kernel import (
     parallel_subst,
     pretty_term,
     spine_view,
-    subst1,
     term_bound,
 )
 from acorncore.lang import BUILTINS, EvalError, NOT_ENOUGH_FUEL, Ok, PInt, PNat
-from acorncore.programs import corpus_dir, load_module, stdlib_env
+from acorncore.parser import pretty_expr
+from acorncore.programs import corpus_dir, int_list_expr, load_module, stdlib_env
 from acorncore.soundness import corpus_files, gen_expr
 from acorncore.translate import expr_to_term, translate_env
 
-from oracles import forged_copy, kernel_app as mk_app, struct_eq, term_closed_under
+from oracles import (
+    forged_copy,
+    kernel_app as mk_app,
+    kernel_int_list as int_list,
+    struct_eq,
+    subst1,
+    term_closed_under,
+)
 
 GENV = stdlib_env()
 KENV = translate_env(GENV)
@@ -65,13 +73,6 @@ def err(t, fuel=1000):
     r = run(t, fuel)
     assert isinstance(r, EvalError), r
     return r.reason
-
-
-def int_list(xs):
-    acc = App(Construct("List", NIL), INT)
-    for x in reversed(xs):
-        acc = mk_app(Construct("List", CONS), INT, zlit(x), acc)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +428,11 @@ def test_fix_body_must_be_a_lambda():
 
 
 def test_fix_unfolds_in_one_walk_as_in_two():
-    # `_cbv` puts the fixpoint into its body's body first, keeping index 0
-    # and moving the indices above 1 down by one, then the argument; this,
-    # and one walk for both, must build the term the two single
-    # substitutions did, also for a fixpoint that sits under binders and so
-    # is open
+    # `_cbv` puts the argument and the fixpoint into its body's body in one
+    # walk; it must build the term the two single substitutions did, and so
+    # must `_subst` with a shift as well as a block (the fixpoint in for
+    # index 1, index 0 kept, then the argument), also for a fixpoint that
+    # sits under binders and so is open
     fixes, values = [], []
     for f in corpus_files(corpus_dir()):
         kenv = translate_env(load_module(str(f))[0])
@@ -978,19 +979,22 @@ def test_fold_substitutes_once_per_match(monkeypatch):
     # place rather than evaluated by a call
     assert [c["_cbv"] for c in seen] == [410, 810], seen
     # 1,229 and 2,329 while each unfold of the fold's fixpoint put the
-    # fixpoint into its own body again: the environment now keeps that
-    # body, and each element walks it for the element alone. 786 and 1,436
+    # fixpoint into its own body again at every element. 786 and 1,436
     # while a step that went on with a match (the unfold, a beta step, a let
     # body, a match branch) put its substitution into the whole match: it is
     # now left pending, and goes into the scrutinee and the taken branch
-    # alone, so the fold builds no match per element (56 and 106 then)
-    assert [c["_subst"] for c in seen] == [532, 932], seen
-    assert [c["Match"] for c in seen] == [5, 5], seen
+    # alone, so the fold builds no match per element (56 and 106 then).
+    # 532 and 932, with 5 matches, while the environment kept the first
+    # walk of the last fixpoint's body: the unfold now leaves the argument
+    # and the fixpoint pending together, so that walk and the match it built
+    # are gone
+    assert [c["_subst"] for c in seen] == [516, 916], seen
+    assert [c["Match"] for c in seen] == [4, 4], seen
     assert seen[0]["term_bound"] <= 382 and seen[1]["term_bound"] <= 588, seen
 
 
 # ---------------------------------------------------------------------------
-# evaluation: the unfolded fixpoint an environment keeps
+# evaluation: unfolding fixpoints
 
 NAT = Ind("Nat")
 
@@ -1020,8 +1024,8 @@ def _open_fix():
 
 _MAP = nat_map([(1, 10), (2, 20), (1, 30), (3, 40), (2, 50)])
 
-# (term, least fuel, result at that fuel), each read before `_cbv` kept an
-# unfolded fixpoint on its environment
+# (term, least fuel, result at that fuel), each read before `_cbv` left the
+# argument and the fixpoint of an unfold pending together
 UNFOLDS = {
     # `sum_map` unfolds `mdel k`, a new fixpoint for each key, between two
     # unfolds of its own
@@ -1034,7 +1038,8 @@ UNFOLDS = {
     "mfind, found": (mk_app(Const("mfind"), _MAP, natlit(3)), 18, Ok(App(Construct("Maybe", 1), zlit(40)))),
     "mfind, missing": (mk_app(Const("mfind"), _MAP, natlit(9)), 20, Ok(Construct("Maybe", 0))),
     # an open fixpoint: its body's index above 1, the outside binder's,
-    # must come out of the two walks where one walk for both puts it
+    # moves down past both pending entries, and the fixpoint goes in lifted
+    # past the binders it meets
     "open fixpoint": (App(_open_fix(), int_list([1, 2])), 8, Ok(Lambda("y", INT, Rel(1)))),
 }
 
@@ -1061,9 +1066,21 @@ def test_two_fixpoints_applied_alternately():
             assert cbv_eval(kenv, fuel - 1, t) is NOT_ENOUGH_FUEL
 
 
+def test_evaluation_leaves_its_environment_as_it_found_it():
+    # folds over two different fixpoints: each field of the environment,
+    # the stamp its marks hold included, is the very object it was before
+    kenv = _unmarked(KENV)
+    before = {f.name: getattr(kenv, f.name) for f in fields(kenv)}
+    assert cbv_eval(kenv, 1000, App(_sum_fix(), int_list([1, 2, 3]))) == Ok(zlit(6))
+    assert cbv_eval(kenv, 1000, _fold("maxInt", int_list([3, 9, 4]))) == Ok(zlit(9))
+    for name, value in before.items():
+        assert getattr(kenv, name) is value, name
+
+
 def test_one_fixpoint_under_two_environments():
     # the same fixpoint node, with `addInt` meaning subtraction in one
-    # environment; each environment keeps its own unfolding
+    # environment; what one environment leaves on the nodes must not hold
+    # under the other
     swapped = KernelEnv(
         KENV.inductives, KENV.constants, {**KENV.builtins, "addInt": KENV.builtins["subInt"]}
     )
@@ -1099,3 +1116,23 @@ def test_pretty_term_composites():
     assert pretty_term(m) == (
         "match #0 with 0 => 1z | 2 => fun (hd : Int) => fun (tl : List Int) => 2z end"
     )
+
+
+def test_a_900_element_list_prints_through_both_printers():
+    # in a new thread, so that the caller's depth does not count: each
+    # printer takes one frame per element, short of the default limit
+    n = 900
+    out = []
+
+    def run():
+        out.append(pretty_expr(int_list_expr(range(n))))
+        out.append(pretty_term(int_list(range(n))))
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    t.join(timeout=120)
+    elems = [f"{i}z (" for i in range(n)]
+    assert out == [
+        "Cons [Int] " + "Cons [Int] ".join(elems) + "Nil [Int]" + ")" * n,
+        "List.1 Int " + "List.1 Int ".join(elems) + "List.0 Int" + ")" * n,
+    ]

@@ -49,7 +49,13 @@ from acorncore.soundness import (
 from acorncore.translate import expr_to_term, translate_env
 
 from oracles import int_val, minimal_fuel
-from pinned import FIRST_RECURSION_ERROR, first_recursion_error, foldr_add_int
+from pinned import (
+    FIRST_PRINTER_RECURSION_ERRORS,
+    FIRST_RECURSION_ERROR,
+    first_printer_recursion_error,
+    first_recursion_error,
+    foldr_add_int,
+)
 
 GENV = stdlib_env()
 KENV = translate_env(GENV)
@@ -351,6 +357,17 @@ def test_first_recursion_error_of_a_deep_fold_stays_put():
     stack, read in a new thread so that the caller's depth does not count.
     Translation and read-back must add no frame per level."""
     assert first_recursion_error(timeout=120) == FIRST_RECURSION_ERROR
+
+
+@pytest.mark.skipif(
+    f"{sys.version_info[0]}.{sys.version_info[1]}" not in FIRST_PRINTER_RECURSION_ERRORS,
+    reason="printer depth pinned for CPython 3.10 to 3.13",
+)
+def test_first_recursion_error_of_the_printers_stays_put():
+    """The shortest `Int` list that `pretty_expr` or `pretty_term` cannot
+    print, read in a new thread as the fold's is: one frame per element."""
+    version = f"{sys.version_info[0]}.{sys.version_info[1]}"
+    assert first_printer_recursion_error(timeout=120) == FIRST_PRINTER_RECURSION_ERRORS[version]
 
 
 def test_a_fold_over_319_elements_agrees_at_the_default_limits():
