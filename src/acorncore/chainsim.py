@@ -419,36 +419,26 @@ INVARIANTS: dict[str, Invariant] = {
 # trace generation
 
 @dataclass(frozen=True)
-class DeployPlan:
-    """A contract a scenario deploys at genesis, with its deployer and setup."""
-
-    contract: str
-    deployer: int
-    amount: int
-    setup: dict
-
-
-@dataclass(frozen=True)
 class Scenario:
-    """The actors and their starting funds, and the contracts deployed at genesis."""
+    """The actors and their starting funds, and the block of `Deploy`
+    actions that deploys its contracts at genesis."""
 
     actors: tuple[tuple[int, int], ...]  # (address, starting funds)
-    deploys: tuple[DeployPlan, ...]
+    deploys: tuple[Deploy, ...]
 
 
 def crowdfunding_scenario(
     goal: int = 60, deadline: int = 12, name: str = "crowdfunding"
 ) -> Scenario:
-    return Scenario(
-        actors=((1, 200), (2, 200), (3, 200)),
-        deploys=(DeployPlan(name, 1, 0, {"deadline": deadline, "goal": goal}),),
-    )
+    setup = CONTRACTS[name].make_setup({"deadline": deadline, "goal": goal})
+    return Scenario(((1, 200), (2, 200), (3, 200)), (Deploy(1, name, setup, 0),))
 
 
 def scenario_from_json(data: Any) -> Scenario:
     """Decode a scenario, raising JsonError on anything malformed. Each
-    deployment's setup value is built here once, so that a missing or
-    out-of-range setup field is reported before any block runs."""
+    deployment's setup value is built here, once, and kept in its `Deploy`,
+    so that a missing or out-of-range setup field is reported before any
+    block runs."""
     actors = []
     for a in _list(_need(data, "actors"), "scenario actors"):
         if not isinstance(a, list) or len(a) != 2:
@@ -471,19 +461,14 @@ def scenario_from_json(data: Any) -> Scenario:
         for key, value in setup.items():
             _int(value, f"setup field '{key}' of '{name}'")
         try:
-            CONTRACTS[name].make_setup(setup)
+            setup_val = CONTRACTS[name].make_setup(setup)
         except KeyError as err:
             raise JsonError(f"setup of '{name}' lacks field {err}") from None
         except (TypeError, ValueError) as err:
             raise JsonError(f"setup of '{name}' is invalid: {err}") from None
-        deploys.append(
-            DeployPlan(
-                name,
-                _index(_need(d, "deployer"), "deployer"),
-                _index(d.get("amount", 0), "deploy amount"),
-                dict(setup),
-            )
-        )
+        deployer = _index(_need(d, "deployer"), "deployer")
+        amount = _index(d.get("amount", 0), "deploy amount")
+        deploys.append(Deploy(deployer, name, setup_val, amount))
     return Scenario(tuple(actors), tuple(deploys))
 
 
@@ -541,15 +526,11 @@ def gen_trace(
     rng = random.Random(seed)
     st = genesis(dict(scenario.actors), fuel)
     trace = Trace(clone(st))
-    deploy_acts: list[Action] = [
-        Deploy(p.deployer, p.contract, CONTRACTS[p.contract].make_setup(p.setup), p.amount)
-        for p in scenario.deploys
-    ]
     header = BlockHeader(st.slot + 1)
-    new, reason = add_block(st, header, deploy_acts)
+    new, reason = add_block(st, header, scenario.deploys)
     if new is None:
         raise ChainError(f"deployment block failed: {reason}")
-    trace.steps.append(TraceStep(header, tuple(deploy_acts), True))
+    trace.steps.append(TraceStep(header, scenario.deploys, True))
     st = new
     actors = [a for a, _ in scenario.actors]
     while len(trace.steps) < max_blocks:

@@ -221,10 +221,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(err.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, JsonError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, OSError) as err:
+    except (ParseError, JsonError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (LangError, TranslateError, ChainError) as err:

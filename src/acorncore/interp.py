@@ -15,13 +15,13 @@ the value or the exception into the call's one result. It dispatches on the
 exact node class with an `is` chain ordered by how often each class is met
 (variables, applications, lambdas, constants, case), not through a table of
 handlers. It is a loop: the body of the last application of a spine, the
-selected `Case` branch and a `Let` body go round it again rather than
-taking a frame, so only argument, scrutinee, let-bound and constant-body
-positions recurse. The `App` arm applies a whole spine
-`f a1 ... am` in one pass and builds no partial value on the way: a closure
-whose body is another abstraction is carried to the next argument as its
-environment and node, a constructor takes every remaining argument at once,
-and a builtin collects arguments until it is saturated.
+selected `Case` branch, a `Let` body and a constant's body that is not a
+value form go round it again rather than taking a frame, so only argument,
+scrutinee and let-bound positions recurse. The `App` arm applies a whole
+spine `f a1 ... am` in one pass and builds no partial value on the way: a
+closure whose body is another abstraction is carried to the next argument
+as its environment and node, a constructor takes every remaining argument
+at once, and a builtin collects arguments until it is saturated.
 `Case`, `Lam` and `Fix` check the whole node with `fits` once; only on a miss
 do they check each part in turn, which names the first part that does not
 fit. `Case`, `Lam` and a lambda carried along a spine, met again and again
@@ -194,9 +194,9 @@ def eval_expr(
 # the reason, and where its fuel runs out `OutOfFuel`; either passes through
 # every frame up to `eval_expr`, so no caller checks what a call returned. It
 # is one loop: a position whose value is the value of the whole (the body of
-# the last application of a spine, the selected case branch, a let body)
-# takes the loop round again at the fuel its call would have had, so fuel
-# still counts depth as if each of them were a call.
+# the last application of a spine, the selected case branch, a let body, a
+# constant's body) takes the loop round again at the fuel its call would
+# have had, so fuel still counts depth as if each of them were a call.
 
 def _eval(
     genv: GlobalEnv,
@@ -334,10 +334,12 @@ def _eval(
             if isinstance(defn, Builtin):
                 return VBuiltin(e.name, ())
             # constant bodies are closed, so they run in the empty environment
-            v = _eval(genv, n, (), defn, trace)
             if type(defn) in _VALUE_FORMS:
+                v = _eval(genv, n, (), defn, trace)
                 genv.const_values[e.name] = v
-            return v
+                return v
+            rho, e, fuel = (), defn, n
+            continue
         if t is Case:
             fp = footprint(e)
             if (fp[0] > len(rho) or fp[1]) and not fits(rho, 0, e):

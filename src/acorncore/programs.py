@@ -53,8 +53,7 @@ def base_env() -> GlobalEnv:
 @functools.lru_cache(maxsize=None)
 def stdlib_env() -> GlobalEnv:
     """The shared prelude. Treated as read-only; modules parse on a copy."""
-    text = (corpus_dir() / "stdlib.acorn").read_text(encoding="utf-8")
-    env, _ = parse_module(text, base_env())
+    env, _ = load_module(str(corpus_dir() / "stdlib.acorn"))
     return env
 
 
@@ -181,8 +180,7 @@ def contract(name: str) -> LoadedContract:
     if prog is None:
         raise ConversionError(f"unknown contract '{name}'")
     # never a file of that name in the working directory
-    text = (corpus_dir() / f"{prog.name}.acorn").read_text(encoding="utf-8")
-    env, _ = parse_module(text, stdlib_env())
+    env, _ = load_module(str(corpus_dir() / f"{prog.name}.acorn"))
     entries = {
         entry: mk_app(Const(entry), *map(Var, range(arity)))
         for entry, arity in ((prog.init_name, 3), (prog.receive_name, 4))

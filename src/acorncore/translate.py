@@ -46,25 +46,6 @@ class TranslateError(Exception):
     pass
 
 
-class MissingInductive(TranslateError):
-    def __init__(self, name: str):
-        super().__init__(f"inductive '{name}' is not declared")
-        self.name = name
-
-
-class MissingConstructor(TranslateError):
-    def __init__(self, ind: str, ctor: str):
-        super().__init__(f"constructor '{ctor}' is not declared in '{ind}'")
-        self.ind = ind
-        self.ctor = ctor
-
-
-class MissingBranch(TranslateError):
-    def __init__(self, ctor: str):
-        super().__init__(f"no branch for constructor '{ctor}'")
-        self.ctor = ctor
-
-
 # ---------------------------------------------------------------------------
 # types
 
@@ -119,14 +100,14 @@ def expr_to_term(genv: GlobalEnv, e: Expr) -> k.Term:
         hit = genv.constrs.get((e.ind, e.ctor))
         if hit is None:
             if not genv.has_inductive(e.ind):
-                raise MissingInductive(e.ind)
-            raise MissingConstructor(e.ind, e.ctor)
+                raise TranslateError(f"inductive '{e.ind}' is not declared")
+            raise TranslateError(f"constructor '{e.ctor}' is not declared in '{e.ind}'")
         t = k.Construct(e.ind, hit[0])
     elif c is Case:
         ind = e.ind
         decl = genv.find_inductive(ind)
         if decl is None:
-            raise MissingInductive(ind)
+            raise TranslateError(f"inductive '{ind}' is not declared")
         t = k.Match(
             ind,
             decl.num_params,
@@ -177,7 +158,7 @@ def branch(
         if pat.ctor == c.name:
             break
     else:
-        raise MissingBranch(c.name)
+        raise TranslateError(f"no branch for constructor '{c.name}'")
     arity = len(c.arg_tys)
     if len(pat.binders) != arity:
         raise TranslateError(

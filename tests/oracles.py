@@ -24,7 +24,6 @@ from acorncore.chainsim import (
     BlockHeader,
     ChainError,
     Deploy,
-    DeployPlan,
     Scenario,
     Trace,
     TraceStep,
@@ -193,10 +192,8 @@ def minimal_fuel(genv: GlobalEnv, e: Expr, cap: int = 1_000_000) -> Optional[int
 # chain scenarios
 
 def counter_scenario(start: int = 0) -> Scenario:
-    return Scenario(
-        actors=((1, 100), (2, 100)),
-        deploys=(DeployPlan("counter", 1, 0, {"start": start}),),
-    )
+    setup = CONTRACTS["counter"].make_setup({"start": start})
+    return Scenario(((1, 100), (2, 100)), (Deploy(1, "counter", setup, 0),))
 
 
 def funded_outcome(trace: Trace) -> bool:
@@ -215,15 +212,11 @@ def gen_trace_by_retries(
     rng = random.Random(seed)
     st = genesis(dict(scenario.actors), fuel)
     trace = Trace(clone(st))
-    deploy_acts: list[Action] = [
-        Deploy(p.deployer, p.contract, CONTRACTS[p.contract].make_setup(p.setup), p.amount)
-        for p in scenario.deploys
-    ]
     header = BlockHeader(st.slot + 1)
-    new, reason = add_block(st, header, deploy_acts)
+    new, reason = add_block(st, header, scenario.deploys)
     if new is None:
         raise ChainError(f"deployment block failed: {reason}")
-    trace.steps.append(TraceStep(header, tuple(deploy_acts), True))
+    trace.steps.append(TraceStep(header, scenario.deploys, True))
     st = new
     actors = [a for a, _ in scenario.actors]
     while len(trace.steps) < max_blocks:

@@ -14,7 +14,6 @@ from acorncore.chainsim import (
     ChainError,
     ChainState,
     Deploy,
-    DeployPlan,
     DeployedContract,
     INVARIANTS,
     ReplayError,
@@ -697,9 +696,10 @@ def test_completed_instances_are_historical():
 
 def test_scenario_constructors():
     s = crowdfunding_scenario(goal=80, deadline=9)
-    assert s.deploys == (DeployPlan("crowdfunding", 1, 0, {"deadline": 9, "goal": 80}),)
+    setup = CONTRACTS["crowdfunding"].make_setup({"deadline": 9, "goal": 80})
+    assert s.deploys == (Deploy(1, "crowdfunding", setup, 0),)
     assert s.actors == ((1, 200), (2, 200), (3, 200))
-    assert counter_scenario(4).deploys[0].setup == {"start": 4}
+    assert counter_scenario(4).deploys[0].setup == int_val(4)
 
 
 def test_scenario_json_round_trip():
@@ -708,19 +708,33 @@ def test_scenario_json_round_trip():
         "deploys": [{"contract": "counter", "deployer": 1, "setup": {"start": 3}}],
     }
     s = scenario_from_json(data)
-    assert s == Scenario(((1, 200), (2, 50)), (DeployPlan("counter", 1, 0, {"start": 3}),))
+    assert s == Scenario(((1, 200), (2, 50)), (Deploy(1, "counter", int_val(3), 0),))
 
 
 def test_load_scenario_resolves_packaged_names(tmp_path):
     s = load_scenario("crowdfunding")
     assert s.deploys[0].contract == "crowdfunding"
-    assert s.deploys[0].setup == {"deadline": 12, "goal": 60}
+    assert s.deploys[0].setup == CONTRACTS["crowdfunding"].make_setup({"deadline": 12, "goal": 60})
     assert load_scenario("counter").deploys[0].contract == "counter"
     p = tmp_path / "own.json"
     p.write_text('{"actors": [[1, 9]], "deploys": []}')
     assert load_scenario(str(p)) == Scenario(((1, 9),), ())
     with pytest.raises(FileNotFoundError, match="no scenario at"):
         load_scenario("missing")
+
+
+def test_each_setup_value_is_built_once(monkeypatch):
+    prog = CONTRACTS["crowdfunding"]
+    calls = []
+
+    def counting(args):
+        calls.append(args)
+        return prog.make_setup(args)
+
+    monkeypatch.setitem(CONTRACTS, "crowdfunding", replace(prog, make_setup=counting))
+    s = load_scenario("crowdfunding")
+    gen_trace(0, 5, s)
+    assert len(calls) == len(s.deploys) == 1
 
 
 def test_final_state_and_funded_outcome_on_a_counter_trace():
@@ -731,7 +745,7 @@ def test_final_state_and_funded_outcome_on_a_counter_trace():
 
 
 def test_deployment_failure_raises():
-    bad = Scenario(((1, 0),), (DeployPlan("counter", 1, 50, {}),))
+    bad = Scenario(((1, 0),), (Deploy(1, "counter", int_val(0), 50),))
     # the message ends with the deployment block's one reason
     with pytest.raises(ChainError, match=r"^deployment block failed: account 1 holds 0, needs 50$"):
         gen_trace(1, 5, bad)

@@ -9,6 +9,9 @@ import sys
 import pytest
 
 from acorncore.cli import main
+from acorncore.lang import Const
+from acorncore.programs import load_module
+from acorncore.soundness import Agree, diff_check
 
 from oracles import child_env
 
@@ -123,6 +126,18 @@ def test_run_surfaces_evaluation_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, "run", str(p), "--entry", "boom")
     assert code == 1
     assert "non-literal" in err
+
+
+def test_run_follows_a_chain_of_constants_deeper_than_the_recursion_limit(capsys, tmp_path):
+    # each constant body is another constant: the interpreter goes round its
+    # loop for each, as the kernel does, instead of taking a Python frame
+    lines = ["def c1500 = 7z"] + [f"def c{i} = c{i + 1}" for i in range(1499, -1, -1)]
+    p = tmp_path / "chain.acorn"
+    p.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "run", str(p), "--entry", "c0")
+    assert (code, out.strip(), err) == (0, "7z", "")
+    genv, _ = load_module(str(p))
+    assert isinstance(diff_check(genv, 10_000, Const("c0")), Agree)
 
 
 def test_run_rejects_a_negative_index_in_a_json_module(capsys, tmp_path):
