@@ -124,17 +124,10 @@ class VBuiltin(Val):
     args: tuple[Val, ...] = ()
 
 
-class EnvTrace:
-    """Collects (environment, body) pairs at every point where evaluation
-    extends its environment; feeds the substitution-commutation property."""
-
-    def __init__(self, limit: Optional[int] = None):
-        self.pairs: list[tuple[tuple[Val, ...], Expr]] = []
-        self.limit = limit
-
-    def record(self, rho: tuple[Val, ...], e: Expr) -> None:
-        if self.limit is None or len(self.pairs) < self.limit:
-            self.pairs.append((rho, e))
+# Given a `trace` list, `eval_expr` appends an (environment, body) pair
+# wherever evaluation extends its environment; the pairs feed the
+# substitution-commutation check.
+EnvPairs = list[tuple[tuple[Val, ...], Expr]]
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +173,7 @@ def eval_expr(
     fuel: int,
     rho: Sequence[Val],
     e: Expr,
-    trace: Optional[EnvTrace] = None,
+    trace: Optional[EnvPairs] = None,
 ) -> EvalResult:
     try:
         return Ok(_eval(genv, fuel, rho, e, trace))
@@ -203,7 +196,7 @@ def _eval(
     fuel: int,
     rho: Sequence[Val],
     e: Expr,
-    trace: Optional[EnvTrace],
+    trace: Optional[EnvPairs],
 ) -> Val:
     while True:
         if fuel <= 0:
@@ -265,7 +258,7 @@ def _eval(
                         rho2 = (va,) + env
                     body = fn.body
                     if trace is not None:
-                        trace.record(rho2, body)
+                        trace.append((rho2, body))
                     if not i:
                         break
                     tb = type(body)
@@ -379,7 +372,7 @@ def _eval(
                 raise Stuck(f"no branch fits constructor '{v.ctor}'")
             rho = args[drop:][::-1] + tuple(rho)
             if trace is not None:
-                trace.record(rho, body)
+                trace.append((rho, body))
             e, fuel = body, n
             continue
         if t is Let:
@@ -387,7 +380,7 @@ def _eval(
             rho = (v,) + tuple(rho)
             e, fuel = e.body, n
             if trace is not None:
-                trace.record(rho, e)
+                trace.append((rho, e))
             continue
         if t is Constr:
             if (e.ind, e.ctor) not in genv.constrs:

@@ -283,9 +283,9 @@ PRIM_TYPE_NAMES = frozenset({"Int", "Nat"})
 
 # Surface nodes (`Ty`, `Expr`) and interpreter values (`interp.Val`) keep
 # answers computed from them in slots declared on their base class: `_fp` is
-# the free-index footprint (`footprint`, one walker for types and
-# expressions), `_term` the kernel translation (`translate.ty_to_term` or
-# `translate.expr_to_term`) and `_expr` (values only) the read-back. Every
+# the free-index footprint and `_term` the kernel translation, each with
+# the one walker for types and expressions that computes it (`footprint`,
+# `translate.expr_to_term`), and `_expr` (values only) the read-back. Every
 # node is interned (see `tree_node`): building a node equal to a live one
 # returns that one, caches and all, so an answer is computed once for every
 # program that holds the node. Slots sit outside the dataclass fields, so

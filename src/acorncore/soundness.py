@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 
 from . import kernel as k
 from .interp import (
-    EnvTrace,
+    EnvPairs,
     Val,
     close_env,
     eval_expr,
@@ -84,7 +84,7 @@ def _diff_full(
     fuel: int,
     e: Expr,
     kenv: k.KernelEnv,
-    trace: Optional[EnvTrace] = None,
+    trace: Optional[EnvPairs] = None,
 ) -> tuple[DiffOutcome, EvalResult]:
     ir = eval_expr(genv, fuel, (), e, trace)
     kr = k.cbv_eval(kenv, fuel, expr_to_term(genv, e))
@@ -115,7 +115,7 @@ def diff_check(
     fuel: int,
     e: Expr,
     kenv: Optional[k.KernelEnv] = None,
-    trace: Optional[EnvTrace] = None,
+    trace: Optional[EnvPairs] = None,
 ) -> DiffOutcome:
     """Run `e` on both evaluators and compare."""
     if kenv is None:
@@ -500,14 +500,14 @@ def _check_one(
     name: str,
     e: Expr,
 ) -> None:
-    trace = EnvTrace(_TRACE_LIMIT_PER_DEF)
+    trace: EnvPairs = []
     outcome, ir = _diff_full(genv, fuel, e, kenv, trace)
     _tally(report, name, outcome)
     if isinstance(ir, Ok):
         report.readback_checked += 1
         if not wf_val(genv, ir.value) or from_val(ir.value) is None:
             report.readback_failed += 1
-    for rho, body in trace.pairs:
+    for rho, body in trace[:_TRACE_LIMIT_PER_DEF]:
         verdict = subst_commutes(genv, rho, body)
         if verdict is None:
             continue

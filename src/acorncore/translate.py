@@ -5,9 +5,9 @@ map index-for-index; type abstraction becomes an ordinary lambda over Set,
 and the arrow's codomain is lifted under the unnamed binder a dependent
 product introduces. Case branches, stored by name on the surface side, are
 reordered into declaration order to fit the kernel's positional match.
-`ty_to_term` and `expr_to_term` dispatch on the exact node class with an `is`
-chain ordered by how often each class is met, as `interp.py`'s evaluator
-does.
+One walker, `expr_to_term`, translates types and expressions alike; it
+dispatches on the exact node class with an `is` chain ordered by how often
+each class is met, as `interp.py`'s evaluator does.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .lang import (
     Case,
     Const,
     Constr,
-    ConstrDecl,
     Expr,
     Fix,
     GlobalEnv,
@@ -29,7 +28,6 @@ from .lang import (
     Lam,
     Let,
     Lit,
-    Pat,
     TApp,
     TArr,
     TForall,
@@ -47,37 +45,10 @@ class TranslateError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# types
+# types and expressions
 
-def ty_to_term(ty: Ty) -> k.Term:
-    """Translate a type. The result depends on the type alone, so it is kept
-    on the node."""
-    t = getattr(ty, "_term", None)
-    if t is not None:
-        return t
-    c = type(ty)
-    if c is TApp:
-        t = k.App(ty_to_term(ty.fn), ty_to_term(ty.arg))
-    elif c is TArr:
-        # the product binds an anonymous variable the codomain never uses
-        t = k.Prod(None, ty_to_term(ty.dom), k.lift(1, 0, ty_to_term(ty.cod)))
-    elif c is TInd:
-        t = k.Ind(ty.name)
-    elif c is TVar:
-        t = k.Rel(ty.ref)
-    elif c is TForall:
-        t = k.Prod(ty.hint, k.SORT_SET, ty_to_term(ty.body))
-    else:
-        raise TypeError(f"not a type: {ty!r}")
-    object.__setattr__(ty, "_term", t)
-    return t
-
-
-# ---------------------------------------------------------------------------
-# expressions
-
-def expr_to_term(genv: GlobalEnv, e: Expr) -> k.Term:
-    """Translate an expression under `genv`.
+def expr_to_term(genv: GlobalEnv, e: Union[Expr, Ty]) -> k.Term:
+    """Translate an expression or a type under `genv`.
 
     Translation reads the environment only through its inductive
     declarations, which `add_inductive` extends but never changes. So a
@@ -86,14 +57,17 @@ def expr_to_term(genv: GlobalEnv, e: Expr) -> k.Term:
     list again. The list, not the environment, is the key: the environment
     owns the constant bodies, and a reference back to it from them would make
     a cycle. Errors are not kept. The check sits in this one recursive
-    function, so caching adds no Python frame per tree level."""
+    function, so caching adds no Python frame per tree level, and a `case`
+    builds its branches in loops of its own, so it adds none either."""
     decls = genv.inductives
     hit = getattr(e, "_term", None)
     if hit is not None and hit[0] is decls:
         return hit[1]
     c = type(e)
-    if c is App:
+    if c is App or c is TApp:
         t: k.Term = k.App(expr_to_term(genv, e.fn), expr_to_term(genv, e.arg))
+    elif c is TInd:
+        t = k.Ind(e.name)
     elif c is Lit:
         t = k.PrimLit(e.value)
     elif c is Constr:
@@ -108,71 +82,69 @@ def expr_to_term(genv: GlobalEnv, e: Expr) -> k.Term:
         decl = genv.find_inductive(ind)
         if decl is None:
             raise TranslateError(f"inductive '{ind}' is not declared")
-        t = k.Match(
-            ind,
-            decl.num_params,
-            tuple(ty_to_term(tp) for tp in e.ty_params),
-            k.lift(1, 0, ty_to_term(e.ret_ty)),
-            expr_to_term(genv, e.scrut),
-            tuple(branch(e.ty_params, e.branches, con, genv) for con in decl.constrs),
-        )
+        params = []
+        for tp in e.ty_params:
+            params.append(expr_to_term(genv, tp))
+        ret_ty = k.lift(1, 0, expr_to_term(genv, e.ret_ty))
+        scrut = expr_to_term(genv, e.scrut)
+        # one kernel branch per constructor, in declaration order: the body
+        # of its branch under one lambda per argument. An argument type names
+        # the last parameter `^0`, so it is instantiated by the parameters
+        # reversed; the i-th is stated under the i preceding binders, so they
+        # are lifted by i
+        inst = params[::-1]
+        branches = []
+        for con in decl.constrs:
+            for pat, body in e.branches:
+                if pat.ctor == con.name:
+                    break
+            else:
+                raise TranslateError(f"no branch for constructor '{con.name}'")
+            arity = len(con.arg_tys)
+            if len(pat.binders) != arity:
+                raise TranslateError(
+                    f"branch for '{con.name}' binds {len(pat.binders)} names, expected {arity}"
+                )
+            doms = []
+            for i, sigma in enumerate(con.arg_tys):
+                lifted = tuple(k.lift(i, 0, pt) for pt in inst)
+                doms.append(k.parallel_subst(lifted, expr_to_term(genv, sigma)))
+            cur = expr_to_term(genv, body)
+            for hint, dom in zip(reversed(pat.binders), reversed(doms)):
+                cur = k.Lambda(hint, dom, cur)
+            branches.append((arity, cur))
+        t = k.Match(ind, decl.num_params, tuple(params), ret_ty, scrut, tuple(branches))
     elif c is TyAsExpr:
-        t = ty_to_term(e.ty)
+        t = expr_to_term(genv, e.ty)
     elif c is Const:
         t = k.Const(e.name)
     elif c is Lam:
-        t = k.Lambda(e.hint, ty_to_term(e.dom), expr_to_term(genv, e.body))
-    elif c is Var:
+        t = k.Lambda(e.hint, expr_to_term(genv, e.dom), expr_to_term(genv, e.body))
+    elif c is Var or c is TVar:
         t = k.Rel(e.ref)
+    elif c is TArr:
+        # the product binds an anonymous variable the codomain never uses
+        dom = expr_to_term(genv, e.dom)
+        t = k.Prod(None, dom, k.lift(1, 0, expr_to_term(genv, e.cod)))
     elif c is Fix:
-        dom = ty_to_term(e.dom)
-        fty = k.Prod(None, dom, k.lift(1, 0, ty_to_term(e.cod)))
-        inner = k.Lambda(e.x_hint, k.lift(1, 0, dom), expr_to_term(genv, e.body))
+        fty = expr_to_term(genv, TArr(e.dom, e.cod))
+        inner = k.Lambda(e.x_hint, k.lift(1, 0, fty.dom), expr_to_term(genv, e.body))
         t = k.Fix(e.f_hint, fty, inner)
     elif c is Let:
         t = k.LetIn(
             e.hint,
-            ty_to_term(e.ty),
+            expr_to_term(genv, e.ty),
             expr_to_term(genv, e.bound),
             expr_to_term(genv, e.body),
         )
     elif c is TyLam:
         t = k.Lambda(e.hint, k.SORT_SET, expr_to_term(genv, e.body))
+    elif c is TForall:
+        t = k.Prod(e.hint, k.SORT_SET, expr_to_term(genv, e.body))
     else:
-        raise TypeError(f"not an expression: {e!r}")
+        raise TypeError(f"not an expression or a type: {e!r}")
     object.__setattr__(e, "_term", (decls, t))
     return t
-
-
-def branch(
-    ty_params: tuple[Ty, ...],
-    branches: tuple[tuple[Pat, Expr], ...],
-    c: ConstrDecl,
-    genv: GlobalEnv,
-) -> tuple[int, k.Term]:
-    """One kernel branch: the body of the branch for `c` wrapped in one
-    lambda per constructor argument. The i-th argument type is stated under i
-    preceding binders, so the instantiating type parameters are lifted
-    accordingly."""
-    for pat, body in branches:
-        if pat.ctor == c.name:
-            break
-    else:
-        raise TranslateError(f"no branch for constructor '{c.name}'")
-    arity = len(c.arg_tys)
-    if len(pat.binders) != arity:
-        raise TranslateError(
-            f"branch for '{c.name}' binds {len(pat.binders)} names, expected {arity}"
-        )
-    param_terms = [ty_to_term(t) for t in ty_params]
-    doms: list[k.Term] = []
-    for i, sigma in enumerate(c.arg_tys):
-        lifted = tuple(k.lift(i, 0, pt) for pt in param_terms)
-        doms.append(k.parallel_subst(lifted, ty_to_term(sigma)))
-    cur = expr_to_term(genv, body)
-    for hint, dom in zip(reversed(pat.binders), reversed(doms)):
-        cur = k.Lambda(hint, dom, cur)
-    return arity, cur
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +153,12 @@ def branch(
 def decl_to_kernel(d: InductiveDecl) -> k.KernelInductive:
     """Pack a declaration into kernel form.
 
-    Within the j-th constructor argument, index m refers to parameter m
-    counting past the j preceding argument binders, and a mention of the
-    inductive itself sits one block further out; the result type reapplies
-    the inductive to all parameters from under every argument binder."""
+    A constructor argument's `^0` is the inductive's last parameter, `^1`
+    the one before it, and so on. Within the j-th argument, index m refers
+    to that parameter counting past the j preceding argument binders, and a
+    mention of the inductive itself sits one block further out; the result
+    type reapplies the inductive to all parameters, first to last, from under
+    every argument binder."""
     p = d.num_params
     ctors = []
     for c in d.constrs:

@@ -114,7 +114,7 @@ WALKERS = {
     "kernel.term_bound": (kernel_samples, k.term_bound),
     "kernel._subst": (kernel_samples, lambda t: k._subst((k.Rel(5),), 0, 0, t)),
     "kernel.cbv_eval": (kernel_samples, lambda t: k.cbv_eval(KENV, 5, t)),
-    "translate.ty_to_term": (ty_samples, translate.ty_to_term),
+    "translate.expr_to_term[Ty]": (ty_samples, lambda t: translate.expr_to_term(GENV, t)),
     "translate.expr_to_term": (expr_samples, lambda e: translate.expr_to_term(GENV, e)),
     "lang.footprint[Ty]": (ty_samples, L.footprint),
     "lang.footprint[Expr]": (expr_samples, L.footprint),

@@ -5,7 +5,6 @@ import pytest
 from acorncore import interp
 
 from acorncore.interp import (
-    EnvTrace,
     VBuiltin,
     VClos,
     VConstr,
@@ -729,12 +728,12 @@ def test_a_spine_finishes_at_its_least_fuel(name):
 
 
 def test_a_curried_call_records_each_extension():
-    trace = EnvTrace()
+    trace = []
     e = SPINES["curried call of three"][0]
     ok(e, trace=trace)
     body = mk_app(Const("addInt"), Var(2), Var(0))
     one, two, three = VPrim(PInt(1)), VPrim(PInt(2)), VPrim(PInt(3))
-    assert trace.pairs == [
+    assert trace == [
         ((one,), Lam("b", INT, Lam("c", INT, body))),
         ((two, one), Lam("c", INT, body)),
         ((three, two, one), body),
@@ -744,21 +743,12 @@ def test_a_curried_call_records_each_extension():
 # -- trace --------------------------------------------------------------------
 
 def test_trace_records_environment_extensions():
-    trace = EnvTrace()
+    trace = []
     e = Let("x", INT, Lit(PInt(1)), mk_app(Const("addInt"), Var(0), Lit(PInt(2))))
     assert ok(e, trace=trace) == VPrim(PInt(3))
-    rho0, body0 = trace.pairs[0]
+    rho0, body0 = trace[0]
     assert rho0 == (VPrim(PInt(1)),)
     assert body0 == mk_app(Const("addInt"), Var(0), Lit(PInt(2)))
-
-
-def test_trace_limit_is_respected():
-    trace = EnvTrace(limit=2)
-    e = Let("a", INT, Lit(PInt(1)),
-            Let("b", INT, Lit(PInt(2)),
-                Let("c", INT, Lit(PInt(3)), Var(0))))
-    ok(e, trace=trace)
-    assert len(trace.pairs) == 2
 
 
 # -- readback and substitution ------------------------------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from acorncore import kernel as k
-from acorncore.interp import EnvTrace, Val, VClos, VPrim, VTy, eval_expr
+from acorncore.interp import Val, VClos, VPrim, VTy, eval_expr
 from acorncore.lang import (
     App,
     Const,
@@ -40,6 +40,7 @@ from acorncore.soundness import (
     Disagree,
     Inconclusive,
     Report,
+    _check_one,
     corpus_files,
     diff_check,
     gen_expr,
@@ -193,15 +194,15 @@ def test_subst_commutes_on_harvested_pairs():
         Lit(PInt(5)),
         App(Lam("x", INT, mk_app(Const("addInt"), Var(0), Var(1))), Lit(PInt(2))),
     )
-    trace = EnvTrace()
+    trace = []
     r = eval_expr(GENV, 1000, (), e, trace)
     assert isinstance(r, Ok)
-    assert trace.pairs
+    assert trace
     rng = random.Random(4)
     for _ in range(200):
         eval_expr(GENV, 10_000, (), gen_expr(rng, 12), trace)
     downshifted = 0
-    for rho, body in trace.pairs:
+    for rho, body in trace:
         assert subst_commutes(GENV, rho, body) is not False
         # without its last c entries the environment no longer covers every
         # free index of the body, so substitution shifts the rest down
@@ -430,3 +431,15 @@ def test_report_ok_requires_every_counter_clean():
     assert not Report(**base, subst_failed=1).ok
     assert not Report(**base, readback_failed=1).ok
     assert Report(**base, agree=5, agree_err=2).ok
+
+
+def test_a_definition_checks_the_first_40_of_its_pairs():
+    # evaluation records every pair; the corpus check walks the first 40
+    genv, defs = load_module(str(corpus_dir() / "mapops.acorn"))
+    body = dict(defs)["bumpedfresh"]
+    trace = []
+    eval_expr(genv, 10_000, (), body, trace)
+    assert len(trace) == 62
+    report = Report("mapops", 10_000, 0, 0, rows=[])
+    _check_one(report, genv, translate_env(genv), 10_000, "bumpedfresh", body)
+    assert (report.subst_checked, report.subst_failed) == (40, 0)

@@ -8,7 +8,6 @@ import random
 import pytest
 
 from acorncore import kernel as k
-from acorncore.interp import EnvTrace
 from acorncore.lang import (
     App,
     Case,
@@ -41,7 +40,6 @@ from acorncore.translate import (
     decl_to_kernel,
     expr_to_term,
     translate_env,
-    ty_to_term,
 )
 
 from oracles import forged_copy, kernel_app, struct_eq
@@ -55,17 +53,17 @@ K_INT = k.Ind("Int")
 # ---------------------------------------------------------------------------
 # types
 
-def test_ty_to_term_basics():
-    assert ty_to_term(TVar(2)) == k.Rel(2)
-    assert ty_to_term(INT) == K_INT
-    assert ty_to_term(TApp(TInd("List"), INT)) == k.App(k.Ind("List"), K_INT)
-    assert ty_to_term(TForall("A", TVar(0))) == k.Prod("A", k.SORT_SET, k.Rel(0))
+def test_type_translation_basics():
+    assert expr_to_term(GENV, TVar(2)) == k.Rel(2)
+    assert expr_to_term(GENV, INT) == K_INT
+    assert expr_to_term(GENV, TApp(TInd("List"), INT)) == k.App(k.Ind("List"), K_INT)
+    assert expr_to_term(GENV, TForall("A", TVar(0))) == k.Prod("A", k.SORT_SET, k.Rel(0))
 
 
 def test_arrow_codomain_is_lifted_under_the_product_binder():
-    assert ty_to_term(TArr(INT, INT)) == k.Prod(None, K_INT, K_INT)
-    assert ty_to_term(TArr(TVar(0), TVar(0))) == k.Prod(None, k.Rel(0), k.Rel(1))
-    assert ty_to_term(TForall("A", TArr(TVar(0), TVar(0)))) == k.Prod(
+    assert expr_to_term(GENV, TArr(INT, INT)) == k.Prod(None, K_INT, K_INT)
+    assert expr_to_term(GENV, TArr(TVar(0), TVar(0))) == k.Prod(None, k.Rel(0), k.Rel(1))
+    assert expr_to_term(GENV, TForall("A", TArr(TVar(0), TVar(0)))) == k.Prod(
         "A", k.SORT_SET, k.Prod(None, k.Rel(0), k.Rel(1))
     )
 
@@ -181,6 +179,51 @@ def test_branch_domains_lift_open_type_parameters():
         2,
         k.Lambda("hd", k.Rel(0), k.Lambda("tl", k.App(k.Ind("List"), k.Rel(1)), k.Rel(1))),
     )
+
+
+def _wrong_branch_domains(genv):
+    """Branch domains of a case on each parameterised inductive of `genv`
+    that differ from its constructor's kernel argument type, instantiated
+    below the j preceding arguments by the parameters reversed (an argument
+    type names the last parameter `^0`) and then the inductive itself."""
+    wrong, total = [], 0
+    for d in genv.inductives:
+        if d.num_params == 0:
+            continue
+        # distinct parameters, an open one among them to need lifting
+        params = (TVar(0), INT, TInd("Nat"), TInd("Bool"))[: d.num_params]
+        branches = tuple(
+            (Pat(c.name, tuple(f"x{j}" for j in range(len(c.arg_tys)))), Lit(PInt(0)))
+            for c in d.constrs
+        )
+        m = expr_to_term(genv, Case(Var(0), d.name, params, INT, branches))
+        inst = tuple(expr_to_term(genv, t) for t in reversed(params)) + (k.Ind(d.name),)
+        for kc, (_, lam) in zip(decl_to_kernel(d).ctors, m.branches):
+            for j, arg_ty in enumerate(kc.arg_tys):
+                total += 1
+                if lam.dom != k._subst(inst, 0, j, arg_ty):
+                    wrong.append((kc.name, j))
+                lam = lam.body
+    return wrong, total
+
+
+def test_branch_domains_follow_the_constructor_declarations():
+    # `data Prod #2 = Pair [^1, ^0]` puts the first component at the first
+    # parameter: a branch that instantiated `^i` by the i-th parameter would
+    # swap both components of `Pair` and all three arguments of `MCons`
+    assert _wrong_branch_domains(GENV) == ([], 8)
+
+
+def test_a_case_fails_in_order_inductive_scrutinee_branches():
+    nope = Constr("Maybe", "Nope")
+    with pytest.raises(TranslateError, match="inductive 'Tree' is not declared"):
+        expr_to_term(GENV, Case(nope, "Tree", (), INT, ()))
+    with pytest.raises(TranslateError, match="constructor 'Nope' is not declared"):
+        expr_to_term(GENV, Case(nope, "Maybe", (INT,), INT, ()))
+    # the branch for `Nothing`, body and all, comes before the one for `Just`
+    c = _maybe_case(((Pat("Nothing", ()), nope), (Pat("Just", ()), Lit(PInt(1)))))
+    with pytest.raises(TranslateError, match="constructor 'Nope' is not declared"):
+        expr_to_term(GENV, c)
 
 
 def test_missing_branch_is_reported_by_constructor_name():
@@ -315,9 +358,9 @@ def test_cached_translations_equal_fresh_ones():
     for genv, kenv, body in _corpus_and_generated():
         # populate the caches the way diff-eval does: evaluation, read-back
         # and every harvested pair, whose bodies share nodes with `body`
-        trace = EnvTrace(40)
+        trace = []
         diff_check(genv, 10_000, body, kenv, trace)
-        for rho, pair_body in trace.pairs:
+        for rho, pair_body in trace[:40]:
             subst_commutes(genv, rho, pair_body)
         cached = expr_to_term(genv, body)
         assert expr_to_term(genv, body) is cached
@@ -365,7 +408,7 @@ def test_translated_nodes_compare_hash_and_print_like_fresh_copies():
         assert type(e)(*(getattr(e, f.name) for f in dataclasses.fields(e))) is e
         assert e != copy and struct_eq(e, copy) and repr(e) == repr(copy)
     ty = TForall("A", TArr(TVar(0), TApp(TInd("List"), TVar(0))))
-    assert ty_to_term(ty) is ty_to_term(ty)
+    assert expr_to_term(GENV, ty) is expr_to_term(GENV, ty)
     assert TForall("A", TArr(TVar(0), TApp(TInd("List"), TVar(0)))) is ty
     copy = forged_copy(ty)
     assert struct_eq(ty, copy) and repr(ty) == repr(copy)
@@ -380,3 +423,21 @@ def test_long_lists_translate_at_the_default_recursion_limit():
         heads.append(t.fn.arg.value.value)  # App(App(App(Cons, Int), x), rest)
         t = t.arg
     assert heads == list(range(900))
+
+
+def test_nested_cases_translate_at_the_default_recursion_limit():
+    # a `case` builds its branches in loops of the walker's own frame, so a
+    # case nested in a branch costs one frame per level
+    e = Lit(PInt(0))
+    for i in range(900):
+        e = Case(
+            Constr("Bool", "True"), "Bool", (), INT,
+            ((Pat("True", ()), e), (Pat("False", ()), Lit(PInt(i + 1)))),
+        )
+    t = expr_to_term(GENV, e)
+    depth = 0
+    while isinstance(t, k.Match):
+        assert t.branches[1] == (0, k.PrimLit(PInt(900 - depth)))
+        t = t.branches[0][1]
+        depth += 1
+    assert (depth, t) == (900, k.PrimLit(PInt(0)))
